@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/Checker.h"
@@ -93,8 +94,9 @@ inline double geomean(const std::vector<double> &Values) {
 }
 
 /// Minimal writer for BENCH_*.json artifacts: a top-level object with the
-/// harness name and one "rows" array of flat objects. Enough structure for
-/// machine-readable results without a JSON dependency.
+/// harness name, optional header fields, and one "rows" array of flat
+/// objects. Enough structure for machine-readable results without a JSON
+/// dependency.
 class JsonRows {
 public:
   void beginRow() { Rows.emplace_back(); }
@@ -102,20 +104,32 @@ public:
     Rows.back().emplace_back(Key, std::to_string(V));
   }
   void add(const std::string &Key, double V) {
-    char Buf[32];
-    std::snprintf(Buf, sizeof(Buf), "%.6g", V);
-    Rows.back().emplace_back(Key, Buf);
+    Rows.back().emplace_back(Key, number(V));
   }
   void add(const std::string &Key, const std::string &V) {
     Rows.back().emplace_back(Key, "\"" + V + "\"");
   }
+  /// A top-level field written between "bench" and "rows".
+  void addHeader(const std::string &Key, uint64_t V) {
+    Header.emplace_back(Key, std::to_string(V));
+  }
+  void addHeader(const std::string &Key, double V) {
+    Header.emplace_back(Key, number(V));
+  }
+  void addHeader(const std::string &Key, const std::string &V) {
+    Header.emplace_back(Key, "\"" + V + "\"");
+  }
 
-  /// Writes {"bench": <name>, "rows": [...]} to \p Path; returns success.
+  /// Writes {"bench": <name>, <header>, "rows": [...]} to \p Path; returns
+  /// success.
   bool write(const std::string &Path, const std::string &Name) const {
     std::FILE *F = std::fopen(Path.c_str(), "w");
     if (F == nullptr)
       return false;
-    std::fprintf(F, "{\n  \"bench\": \"%s\",\n  \"rows\": [\n", Name.c_str());
+    std::fprintf(F, "{\n  \"bench\": \"%s\",\n", Name.c_str());
+    for (const auto &KV : Header)
+      std::fprintf(F, "  \"%s\": %s,\n", KV.first.c_str(), KV.second.c_str());
+    std::fprintf(F, "  \"rows\": [\n");
     for (size_t R = 0; R < Rows.size(); ++R) {
       std::fprintf(F, "    {");
       for (size_t I = 0; I < Rows[R].size(); ++I)
@@ -129,8 +143,49 @@ public:
   }
 
 private:
+  static std::string number(double V) {
+    char Buf[32];
+    std::snprintf(Buf, sizeof(Buf), "%.6g", V);
+    return Buf;
+  }
+
+  std::vector<std::pair<std::string, std::string>> Header;
   std::vector<std::vector<std::pair<std::string, std::string>>> Rows;
 };
+
+/// The checkout's commit (`git describe --always --dirty`), or "unknown"
+/// when git or the source tree is unavailable. DC_SOURCE_DIR and
+/// DC_BUILD_TYPE come from bench/CMakeLists.txt; perfbench includes this
+/// header without them.
+inline std::string sourceCommit() {
+  std::string Out;
+#ifdef DC_SOURCE_DIR
+  if (std::FILE *Git = popen("git -C \"" DC_SOURCE_DIR
+                             "\" describe --always --dirty 2>/dev/null",
+                             "r")) {
+    char Buf[128];
+    while (std::fgets(Buf, sizeof(Buf), Git) != nullptr)
+      Out += Buf;
+    pclose(Git);
+  }
+#endif
+  while (!Out.empty() && (Out.back() == '\n' || Out.back() == '\r'))
+    Out.pop_back();
+  return Out.empty() ? "unknown" : Out;
+}
+
+/// Header fields that say where a BENCH_*.json was recorded: core count,
+/// commit, build type, scale and trials.
+inline void addHostHeader(JsonRows &Report, double Scale, unsigned Trials) {
+  Report.addHeader("nproc",
+                   static_cast<uint64_t>(std::thread::hardware_concurrency()));
+  Report.addHeader("commit", sourceCommit());
+#ifdef DC_BUILD_TYPE
+  Report.addHeader("build_type", std::string(DC_BUILD_TYPE));
+#endif
+  Report.addHeader("scale", Scale);
+  Report.addHeader("trials", static_cast<uint64_t>(Trials));
+}
 
 /// Derives the refined ("final") specification for \p Name the way §5.1
 /// does: iterative refinement with the sound single-run checker, at a small

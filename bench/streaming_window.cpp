@@ -33,6 +33,7 @@ int main() {
   Table.setHeader({"benchmark", "engine", "batch-s", "win16", "win64",
                    "win256", "windows@16"});
   JsonRows Report;
+  addHostHeader(Report, Scale, Trials);
 
   for (const std::string Name : {"tsp", "sor", "moldyn"}) {
     ir::Program P = workloads::build(Name, Scale);

@@ -49,6 +49,7 @@ void VectorClockRuntime::endRun(rt::Runtime &RT) {
   Stats.get("vc.collector_runs").add(CollectorRuns);
   Stats.get("vc.collector_ns").add(CollectorNs);
   Stats.get("vc.txs_swept").add(TxsSwept);
+  Stats.get("vc.txs_sealed").add(TxsSealed);
   if (WindowsFlushed != 0)
     Stats.get("vc.windows_flushed").add(WindowsFlushed);
 }
@@ -87,6 +88,14 @@ VectorClockRuntime::currentForAccess(rt::ThreadContext &TC) {
   endCurrentTxLocked(TC.Tid);
   return newTransactionLocked(TC.Tid, ir::InvalidMethodId,
                               /*Regular=*/false);
+}
+
+VectorClockRuntime::VcTxn *VectorClockRuntime::edgeTargetLocked(uint32_t Tid,
+                                                                 VcTxn *Cur) {
+  if (!Cur->Sealed)
+    return Cur;
+  endCurrentTxLocked(Tid);
+  return newTransactionLocked(Tid, ir::InvalidMethodId, /*Regular=*/false);
 }
 
 void VectorClockRuntime::instrumentedAccess(rt::ThreadContext &TC,
@@ -131,6 +140,7 @@ void VectorClockRuntime::instrumentedAccess(rt::ThreadContext &TC,
     bool AlreadyRecorded = Slot != nullptr && *Slot == Cur;
     if (!AlreadyRecorded) {
       SpinLockGuard EngineGuard(EngineLock);
+      Cur = edgeTargetLocked(TC.Tid, Cur);
       if (W != nullptr && W->Tid != TC.Tid)
         addEdgeLocked(W, Cur);
       if (Slot != nullptr)
@@ -143,6 +153,7 @@ void VectorClockRuntime::instrumentedAccess(rt::ThreadContext &TC,
     bool NeedsChange = W != Cur || !Meta.Readers.empty();
     if (NeedsChange) {
       SpinLockGuard EngineGuard(EngineLock);
+      Cur = edgeTargetLocked(TC.Tid, Cur);
       if (W != nullptr && W->Tid != TC.Tid)
         addEdgeLocked(W, Cur);
       for (const auto &R : Meta.Readers)
@@ -185,7 +196,9 @@ VectorClockRuntime::newTransactionLocked(uint32_t Tid, ir::MethodId Site,
     if (Prev->Known.isEpoch())
       ++EpochJoins;
     Tx->Known.joinFrom(Prev->Known, [&](uint32_t T) { Tx->Pred[T] = Prev; });
-    Prev->Subs.push_back(Tx);
+    if (!Prev->Sealed)
+      Prev->Subs.push_back(Tx);
+    Prev->LastSub = Tx;
   }
   PT.CurrTx.store(Tx, std::memory_order_release);
   return Tx;
@@ -205,10 +218,11 @@ void VectorClockRuntime::endCurrentTxLocked(uint32_t Tid) {
 void VectorClockRuntime::addEdgeLocked(VcTxn *Src, VcTxn *Dst) {
   if (Src == nullptr || Src == Dst)
     return;
+  assert(!Dst->Sealed && "edge into a sealed transaction");
   // Cheap dedupe of the common consecutive-duplicate case (safe: the first
   // instance already ran the reachability check, and a duplicate edge can
   // never close a cycle the original did not).
-  if (!Src->Subs.empty() && Src->Subs.back() == Dst)
+  if (Src->LastSub == Dst)
     return;
   // Edges interrupt unary-transaction merging (same demarcation as the
   // graph engines).
@@ -227,7 +241,9 @@ void VectorClockRuntime::addEdgeLocked(VcTxn *Src, VcTxn *Dst) {
     ++EpochJoins;
   bool Grew =
       Dst->Known.joinFrom(Src->Known, [&](uint32_t T) { Dst->Pred[T] = Src; });
-  Src->Subs.push_back(Dst);
+  if (!Src->Sealed)
+    Src->Subs.push_back(Dst);
+  Src->LastSub = Dst;
   if (Grew)
     propagateLocked(Dst);
 }
@@ -305,42 +321,71 @@ void VectorClockRuntime::collectLocked() {
     std::this_thread::sleep_for(
         std::chrono::milliseconds(Opts.Faults.CollectorDelayMs));
   const uint64_t Epoch = ++MarkEpoch;
-  std::vector<VcTxn *> Work;
-  auto AddRoot = [&](VcTxn *Tx) {
-    if (Tx != nullptr && Tx->MarkEpoch != Epoch) {
-      Tx->MarkEpoch = Epoch;
-      Work.push_back(Tx);
-    }
+  auto Mark = [&](VcTxn *Tx) {
+    if (Tx == nullptr || Tx->MarkEpoch == Epoch)
+      return false;
+    Tx->MarkEpoch = Epoch;
+    return true;
   };
-  for (uint32_t T = 0; T < NumThreads; ++T)
-    AddRoot(Threads[T].CurrTx.load(std::memory_order_relaxed));
-  // Field metadata references are roots: a last-writer/reader can still
-  // source a future edge, which reads its clock and appends to its Subs.
-  for (FieldMeta &Meta : Fields) {
-    AddRoot(Meta.LastWrite.load(std::memory_order_relaxed));
-    for (const auto &R : Meta.Readers)
-      AddRoot(R.second);
+  // Growable set: every clock that can still grow. Only an open transaction
+  // (current, and regular or not yet interrupted) can be the target of a
+  // future in-edge, and growth reaches everything else by pushes along
+  // Subs, so the set is the forward closure of the open ones.
+  std::vector<VcTxn *> Work;
+  for (uint32_t T = 0; T < NumThreads; ++T) {
+    VcTxn *Cur = Threads[T].CurrTx.load(std::memory_order_relaxed);
+    if (Cur != nullptr &&
+        (Cur->Regular || !Cur->Interrupted.load(std::memory_order_relaxed)) &&
+        Mark(Cur))
+      Work.push_back(Cur);
   }
-  // Traverse subscriptions: anything a live transaction can push to must
-  // survive (so no dangling pointers can be reached by propagateLocked).
   while (!Work.empty()) {
     VcTxn *Tx = Work.back();
     Work.pop_back();
-    for (VcTxn *S : Tx->Subs)
-      AddRoot(S);
+    for (VcTxn *S : Tx->Subs) {
+      assert(!S->Sealed && "sealed transaction reachable from an open one");
+      if (Mark(S))
+        Work.push_back(S);
+    }
   }
-  // Marking follows Subs (forward), so a survivor's Pred entries can point
-  // at transactions about to be swept. Null them before deleting anything:
-  // the blame walk then stops at the truncation instead of chasing freed
-  // memory (it only ever shortens the reported cycle, never a verdict).
+  // Any other transaction a thread or a field still references can source
+  // a future edge, so it keeps its (now final) clock, Pred and identity —
+  // but nothing can push to it any more, so it is sealed and its Subs go.
+  // Marking stops here: what only a sealed transaction subscribes is free.
+  auto Retain = [&](VcTxn *Tx) {
+    if (!Mark(Tx))
+      return;
+    if (!Tx->Sealed) {
+      Tx->Sealed = true;
+      ++TxsSealed;
+    }
+    Tx->Subs.clear();
+    Tx->Subs.shrink_to_fit();
+  };
+  for (uint32_t T = 0; T < NumThreads; ++T)
+    Retain(Threads[T].CurrTx.load(std::memory_order_relaxed));
+  for (FieldMeta &Meta : Fields) {
+    Retain(Meta.LastWrite.load(std::memory_order_relaxed));
+    for (const auto &R : Meta.Readers)
+      Retain(R.second);
+  }
+  // A survivor's Pred entries (and LastSub) can point at transactions about
+  // to be swept. Null them before deleting anything: the blame walk then
+  // stops at the truncation instead of chasing freed memory (it only ever
+  // shortens the reported cycle, never a verdict), and the dedupe cannot
+  // match a recycled address.
   for (uint32_t T = 0; T < NumThreads; ++T) {
     PerThread &PT = Threads[T];
     SpinLockGuard Guard(PT.OwnedLock);
-    for (VcTxn *Tx : PT.Owned)
-      if (Tx->MarkEpoch == Epoch)
-        for (VcTxn *&Pred : Tx->Pred)
-          if (Pred != nullptr && Pred->MarkEpoch != Epoch)
-            Pred = nullptr;
+    for (VcTxn *Tx : PT.Owned) {
+      if (Tx->MarkEpoch != Epoch)
+        continue;
+      for (VcTxn *&Pred : Tx->Pred)
+        if (Pred != nullptr && Pred->MarkEpoch != Epoch)
+          Pred = nullptr;
+      if (Tx->LastSub != nullptr && Tx->LastSub->MarkEpoch != Epoch)
+        Tx->LastSub = nullptr;
+    }
   }
   for (uint32_t T = 0; T < NumThreads; ++T) {
     PerThread &PT = Threads[T];
@@ -366,12 +411,9 @@ void VectorClockRuntime::collectLocked() {
 void VectorClockRuntime::windowFlushLocked() {
   collectLocked();
   ++WindowsFlushed;
-  uint64_t Live = 0;
-  for (uint32_t T = 0; T < NumThreads; ++T) {
-    SpinLockGuard Guard(Threads[T].OwnedLock);
-    Live += Threads[T].Owned.size();
-  }
-  WindowPinnedLast = Live;
+  WindowPinnedLast = liveTxsLocked();
+  // Published per flush, so health events' stats carry it mid-run too.
+  Stats.get("vc.window_pinned_peak").updateMax(WindowPinnedLast);
   if (Opts.WindowHook) {
     rt::HealthSnapshot H;
     fillHealthLocked(H);
@@ -379,15 +421,19 @@ void VectorClockRuntime::windowFlushLocked() {
   }
 }
 
-void VectorClockRuntime::fillHealthLocked(rt::HealthSnapshot &H) {
-  H.WindowIndex = WindowsFlushed;
-  H.FinishedTxs = FinishedTxs;
+uint64_t VectorClockRuntime::liveTxsLocked() {
   uint64_t Live = 0;
   for (uint32_t T = 0; T < NumThreads; ++T) {
     SpinLockGuard Guard(Threads[T].OwnedLock);
     Live += Threads[T].Owned.size();
   }
-  H.LiveTxs = Live;
+  return Live;
+}
+
+void VectorClockRuntime::fillHealthLocked(rt::HealthSnapshot &H) {
+  H.WindowIndex = WindowsFlushed;
+  H.FinishedTxs = FinishedTxs;
+  H.LiveTxs = liveTxsLocked();
   H.RetiredTxs = TxsSwept;
   H.PinnedTxs = WindowPinnedLast;
   H.CrossEdges = CrossEdges;

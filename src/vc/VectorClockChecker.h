@@ -123,6 +123,10 @@ private:
     /// A violation with this transaction as closing-edge target was already
     /// reported (one report per cycle, matching the graph engines).
     bool Reported = false;
+    /// The clock is final: a collection found this transaction outside the
+    /// growable set (see collectLocked). It still sources edges and blame
+    /// walks, but no edge may target it and its Subs are dropped.
+    bool Sealed = false;
     uint64_t MarkEpoch = 0;
     /// Transactions known to reach this one, as highest-sequence-per-thread.
     VectorClock Known;
@@ -142,8 +146,13 @@ private:
     /// cycle members reported), never changes a verdict.
     std::vector<VcTxn *> Pred;
     /// Successors to push clock growth to (both conflict and program-order
-    /// edges subscribe). Consecutive duplicates are skipped at insert.
+    /// edges subscribe). Empty once Sealed: a final clock never pushes.
     std::vector<VcTxn *> Subs;
+    /// The most recent subscriber, kept apart from Subs so the consecutive-
+    /// duplicate edge dedupe stays exact after a seal clears Subs. Nulled
+    /// when its target is swept (a swept transaction is never current, so
+    /// it can never be an edge target again).
+    VcTxn *LastSub = nullptr;
   };
 
   struct alignas(64) PerThread {
@@ -168,6 +177,11 @@ private:
   VcTxn *newTransactionLocked(uint32_t Tid, ir::MethodId Site, bool Regular);
   void endCurrentTxLocked(uint32_t Tid);
   VcTxn *currentForAccess(rt::ThreadContext &TC);
+  /// \p Cur if it is not Sealed, else a fresh unary transaction replacing
+  /// it. A collection can interrupt and seal the accessing thread's unary
+  /// transaction after currentForAccess returned it; this rotates exactly
+  /// as currentForAccess would have. Caller holds EngineLock.
+  VcTxn *edgeTargetLocked(uint32_t Tid, VcTxn *Cur);
   /// Conflict edge Src->Dst: cycle check, join, subscribe, propagate.
   /// Caller holds EngineLock.
   void addEdgeLocked(VcTxn *Src, VcTxn *Dst);
@@ -181,6 +195,8 @@ private:
   /// always "clean" (no degradation ladder here).
   void windowFlushLocked();
   void fillHealthLocked(rt::HealthSnapshot &H);
+  /// Transactions not yet swept, across all threads.
+  uint64_t liveTxsLocked();
 
   const ir::Program &P;
   VectorClockOptions Opts;
@@ -208,6 +224,7 @@ private:
   uint64_t CollectorRuns = 0;
   uint64_t CollectorNs = 0;
   uint64_t TxsSwept = 0;
+  uint64_t TxsSealed = 0;
   uint64_t WindowsFlushed = 0;
   /// Live txs surviving the latest window flush (HealthSnapshot::PinnedTxs).
   uint64_t WindowPinnedLast = 0;

@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <set>
 #include <thread>
 
@@ -126,12 +128,12 @@ ir::Program scenarioProgram(uint32_t Threads = 2) {
   return B.build();
 }
 
-class VcScenario : public ::testing::Test {
-protected:
-  VcScenario() : P(scenarioProgram(3)) {}
+/// Drives one engine instance hook by hook over three threads.
+struct VcHarness {
+  VcHarness() : P(scenarioProgram(3)) {}
 
   void start(VectorClockOptions Opts = VectorClockOptions()) {
-    Opts.RemoteMissPenalty = 0; // Not under test here.
+    Opts.RemoteMissPenalty = Penalty;
     VC = std::make_unique<VectorClockRuntime>(P, Opts, Violations, Stats);
     RT = std::make_unique<rt::Runtime>(P, VC.get());
     VC->beginRun(*RT);
@@ -165,6 +167,8 @@ protected:
     VC->txEnd(Tc[Tid], P.Methods[P.findMethod(M)]);
   }
 
+  /// Remote-miss penalty iterations; not under test except as a delay.
+  uint32_t Penalty = 0;
   ir::Program P;
   StatisticRegistry Stats;
   analysis::ViolationLog Violations;
@@ -172,6 +176,8 @@ protected:
   std::unique_ptr<rt::Runtime> RT;
   rt::ThreadContext Tc[3];
 };
+
+class VcScenario : public ::testing::Test, protected VcHarness {};
 
 TEST_F(VcScenario, DetectsInterleavedRmwCycle) {
   start();
@@ -361,6 +367,83 @@ TEST_F(VcScenario, MetadataRootsSurviveCollection) {
   EXPECT_GE(Stats.value("vc.cross_edges"), 1u);
 }
 
+/// Both retention shapes that pin a thread's whole future history when
+/// every referenced transaction is a marking root: thread 0's transaction W
+/// writes field f once and nothing overwrites it, and thread 1 parks on a
+/// unary transaction U that an edge interrupted. W and U both subscribe
+/// their successors (program order for W, U's edge into thread 2 for U),
+/// so marking forward from them reaches every later transaction of
+/// threads 0 and 2. Threads 0 and 2 then churn for
+/// \p ChurnTxs begin/end pairs each, and \p AfterChurn receives a health
+/// snapshot. Finally a cycle A -> B -> A forms between fresh regular
+/// transactions on threads 2 and 0, opened by an edge the surviving W
+/// sources into A. (No cycle can pass through W itself once it is sealed:
+/// nothing that can still receive an edge reaches it, DESIGN.md §14.)
+void runRetentionScenario(VcHarness &H, uint32_t WindowTxs, int ChurnTxs,
+                          rt::HealthSnapshot &AfterChurn) {
+  const rt::ObjectId F = 0, S = 1, G = 2, Hf = 3, C = 4;
+  VectorClockOptions Opts;
+  Opts.WindowTxs = WindowTxs;
+  H.start(Opts);
+  H.begin(0, "m1"); // W
+  H.access(0, F, 0, true);
+  H.end(0, "m1");
+  H.access(1, S, 0, true);  // U: thread 1's unary span writes s ...
+  H.access(2, S, 0, false); // ... thread 2 reads it: U -> thread 2,
+                            // interrupting U. Thread 1 never runs again.
+  for (int I = 0; I < ChurnTxs; ++I) {
+    for (uint32_t T : {0u, 2u}) {
+      H.begin(T, "m2");
+      H.access(T, 5 + T / 2, 0, true); // Thread-private field.
+      H.access(T, C, 0, T == 0);       // Shared: edges thread 0 -> 2.
+      H.end(T, "m2");
+    }
+  }
+  H.VC->healthSnapshot(AfterChurn);
+  H.begin(2, "m3"); // A
+  H.access(2, F, 0, false); // W -> A: W must still exist.
+  H.access(2, G, 0, true);
+  H.begin(0, "m2"); // B
+  H.access(0, G, 0, false); // A -> B.
+  H.access(0, Hf, 0, true);
+  H.access(2, Hf, 0, false); // B -> A closes the cycle inside A.
+  H.end(0, "m2");
+  H.end(2, "m3");
+  H.finish();
+}
+
+TEST_F(VcScenario, SealedRootsDoNotPinLaterHistory) {
+  const int ChurnTxs = 60;
+  const uint32_t WindowTxs = 4;
+  rt::HealthSnapshot Churned;
+  runRetentionScenario(*this, WindowTxs, ChurnTxs, Churned);
+  // 4 finished transactions per churn iteration, one flush every 4.
+  ASSERT_GE(Stats.value("vc.windows_flushed"), 20u);
+  // Finished transactions that may survive the churn: W, thread 2's reader
+  // of s, and the latest churn transactions that field metadata still
+  // names or the open current ones still reach. Everything else finished
+  // must have been swept.
+  const uint64_t MaxSurvivors = 8;
+  EXPECT_GE(Churned.RetiredTxs + MaxSurvivors, Churned.FinishedTxs)
+      << "retired " << Churned.RetiredTxs << " of " << Churned.FinishedTxs;
+  EXPECT_GE(Stats.value("vc.txs_sealed"), 2u) << "W and U must be sealed";
+  EXPECT_GT(Stats.value("vc.window_pinned_peak"), 0u);
+  EXPECT_LE(Stats.value("vc.window_pinned_peak"), MaxSurvivors + 3);
+
+  VcHarness Batch;
+  rt::HealthSnapshot Unused;
+  runRetentionScenario(Batch, /*WindowTxs=*/0, ChurnTxs, Unused);
+  ASSERT_EQ(Batch.Stats.value("vc.txs_swept"), 0u);
+  ASSERT_GE(Batch.Violations.count(), 1u);
+  EXPECT_EQ(Violations.count(), Batch.Violations.count());
+  EXPECT_EQ(Violations.blamedMethods(), Batch.Violations.blamedMethods());
+  EXPECT_EQ(Violations.blamedMethods().count(P.findMethod("m3")), 1u);
+  EXPECT_EQ(Stats.value("vc.cross_edges"),
+            Batch.Stats.value("vc.cross_edges"));
+  EXPECT_EQ(Stats.value("vc.violations"), Batch.Stats.value("vc.violations"));
+  EXPECT_EQ(Stats.value("vc.txs"), Batch.Stats.value("vc.txs"));
+}
+
 TEST_F(VcScenario, SyncOpsTrackedAsAccesses) {
   start();
   begin(0, "m1");
@@ -402,8 +485,50 @@ TEST_F(VcScenario, DetectCyclesOffStillTracksClocks) {
 // Free-running stress (the TSan target: real threads, real interleavings)
 //===----------------------------------------------------------------------===//
 
-TEST(VcStress, ConcurrentHookDrivingIsRaceFree) {
-  const uint32_t NumThreads = 4;
+TEST(VcStress, TransactionSealedMidAccessIsRotated) {
+  // Thread 0's access passes currentForAccess with its unary transaction U
+  // still open, then waits for field x's lock (thread 2 holds it through a
+  // remote-miss penalty spin, x being contended) and spins itself before
+  // it takes the engine lock. Meanwhile thread 1 reads a field U wrote,
+  // interrupting U, and ends its span, whose window flush seals U. Under
+  // the engine lock the access must find U sealed and rotate to a fresh
+  // unary transaction, as currentForAccess would have. Targeting U instead
+  // would close the cycle U -> T1 -> T2 -> U and leave one transaction
+  // fewer.
+  VcHarness H;
+  H.Penalty = 250'000'000; // A few hundred milliseconds per contended access.
+  VectorClockOptions Opts;
+  Opts.WindowTxs = 1;
+  H.start(Opts);
+  const rt::ObjectId X = 0, Y = 1;
+  H.access(0, Y, 0, true); // U writes y.
+  H.access(1, X, 0, true); // Thread 1 touches x first.
+  std::thread T2([&] { H.access(2, X, 0, true); }); // Holds x, spinning.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  std::thread T0([&] { H.access(0, X, 0, true); }); // Waits for x.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  H.access(1, Y, 0, false); // U -> thread 1: interrupts U.
+  H.begin(1, "m1");         // Ends thread 1's span: the flush seals U.
+  H.end(1, "m1");
+  T2.join();
+  T0.join();
+  H.finish();
+  // Three initial spans, thread 1's m1 and its unary successor, and the
+  // span replacing U.
+  EXPECT_EQ(H.Stats.value("vc.txs"), 6u);
+  EXPECT_GE(H.Stats.value("vc.txs_sealed"), 1u);
+  EXPECT_EQ(H.Violations.count(), 0u);
+}
+
+/// Drives the engine's hooks from free-running OS threads. With \p Windowed
+/// set, the engine flushes a window every two finished transactions, the
+/// workers also access shared fields from unary spans between their
+/// transactions, and one extra thread parks on an interrupted unary
+/// transaction until the workers finish: sealing, and the access path's
+/// rotate-on-sealed recheck, then race real accesses.
+void runConcurrentStress(bool Windowed) {
+  const uint32_t Workers = 4;
+  const uint32_t NumThreads = Workers + (Windowed ? 1 : 0);
   const int TxPerThread = 400;
   ir::Program P = scenarioProgram(NumThreads);
   StatisticRegistry Stats;
@@ -411,49 +536,96 @@ TEST(VcStress, ConcurrentHookDrivingIsRaceFree) {
   VectorClockOptions Opts;
   Opts.RemoteMissPenalty = 0;
   Opts.CollectEveryTx = 64; // Collect often: sweeps race against accesses.
+  if (Windowed)
+    Opts.WindowTxs = 2;
   auto VC =
       std::make_unique<VectorClockRuntime>(P, Opts, Violations, Stats);
   rt::Runtime RT(P, VC.get());
   VC->beginRun(RT);
 
   std::vector<rt::ThreadContext> Tc(NumThreads);
-  std::vector<std::thread> Workers;
-  const ir::Method &M1 = P.Methods[P.findMethod("m1")];
   for (uint32_t T = 0; T < NumThreads; ++T) {
     Tc[T].Tid = T;
     Tc[T].RT = &RT;
     Tc[T].Checker = VC.get();
-    Workers.emplace_back([&, T] {
+  }
+  auto Access = [&](uint32_t T, rt::ObjectId Obj, uint32_t Field,
+                    bool IsWrite) {
+    rt::AccessInfo Info;
+    Info.Obj = Obj;
+    Info.Addr = RT.heap().fieldAddr(Obj, Field);
+    Info.IsWrite = IsWrite;
+    Info.Flags = ir::IF_VelodromeBarrier;
+    VC->instrumentedAccess(Tc[T], Info, [] {});
+  };
+
+  std::vector<std::thread> Threads;
+  std::atomic<uint32_t> Done{0};
+  const ir::Method &M1 = P.Methods[P.findMethod("m1")];
+  for (uint32_t T = 0; T < Workers; ++T) {
+    Threads.emplace_back([&, T] {
       VC->threadStarted(Tc[T]);
       uint64_t State = T * 7919 + 13;
       for (int I = 0; I < TxPerThread; ++I) {
         VC->txBegin(Tc[T], M1);
         for (int A = 0; A < 3; ++A) {
           State = State * 6364136223846793005ULL + 1442695040888963407ULL;
-          rt::AccessInfo Info;
           // Mostly thread-private with a shared object mixed in, so the
           // stress exercises conflict edges, propagation, and collection
           // concurrently.
-          Info.Obj = (State >> 33) % 4 == 0
-                         ? static_cast<rt::ObjectId>((State >> 17) % 2)
-                         : static_cast<rt::ObjectId>(4 + T);
-          Info.Addr = RT.heap().fieldAddr(Info.Obj, (State >> 9) % 2);
-          Info.IsWrite = (State >> 5) % 2 == 0;
-          Info.Flags = ir::IF_VelodromeBarrier;
-          VC->instrumentedAccess(Tc[T], Info, [] {});
+          rt::ObjectId Obj = (State >> 33) % 4 == 0
+                                 ? static_cast<rt::ObjectId>((State >> 17) % 2)
+                                 : static_cast<rt::ObjectId>(4 + T);
+          Access(T, Obj, (State >> 9) % 2, (State >> 5) % 2 == 0);
         }
         VC->txEnd(Tc[T], M1);
+        // Shared accesses from the unary span: its later accesses can find
+        // it interrupted (by another thread's edge) and sealed (by a flush)
+        // after currentForAccess returned it.
+        for (int A = 0; Windowed && A < 3; ++A) {
+          State = State * 6364136223846793005ULL + 1442695040888963407ULL;
+          Access(T, static_cast<rt::ObjectId>((State >> 41) % 3),
+                 (State >> 13) % 2, (State >> 7) % 2 == 0);
+        }
       }
+      VC->threadExiting(Tc[T]);
+      Done.fetch_add(1);
+    });
+  }
+  if (Windowed) {
+    Threads.emplace_back([&, T = Workers] {
+      VC->threadStarted(Tc[T]);
+      // The workers' accesses to object 2 interrupt this unary span, and
+      // the next flush seals it while the thread is parked.
+      Access(T, 2, 0, true);
+      Access(T, 2, 1, false);
+      while (Done.load() < Workers)
+        std::this_thread::yield();
+      Access(T, 2, 0, true);
       VC->threadExiting(Tc[T]);
     });
   }
-  for (std::thread &W : Workers)
+  for (std::thread &W : Threads)
     W.join();
   VC->endRun(RT);
 
-  EXPECT_EQ(Stats.value("vc.accesses"),
-            static_cast<uint64_t>(NumThreads) * TxPerThread * 3);
+  const uint64_t Accesses =
+      static_cast<uint64_t>(Workers) * TxPerThread * (Windowed ? 6 : 3) +
+      (Windowed ? 3 : 0);
+  EXPECT_EQ(Stats.value("vc.accesses"), Accesses);
   EXPECT_GT(Stats.value("vc.collector_runs"), 0u);
+  if (Windowed) {
+    EXPECT_GT(Stats.value("vc.txs_sealed"), 0u);
+    EXPECT_GT(Stats.value("vc.txs_swept"), Stats.value("vc.txs") / 2);
+  }
+}
+
+TEST(VcStress, ConcurrentHookDrivingIsRaceFree) {
+  runConcurrentStress(/*Windowed=*/false);
+}
+
+TEST(VcStress, WindowedSealingIsRaceFree) {
+  runConcurrentStress(/*Windowed=*/true);
 }
 
 } // namespace

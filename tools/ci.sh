@@ -84,6 +84,36 @@ if [ "$RC" -ne 1 ]; then
 fi
 build-ci/tools/dcheck --list-modes >/dev/null
 
+echo "== Vector-clock window retirement (count gate) =="
+# Service-mode flushes must actually retire vc transactions: a collection
+# seals every transaction whose clock can no longer grow (DESIGN.md §14,
+# "Collection"), so an idle thread's interrupted unary transaction or a
+# never-overwritten field does not pin the rest of the run. Counts, not
+# timings: at window-16 on tsp at least 90% of all transactions must be
+# swept, with the same violations and cross edges as the batch run.
+vc_stat() { echo "$1" | awk -v K="$2" '$1 == K {print $2}'; }
+set +e
+VC_BATCH=$(build-ci/tools/dcheck --workload tsp --scale 0.2 --engine vc \
+  --det --seed 1 --stats)
+VC_SERVE=$(build-ci/tools/dcheck --workload tsp --scale 0.2 --engine vc \
+  --det --seed 1 --serve --window-txs 16 --stats)
+set -e
+VC_TXS=$(vc_stat "$VC_SERVE" vc.txs)
+VC_SWEPT=$(vc_stat "$VC_SERVE" vc.txs_swept)
+if [ -z "$VC_TXS" ] || [ -z "$VC_SWEPT" ] || \
+   [ $((VC_SWEPT * 10)) -lt $((VC_TXS * 9)) ]; then
+  echo "error: vc window flushes swept $VC_SWEPT of $VC_TXS transactions"
+  exit 1
+fi
+for K in vc.violations vc.cross_edges; do
+  if [ "$(vc_stat "$VC_SERVE" $K)" != "$(vc_stat "$VC_BATCH" $K)" ] || \
+     [ -z "$(vc_stat "$VC_BATCH" $K)" ]; then
+    echo "error: windowed $K $(vc_stat "$VC_SERVE" $K) differs from" \
+      "batch $(vc_stat "$VC_BATCH" $K)"
+    exit 1
+  fi
+done
+
 echo "== Differential schedule fuzz (bounded) =="
 # Fixed seed set, wall-clock bounded: PCT + bounded-exhaustive schedules on
 # tiny generated programs, every pair swept through the full config matrix
@@ -165,6 +195,11 @@ build-ci-tsan/tools/dcfuzz --seed 7 --pairs 10 --fault-sweep
 # attributed to this stage by name.
 build-ci-tsan/tests/icd_test \
   --gtest_filter='IcdStressTest.LockFreeFastPathSurvivesForcedReorders'
+# The vc engine's stress tests: window flushes every two transactions seal
+# a parked thread's interrupted unary transaction and the workers' unary
+# spans, racing the access path's rotate-on-sealed recheck, and one access
+# stalled in the remote-miss penalty has its transaction sealed mid-access.
+build-ci-tsan/tests/vc_test --gtest_filter='VcStress.*'
 # A TSan slice of the service-mode soak: window flushes synchronize the
 # mutator, the PCD pool, the ring drainer, and the collector — exactly the
 # cross-thread seams TSan exists for. Iteration-bounded (TSan's slowdown
