@@ -1,43 +1,24 @@
-//===- bench/logging_throughput.cpp - Logging transport comparison --------===//
+//===- bench/logging_throughput.cpp - Log append throughput ---------------===//
 //
 // Part of the DoubleChecker reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The three log publication transports under real OS threads (DESIGN.md
-/// §8/§13), measured at the component level:
-///
-///  * legacy — what LegacyLog preserves: globally shared per-field elision
-///    cells (whose cache-line ping-pong the calibrated LogRemoteMissPenalty
-///    simulates, DESIGN.md §2) and a reallocating std::vector of 32-byte
-///    entries per transaction.
-///  * arena — the ThreadArenaLog escape hatch: a thread-local elision
-///    filter, 16-byte packed slots in recycled arena chunks, one chunk
-///    cache per thread (footprint O(threads)).
-///  * ring — the default: the same filter and slots, but published through
-///    the bounded per-CPU ring transport (footprint O(cores)), with a
-///    background drainer materializing records into per-transaction logs
-///    and mutators self-draining on a full ring.
+/// The log publication path (DESIGN.md §8) under real OS threads, measured
+/// at the component level: a thread-local elision filter, 16-byte packed
+/// slots in recycled arena chunks, and one chunk cache per thread.
 ///
 /// Each logged access performs exactly the work DoubleCheckerRuntime::
-/// logAccess does on that path — duplicate check, append or ring commit,
-/// LogLen publication, and for the legacy path the contended-cell
-/// remote-miss simulation — with none of the surrounding checker plumbing
-/// that is identical on all paths. Unlike the pre-ring revision of this
-/// bench (which round-robined logical threads from one OS thread), every
-/// row spawns real threads: the transport claims wait-freedom from *other
-/// threads'* progress, and only preemptive scheduling — including producers
-/// descheduled mid-commit, the gap case the drain side must skip past —
-/// can test that.
+/// logAccess does — duplicate check, append, LogLen publication — with none
+/// of the surrounding checker plumbing. Every row spawns real threads, so
+/// the chunk pool's batch refills and the collector's recycling contend
+/// the way they do in a checked run.
 ///
 /// Strong scaling: every row performs the same total append count split
 /// across its threads, so a row's appends/s is comparable to any other
 /// row's. The sweep runs to 256 threads — far past the host's cores — and
-/// the number to watch is ring throughput retention: the issue's bar is
-/// the 256-thread row staying within 2x of the 8-thread row's appends/s
-/// (no collapse), while the legacy path's shared cells and the per-append
-/// penalty degrade with every additional conflicting thread.
+/// the number to watch is that ns/append stays flat.
 ///
 /// A ring of live transactions per thread models the deferred collector:
 /// logs stay live until the window wraps, so appends stream through the
@@ -58,7 +39,6 @@
 #include <thread>
 #include <vector>
 
-#include "analysis/DoubleChecker.h"
 #include "analysis/LogArena.h"
 #include "analysis/Transaction.h"
 #include "bench/BenchUtils.h"
@@ -69,12 +49,8 @@ using namespace dc::analysis;
 
 namespace {
 
-/// Shared field universe, sized like a real heap. The legacy
-/// ElisionCells/CellContended arrays are allocated per *field address*, so
-/// their footprint scales with the heap and misses cache on scattered
-/// access, while the per-thread filter is 8 KiB and the ring transport's
-/// whole footprint is O(cores) regardless of either. All threads touch the
-/// same fields.
+/// Shared field universe, sized like a real heap; the per-thread filter is
+/// 8 KiB regardless. All threads touch the same fields.
 constexpr uint32_t NumAddrs = 1u << 18;
 constexpr uint32_t AccessesPerTx = 32; // Distinct addrs per tx: no elision.
 /// Global live-transaction budget, split across threads (CollectEveryTx's
@@ -83,144 +59,40 @@ constexpr uint32_t AccessesPerTx = 32; // Distinct addrs per tx: no elision.
 constexpr uint32_t TotalLiveWindow = 8192;
 constexpr uint32_t MinLiveWindow = 16;
 
-enum class Transport { Legacy, Arena, Ring };
-
-/// Legacy elision cell, exactly as the LegacyLog path packs it:
-/// (tid, wasWrite, ts) of the last *logged* access to the field.
-uint64_t packCell(uint32_t Tid, bool IsWrite, uint64_t Ts) {
-  return (Ts << 33) | (static_cast<uint64_t>(Tid) << 1) |
-         static_cast<uint64_t>(IsWrite);
-}
-uint32_t cellTid(uint64_t Cell) {
-  return static_cast<uint32_t>((Cell >> 1) & 0xffffffffu);
-}
-uint64_t cellTs(uint64_t Cell) { return Cell >> 33; }
-bool cellWasWrite(uint64_t Cell) { return (Cell & 1) != 0; }
-
-/// The legacy path's remote-miss simulation (DoubleCheckerRuntime::
-/// spinPenalty): a serial LCG dependence chain per simulated miss.
-std::atomic<uint64_t> PenaltySink{0};
-void spinPenalty(uint32_t Iters, uint64_t Seed) {
-  uint64_t Acc = Seed;
-  for (uint32_t I = 0; I < Iters; ++I)
-    Acc = Acc * 6364136223846793005ULL + 1442695040888963407ULL;
-  PenaltySink.fetch_add(Acc, std::memory_order_relaxed);
-}
-
 struct Point {
   double Seconds = 0;
   uint64_t Records = 0;
-  uint64_t Bytes = 0;
   uint64_t ChunkAllocs = 0;
   uint64_t ChunkRecycles = 0;
-  // Ring transport profile (zero on the other transports).
-  uint64_t RingCommits = 0;
-  uint64_t RingFullEvents = 0;
-  uint64_t RingSelfDrains = 0;
-  uint64_t RingMigrations = 0;
-  uint64_t RingDrainPasses = 0;
-  uint64_t RingRecordsDrained = 0;
-  uint64_t RingSheds = 0;
-  uint64_t RingCount = 0;
-  uint64_t RingFootprintBytes = 0;
 };
 
 /// One OS thread's private state. Cache-line aligned and heap-allocated
 /// per worker so the states themselves cannot false-share — the bench
-/// measures the transports' sharing, not the harness's.
+/// measures the log path's sharing, not the harness's.
 struct alignas(64) WorkerState {
   std::vector<std::unique_ptr<Transaction>> Window;
   uint32_t WindowPos = 0;
   uint64_t Epoch = 1;
   uint32_t AddrBase = 0;
   ElisionFilter Filter;
-  LogChunkCache Cache; ///< Arena transport only; ring has no per-thread cache.
-  /// Mirrors PerThread::BytesLogged, which the legacy path bumps per
-  /// append (the packed paths derive bytes at flush instead).
-  uint64_t BytesLogged = 0;
-  // Mirrors PerThread's ring commit state (DoubleCheckerRuntime::
-  // ringPublish): a periodically refreshed CPU hint plus local counters.
-  uint32_t RingIdx = 0;
-  uint32_t HintCountdown = 0;
-  bool HintValid = false;
-  uint64_t Commits = 0;
-  uint64_t FullEvents = 0;
-  uint64_t SelfDrains = 0;
-  uint64_t Migrations = 0;
+  LogChunkCache Cache;
 };
 
-/// The mutator half of the ring protocol, exactly as ringPublish runs it:
-/// hinted commit, one neighbour hop on contention, then bounded
-/// drain-or-yield rounds on a full ring. The real checker sheds the
-/// transaction after two refused rounds; the bench loops instead — its
-/// whole point is to measure the cost of *never* losing a record, and a
-/// shed would quietly deflate the append count it reports.
-void publishRing(RingLog &Ring, WorkerState &St, Transaction *Tx,
-                 uint32_t Pos, const LogSlot &S) {
-  if (St.HintCountdown == 0) {
-    const uint32_t Idx = Ring.ringFor(RingLog::currentCpu());
-    if (St.HintValid && Idx != St.RingIdx)
-      ++St.Migrations;
-    St.RingIdx = Idx;
-    St.HintValid = true;
-    St.HintCountdown = 64;
-  }
-  --St.HintCountdown;
-  RingCommit RC = Ring.commit(St.RingIdx, Tx, Pos, &S, 1);
-  if (RC == RingCommit::Contended) {
-    St.HintCountdown = 0;
-    RC = Ring.commit(Ring.ringFor(St.RingIdx + 1), Tx, Pos, &S, 1);
-  }
-  if (RC == RingCommit::Ok) {
-    ++St.Commits;
-    return;
-  }
-  ++St.FullEvents;
-  for (;;) {
-    uint32_t Drained = 0;
-    if (Ring.tryDrainAll(Drained))
-      ++St.SelfDrains;
-    else
-      std::this_thread::yield(); // Another consumer is already at it.
-    RC = Ring.commit(St.RingIdx, Tx, Pos, &S, 1);
-    if (RC == RingCommit::Ok) {
-      ++St.Commits;
-      return;
-    }
-  }
-}
-
 /// Per-thread bench body: TxPerThread transactions of AccessesPerTx
-/// appends each, against whichever transport \p Mode selects.
-void workerLoop(Transport Mode, uint32_t Tid, uint64_t TxPerThread,
-                WorkerState &St, LogChunkPool &Pool, RingLog *Ring,
-                std::atomic<uint64_t> *Cells, std::atomic<uint8_t> *Contended,
-                uint32_t Penalty, std::atomic<uint64_t> &TxSeq) {
+/// appends each.
+void workerLoop(uint32_t Tid, uint64_t TxPerThread, WorkerState &St,
+                LogChunkPool &Pool, std::atomic<uint64_t> &TxSeq) {
   const uint32_t Window = static_cast<uint32_t>(St.Window.size());
-  Transaction *Cur = nullptr;
   for (uint64_t Tx = 0; Tx < TxPerThread; ++Tx) {
     // Retire the oldest window entry — the collector's share of the
-    // logging cost, inside the timed region. Ring mode must first wait
-    // for the drain side to materialize every committed record (the
-    // DrainedSlots >= LogLen completeness condition awaitLogComplete
-    // enforces before replay), helping drain rather than just spinning.
+    // logging cost, inside the timed region.
     std::unique_ptr<Transaction> &Slot = St.Window[St.WindowPos];
-    if (Slot != nullptr) {
-      if (Mode == Transport::Ring) {
-        while (Slot->DrainedSlots.load(std::memory_order_acquire) <
-               Slot->LogLen.load(std::memory_order_acquire)) {
-          uint32_t Drained = 0;
-          if (!Ring->tryDrainAll(Drained))
-            std::this_thread::yield();
-        }
-      }
-      if (Mode != Transport::Legacy)
-        Slot->Log.releaseTo(Pool);
-    }
+    if (Slot != nullptr)
+      Slot->Log.releaseTo(Pool);
     Slot = std::make_unique<Transaction>(
         TxSeq.fetch_add(1, std::memory_order_relaxed) + 1, Tid, Tx,
         ir::MethodId(0), /*Regular=*/true);
-    Cur = Slot.get();
+    Transaction *Cur = Slot.get();
     St.WindowPos = (St.WindowPos + 1) % Window;
     ++St.Epoch;
 
@@ -232,61 +104,13 @@ void workerLoop(Transport Mode, uint32_t Tid, uint64_t TxPerThread,
       const uint32_t Addr = (St.AddrBase + J * 521) & (NumAddrs - 1);
       const uint32_t Obj = Addr / 4;
       const bool IsWrite = (J & 1) != 0;
-      switch (Mode) {
-      case Transport::Arena: {
-        // Mirrors logAccess's arena branch: filter probe, packed append,
-        // LogLen publication.
-        if (St.Filter.testAndSet(ElisionFilter::key(Obj, Addr), St.Epoch,
-                                 IsWrite))
-          break;
-        Cur->LogLen.store(Cur->Log.appendAccess(Obj, Addr, IsWrite,
-                                                &St.Cache),
-                          std::memory_order_release);
-        break;
-      }
-      case Transport::Ring: {
-        // Mirrors logAccess's default branch: same filter, but the record
-        // travels through the ring; LogLen publishes only after the cell
-        // is published, so a sampled SrcPos always refers to a committed
-        // record.
-        if (St.Filter.testAndSet(ElisionFilter::key(Obj, Addr), St.Epoch,
-                                 IsWrite))
-          break;
-        const uint32_t Pos = Cur->LogLen.load(std::memory_order_relaxed);
-        LogSlot S;
-        S.A = Obj;
-        S.B = Addr;
-        S.Meta = IsWrite ? SlotTagWrite : SlotTagRead;
-        publishRing(*Ring, St, Cur, Pos, S);
-        Cur->LogLen.store(Pos + 1, std::memory_order_release);
-        break;
-      }
-      case Transport::Legacy: {
-        // Mirrors logAccess's LegacyLog branch. Under real threads the
-        // cells are genuinely shared-written on top of the calibrated
-        // penalty, so this path now pays both the simulated remote miss
-        // and the real one.
-        const uint64_t Cell = Cells[Addr].load(std::memory_order_relaxed);
-        if (cellTid(Cell) == Tid && cellTs(Cell) == St.Epoch &&
-            (cellWasWrite(Cell) || !IsWrite))
-          break;
-        LogEntry E;
-        E.K = IsWrite ? LogEntry::Kind::Write : LogEntry::Kind::Read;
-        E.Obj = Obj;
-        E.Addr = Addr;
-        Cur->appendLogLegacy(E);
-        St.BytesLogged += sizeof(LogEntry);
-        if (Penalty != 0) {
-          if (Cell != 0 && cellTid(Cell) != Tid)
-            Contended[Addr].store(1, std::memory_order_relaxed);
-          if (Contended[Addr].load(std::memory_order_relaxed))
-            spinPenalty(Penalty, Addr);
-        }
-        Cells[Addr].store(packCell(Tid, IsWrite, St.Epoch),
-                          std::memory_order_relaxed);
-        break;
-      }
-      }
+      // Mirrors logAccess: filter probe, packed append, LogLen
+      // publication.
+      if (St.Filter.testAndSet(ElisionFilter::key(Obj, Addr), St.Epoch,
+                               IsWrite))
+        continue;
+      Cur->LogLen.store(Cur->Log.appendAccess(Obj, Addr, IsWrite, &St.Cache),
+                        std::memory_order_release);
     }
     // Hop the base by a large odd constant (a full-period walk of the
     // power-of-two universe): successive transactions touch fields far
@@ -296,43 +120,18 @@ void workerLoop(Transport Mode, uint32_t Tid, uint64_t TxPerThread,
   }
 }
 
-Point runOnce(uint32_t Threads, uint64_t TxPerThread, uint32_t Window,
-              Transport Mode) {
-  const uint32_t Penalty = DoubleCheckerOptions().LogRemoteMissPenalty;
+Point runOnce(uint32_t Threads, uint64_t TxPerThread, uint32_t Window) {
   LogChunkPool Pool;
-  // Legacy-only shared state.
-  std::unique_ptr<std::atomic<uint64_t>[]> Cells;
-  std::unique_ptr<std::atomic<uint8_t>[]> Contended;
-  if (Mode == Transport::Legacy) {
-    Cells = std::make_unique<std::atomic<uint64_t>[]>(NumAddrs);
-    Contended = std::make_unique<std::atomic<uint8_t>[]>(NumAddrs);
-    for (uint32_t A = 0; A < NumAddrs; ++A) {
-      Cells[A].store(0, std::memory_order_relaxed);
-      Contended[A].store(0, std::memory_order_relaxed);
-    }
-  }
-  // Ring-only: the transport plus its background drainer, sized exactly
-  // as beginRun sizes them (hardware rings, default cell budget).
-  std::unique_ptr<RingLog> Ring;
-  std::thread Drainer;
-  std::atomic<bool> DrainerStop{false};
-  if (Mode == Transport::Ring) {
-    Ring = std::make_unique<RingLog>(
-        std::max(1u, std::thread::hardware_concurrency()), 0);
-    Ring->attachPool(&Pool);
-  }
-
   std::vector<std::unique_ptr<WorkerState>> States;
   for (uint32_t T = 0; T < Threads; ++T) {
     States.push_back(std::make_unique<WorkerState>());
     States[T]->Window.resize(Window);
-    if (Mode == Transport::Arena)
-      States[T]->Cache.attach(&Pool);
+    States[T]->Cache.attach(&Pool);
   }
 
-  // Every non-elided access appends on all paths (addresses are distinct
-  // within a transaction and epochs advance between them), so the record
-  // count is exact without a per-access counter in the timed loop.
+  // Every access appends (addresses are distinct within a transaction and
+  // epochs advance between them), so the record count is exact without a
+  // per-access counter in the timed loop.
   const uint64_t Records =
       TxPerThread * static_cast<uint64_t>(Threads) * AccessesPerTx;
   std::atomic<uint64_t> TxSeq{0};
@@ -343,73 +142,35 @@ Point runOnce(uint32_t Threads, uint64_t TxPerThread, uint32_t Window,
     Workers.emplace_back([&, T] {
       while (!Go.load(std::memory_order_acquire))
         std::this_thread::yield();
-      workerLoop(Mode, T, TxPerThread, *States[T], Pool, Ring.get(),
-                 Cells.get(), Contended.get(), Penalty, TxSeq);
-    });
-  if (Mode == Transport::Ring)
-    Drainer = std::thread([&] {
-      // The runtime's ringDrainLoop cadence: drain back-to-back while
-      // records flow, back off exponentially (capped) while idle.
-      uint32_t SleepUs = 50;
-      while (!DrainerStop.load(std::memory_order_acquire)) {
-        if (Ring->drainAll() != 0) {
-          SleepUs = 50;
-          continue;
-        }
-        std::this_thread::sleep_for(std::chrono::microseconds(SleepUs));
-        SleepUs = std::min(SleepUs * 2, 2000u);
-      }
-      Ring->drainAll();
+      workerLoop(T, TxPerThread, *States[T], Pool, TxSeq);
     });
 
   auto Begin = std::chrono::steady_clock::now();
   Go.store(true, std::memory_order_release);
   for (std::thread &W : Workers)
     W.join();
-  if (Mode == Transport::Ring) {
-    DrainerStop.store(true, std::memory_order_release);
-    Drainer.join(); // Final drain: every record materialized.
-  }
   // Reclaiming the final window is the collector's steady-state work and
   // stays inside the timing.
-  uint64_t Bytes = 0;
-  for (uint32_t T = 0; T < Threads; ++T) {
-    Bytes += States[T]->BytesLogged;
+  for (uint32_t T = 0; T < Threads; ++T)
     for (auto &Slot : States[T]->Window)
-      if (Slot != nullptr && Mode != Transport::Legacy)
+      if (Slot != nullptr)
         Slot->Log.releaseTo(Pool);
-  }
-  Point Pt;
-  for (uint32_t T = 0; T < Threads; ++T) {
-    Pt.RingCommits += States[T]->Commits;
-    Pt.RingFullEvents += States[T]->FullEvents;
-    Pt.RingSelfDrains += States[T]->SelfDrains;
-    Pt.RingMigrations += States[T]->Migrations;
-  }
   States.clear();
   auto End = std::chrono::steady_clock::now();
 
+  Point Pt;
   Pt.Seconds = std::chrono::duration<double>(End - Begin).count();
   Pt.Records = Records;
-  // Packed-path bytes are derived, exactly as endRun's flush derives them.
-  Pt.Bytes = Mode == Transport::Legacy ? Bytes : Records * sizeof(LogSlot);
   Pt.ChunkAllocs = Pool.chunkAllocs();
   Pt.ChunkRecycles = Pool.chunkRecycles();
-  if (Mode == Transport::Ring) {
-    Pt.RingDrainPasses = Ring->drainPasses();
-    Pt.RingRecordsDrained = Ring->recordsDrained();
-    Pt.RingSheds = Ring->shedRefusals();
-    Pt.RingCount = Ring->numRings();
-    Pt.RingFootprintBytes = Ring->footprintBytes();
-  }
   return Pt;
 }
 
 Point sweep(uint32_t Threads, uint64_t TxPerThread, uint32_t Window,
-            Transport Mode, unsigned Trials) {
+            unsigned Trials) {
   std::vector<Point> Runs;
   for (unsigned R = 0; R < Trials; ++R)
-    Runs.push_back(runOnce(Threads, TxPerThread, Window, Mode));
+    Runs.push_back(runOnce(Threads, TxPerThread, Window));
   std::sort(Runs.begin(), Runs.end(), [](const Point &A, const Point &B) {
     return A.Seconds < B.Seconds;
   });
@@ -428,89 +189,49 @@ int main(int argc, char **argv) {
   const uint64_t TotalTx =
       std::max<uint64_t>(2 * TotalLiveWindow,
                          static_cast<uint64_t>(400000 * Scale));
-  std::printf("log transports under real OS threads: legacy (shared cells + "
-              "vector logs) vs arena (per-thread chunk caches) vs ring "
-              "(per-CPU ring transport, the default)\n"
+  std::printf("log appends under real OS threads (per-thread chunk arenas)\n"
               "scale %.2f, %llu total tx per row x %u accesses/tx, %u live "
               "txs total, %u hardware threads\n\n",
               Scale, static_cast<unsigned long long>(TotalTx), AccessesPerTx,
               TotalLiveWindow, std::thread::hardware_concurrency());
 
   TextTable Table;
-  Table.setHeader({"threads", "legacy app/s", "arena app/s", "ring app/s",
-                   "ring ns/app", "ring full", "self drains", "ring/arena"});
+  Table.setHeader({"threads", "appends/s", "ns/append", "chunk allocs",
+                   "chunk recycles"});
   JsonRows Json;
+  addHostHeader(Json, Scale, Trials);
 
-  double Ring8Rate = 0, Ring256Rate = 0;
   for (uint32_t Threads : {1u, 2u, 4u, 8u, 64u, 128u, 256u}) {
     const uint32_t Window =
         std::max(MinLiveWindow, TotalLiveWindow / Threads);
     const uint64_t TxPerThread =
         std::max<uint64_t>(2 * Window, TotalTx / Threads);
-    Point Leg = sweep(Threads, TxPerThread, Window, Transport::Legacy,
-                      Trials);
-    Point Arena = sweep(Threads, TxPerThread, Window, Transport::Arena,
-                        Trials);
-    Point Ring = sweep(Threads, TxPerThread, Window, Transport::Ring,
-                       Trials);
-    const double LegRate = static_cast<double>(Leg.Records) / Leg.Seconds;
-    const double ArenaRate =
-        static_cast<double>(Arena.Records) / Arena.Seconds;
-    const double RingRate = static_cast<double>(Ring.Records) / Ring.Seconds;
-    if (Threads == 8)
-      Ring8Rate = RingRate;
-    if (Threads == 256)
-      Ring256Rate = RingRate;
+    Point Arena = sweep(Threads, TxPerThread, Window, Trials);
+    const double Rate = static_cast<double>(Arena.Records) / Arena.Seconds;
     Table.addRow({std::to_string(Threads),
-                  formatWithCommas(static_cast<uint64_t>(LegRate)),
-                  formatWithCommas(static_cast<uint64_t>(ArenaRate)),
-                  formatWithCommas(static_cast<uint64_t>(RingRate)),
-                  formatDouble(1e9 / RingRate, 1),
-                  formatWithCommas(Ring.RingFullEvents),
-                  formatWithCommas(Ring.RingSelfDrains),
-                  formatDouble(RingRate / ArenaRate, 2) + "x"});
+                  formatWithCommas(static_cast<uint64_t>(Rate)),
+                  formatDouble(1e9 / Rate, 2),
+                  formatWithCommas(Arena.ChunkAllocs),
+                  formatWithCommas(Arena.ChunkRecycles)});
     Json.beginRow();
     Json.add("threads", static_cast<uint64_t>(Threads));
     Json.add("tx_per_thread", TxPerThread);
     Json.add("accesses_per_tx", static_cast<uint64_t>(AccessesPerTx));
     Json.add("live_window", static_cast<uint64_t>(Window));
-    Json.add("records", Ring.Records);
-    Json.add("legacy_wall_s", Leg.Seconds);
+    Json.add("records", Arena.Records);
     Json.add("arena_wall_s", Arena.Seconds);
-    Json.add("ring_wall_s", Ring.Seconds);
-    Json.add("legacy_appends_per_s", LegRate);
-    Json.add("arena_appends_per_s", ArenaRate);
-    Json.add("ring_appends_per_s", RingRate);
-    Json.add("legacy_ns_per_append", 1e9 / LegRate);
-    Json.add("arena_ns_per_append", 1e9 / ArenaRate);
-    Json.add("ring_ns_per_append", 1e9 / RingRate);
-    Json.add("legacy_bytes_logged", Leg.Bytes);
-    Json.add("arena_bytes_logged", Arena.Bytes);
+    Json.add("arena_appends_per_s", Rate);
+    Json.add("arena_ns_per_append", 1e9 / Rate);
+    // Packed-path bytes are derived, exactly as endRun's flush derives
+    // them: one slot per access record.
+    Json.add("arena_bytes_logged", Arena.Records * sizeof(LogSlot));
     Json.add("arena_chunk_allocs", Arena.ChunkAllocs);
     Json.add("arena_chunk_recycles", Arena.ChunkRecycles);
-    Json.add("ring_commits", Ring.RingCommits);
-    Json.add("ring_full_events", Ring.RingFullEvents);
-    Json.add("ring_self_drains", Ring.RingSelfDrains);
-    Json.add("ring_migrations", Ring.RingMigrations);
-    Json.add("ring_drain_passes", Ring.RingDrainPasses);
-    Json.add("ring_records_drained", Ring.RingRecordsDrained);
-    Json.add("ring_shed_refusals", Ring.RingSheds);
-    Json.add("ring_count", Ring.RingCount);
-    Json.add("ring_capacity_records",
-             Ring.RingCount ? Ring.RingFootprintBytes / 64 / Ring.RingCount
-                            : 0);
-    Json.add("ring_footprint_bytes", Ring.RingFootprintBytes);
-    Json.add("ring_vs_arena", RingRate / ArenaRate);
   }
 
   std::printf("\n%s\n", Table.render().c_str());
-  std::printf("(per-append work mirrors DoubleCheckerRuntime::logAccess on "
-              "each transport; identical total work per row; ring/arena = "
-              "ring appends/s over arena appends/s)\n");
-  if (Ring8Rate > 0 && Ring256Rate > 0)
-    std::printf("ring 256-thread retention: %.0f%% of the 8-thread "
-                "appends/s (no-collapse target >= 50%%)\n",
-                100.0 * Ring256Rate / Ring8Rate);
+  std::printf("(per-append work mirrors DoubleCheckerRuntime::logAccess; "
+              "identical total work per row)\n");
   if (Json.write(OutPath, "logging_throughput"))
     std::printf("wrote %s\n", OutPath);
   return 0;

@@ -99,15 +99,12 @@ void BM_OctetRdShFastPath(benchmark::State &State) {
 }
 BENCHMARK(BM_OctetRdShFastPath);
 
-/// Log-append cost, parameterised over the storage path: range(0) == 0 is
-/// the default arena path (thread-local filter + chunked slots), 1 is the
-/// LegacyLog escape hatch (shared elision cells + per-transaction vector),
-/// so the two appends are separately attributable.
+/// Log-append cost through the checker: thread-local filter probe plus a
+/// packed-slot append into the transaction's arena chunks.
 void BM_IcdLogAppend(benchmark::State &State) {
   CheckerFixture F;
   analysis::DoubleCheckerOptions Opts;
   Opts.RunPcd = false;
-  Opts.LegacyLog = State.range(0) != 0;
   analysis::DoubleCheckerRuntime DC(F.P, Opts, F.Violations, F.Stats);
   rt::Runtime RT(F.P, &DC);
   DC.beginRun(RT);
@@ -134,16 +131,12 @@ void BM_IcdLogAppend(benchmark::State &State) {
   }
   DC.txEnd(TC, Txn);
 }
-BENCHMARK(BM_IcdLogAppend)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("legacy");
+BENCHMARK(BM_IcdLogAppend);
 
 void BM_IcdLogElided(benchmark::State &State) {
   CheckerFixture F;
   analysis::DoubleCheckerOptions Opts;
   Opts.RunPcd = false;
-  Opts.LegacyLog = State.range(0) != 0;
   analysis::DoubleCheckerRuntime DC(F.P, Opts, F.Violations, F.Stats);
   rt::Runtime RT(F.P, &DC);
   DC.beginRun(RT);
@@ -158,17 +151,12 @@ void BM_IcdLogElided(benchmark::State &State) {
   for (auto _ : State)
     DC.instrumentedAccess(TC, Info, [] {}); // Duplicates elide.
 }
-BENCHMARK(BM_IcdLogElided)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("legacy");
+BENCHMARK(BM_IcdLogElided);
 
 /// Raw storage cost with the checker plumbing subtracted: one packed-slot
-/// arena append (recycled chunks via a pool-less cache) vs. one 32-byte
-/// vector push_back, fresh transaction every 256 records to expose the
-/// legacy path's per-transaction malloc/grow/free churn.
+/// arena append from a pool-backed cache, fresh transaction every 256
+/// records so chunk recycling is part of the cost.
 void BM_ArenaRawAppend(benchmark::State &State) {
-  const bool Legacy = State.range(0) != 0;
   analysis::LogChunkPool Pool;
   analysis::LogChunkCache Cache;
   Cache.attach(&Pool);
@@ -180,10 +168,7 @@ void BM_ArenaRawAppend(benchmark::State &State) {
   for (auto _ : State) {
     E.Obj = I & 63;
     E.Addr = I;
-    if (Legacy)
-      Tx->appendLogLegacy(E);
-    else
-      Tx->appendLog(E, &Cache);
+    Tx->appendLog(E, &Cache);
     if (++I % 256 == 0) {
       Tx->Log.releaseTo(Pool);
       Tx = std::make_unique<analysis::Transaction>(1, 0, 0, ir::MethodId(0),
@@ -191,10 +176,7 @@ void BM_ArenaRawAppend(benchmark::State &State) {
     }
   }
 }
-BENCHMARK(BM_ArenaRawAppend)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("legacy");
+BENCHMARK(BM_ArenaRawAppend);
 
 /// The thread-local duplicate filter by itself: a hit (elidable repeat) and
 /// a miss that inserts (range(0) == 1 rotates keys so every probe misses).

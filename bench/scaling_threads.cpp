@@ -100,12 +100,11 @@ struct SweepPoint {
 };
 
 SweepPoint runOnce(const ir::Program &P, uint32_t Threads,
-                   uint64_t TxPerThread, bool Serialized, bool LegacyLog) {
+                   uint64_t TxPerThread, bool Serialized) {
   StatisticRegistry Stats;
   analysis::ViolationLog Violations;
   analysis::DoubleCheckerOptions Opts;
   Opts.SerializedIdg = Serialized;
-  Opts.LegacyLog = LegacyLog;
   Opts.ParallelPcd = !Serialized;
   Opts.PcdWorkers = 2;
   Opts.CollectEveryTx = 1024; // Keep the live graph (and Tarjan) small.
@@ -276,20 +275,17 @@ int main(int argc, char **argv) {
               Scale, static_cast<unsigned long long>(TotalTx));
 
   TextTable Table;
-  Table.setHeader({"threads", "old wall s", "legacy-log s", "new wall s",
+  Table.setHeader({"threads", "old wall s", "new wall s",
                    "vc wall s", "old tx/s", "new tx/s", "vc tx/s",
                    "new edges/s", "conflicts", "icd reorders",
                    "icd lock waits", "scc passes", "speedup"});
   JsonRows Json;
+  addHostHeader(Json, Scale, Trials);
 
   const std::vector<uint32_t> Rows = {1u, 2u, 4u, 8u};
-  // Four configurations per row: the pre-sharding global lock, today's
-  // sharded path with the legacy logging escape hatch (shared elision
-  // cells + vector logs + LogRemoteMissPenalty), the full default
-  // (sharded IDG + arena logging), and the vector-clock engine. The
-  // legacy-log column attributes how much of the old-vs-new gap the
-  // logging rework alone accounts for; the vc column is the graph-free
-  // reference point.
+  // Three configurations per row: the pre-sharding global lock, the
+  // default sharded IDG, and the vector-clock engine (the graph-free
+  // reference point). Both IDG configurations log through the same arena.
   //
   // Trials are interleaved across every (row, configuration) combination
   // rather than run combination-by-combination: on a shared host, load
@@ -301,7 +297,6 @@ int main(int argc, char **argv) {
     uint32_t Threads;
     uint64_t TxPerThread;
     bool Serialized;
-    bool LegacyLog;
     bool Vc;
     ir::Program P;
     std::vector<SweepPoint> Runs;
@@ -311,28 +306,26 @@ int main(int argc, char **argv) {
     const uint64_t TxPerThread =
         std::max<uint64_t>(SharedTxPeriod, TotalTx / Threads) /
         SharedTxPeriod * SharedTxPeriod;
-    for (auto [Serialized, LegacyLog, Vc] :
-         {std::tuple{true, true, false}, {false, true, false},
-          {false, false, false}, {false, false, true}})
-      Combos.push_back(Combo{Threads, TxPerThread, Serialized, LegacyLog, Vc,
+    for (auto [Serialized, Vc] :
+         {std::pair{true, false}, {false, false}, {false, true}})
+      Combos.push_back(Combo{Threads, TxPerThread, Serialized, Vc,
                              benchProgram(Threads), {}});
   }
   for (unsigned R = 0; R < Trials; ++R)
     for (Combo &C : Combos)
       C.Runs.push_back(C.Vc ? runOnceVc(C.P, C.Threads, C.TxPerThread)
                             : runOnce(C.P, C.Threads, C.TxPerThread,
-                                      C.Serialized, C.LegacyLog));
+                                      C.Serialized));
 
   for (size_t Row = 0; Row < Rows.size(); ++Row) {
     const uint32_t Threads = Rows[Row];
-    const uint64_t TxPerThread = Combos[Row * 4].TxPerThread;
-    SweepPoint Old = median(Combos[Row * 4].Runs);
-    SweepPoint Leg = median(Combos[Row * 4 + 1].Runs);
-    SweepPoint New = median(Combos[Row * 4 + 2].Runs);
-    SweepPoint Vc = median(Combos[Row * 4 + 3].Runs);
+    const uint64_t TxPerThread = Combos[Row * 3].TxPerThread;
+    SweepPoint Old = median(Combos[Row * 3].Runs);
+    SweepPoint New = median(Combos[Row * 3 + 1].Runs);
+    SweepPoint Vc = median(Combos[Row * 3 + 2].Runs);
     double Speedup = Old.Seconds / New.Seconds;
     Table.addRow({std::to_string(Threads), formatDouble(Old.Seconds, 3),
-                  formatDouble(Leg.Seconds, 3), formatDouble(New.Seconds, 3),
+                  formatDouble(New.Seconds, 3),
                   formatDouble(Vc.Seconds, 3),
                   formatWithCommas(static_cast<uint64_t>(Old.TxPerSec)),
                   formatWithCommas(static_cast<uint64_t>(New.TxPerSec)),
@@ -347,11 +340,9 @@ int main(int argc, char **argv) {
     Json.add("threads", static_cast<uint64_t>(Threads));
     Json.add("tx_per_thread", TxPerThread);
     Json.add("serialized_wall_s", Old.Seconds);
-    Json.add("sharded_legacylog_wall_s", Leg.Seconds);
     Json.add("sharded_wall_s", New.Seconds);
     Json.add("vc_wall_s", Vc.Seconds);
     Json.add("serialized_tx_per_s", Old.TxPerSec);
-    Json.add("sharded_legacylog_tx_per_s", Leg.TxPerSec);
     Json.add("sharded_tx_per_s", New.TxPerSec);
     Json.add("vc_tx_per_s", Vc.TxPerSec);
     Json.add("vc_cross_edges", Vc.CrossEdges);
@@ -383,8 +374,7 @@ int main(int argc, char **argv) {
   }
 
   std::printf("%s\n", Table.render().c_str());
-  std::printf("(speedup = serialized wall / sharded wall; legacy-log = "
-              "sharded IDG with the LegacyLog escape hatch; vc = the "
+  std::printf("(speedup = serialized wall / sharded wall; vc = the "
               "graph-free vector-clock engine; identical total work per "
               "row)\n");
   if (Json.write(OutPath, "scaling_threads"))

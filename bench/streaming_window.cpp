@@ -8,12 +8,11 @@
 /// Measures what streaming service mode (DESIGN.md §15) costs on top of
 /// batch checking: the same workload run with retirement windows at
 /// several cadences, normalized to the batch (window-txs = 0) run of the
-/// same engine. Each boundary flushes the ICD work queue, drains the log
-/// transport, forces in-flight PCD replays to completion, and runs a
-/// retirement collection — so overhead scales with boundary frequency.
-/// The interesting number for deployments is the cadence where overhead
-/// flattens: that is how often a service can afford health snapshots and
-/// bounded-lag retirement.
+/// same engine. Each boundary flushes the ICD work queue, forces
+/// in-flight PCD replays to completion, and runs a retirement collection —
+/// so overhead scales with boundary frequency. The interesting number for
+/// deployments is the cadence where overhead flattens: that is how often a
+/// service can afford health snapshots and bounded-lag retirement.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -44,16 +44,6 @@ uint64_t composeId(uint32_t Tid, uint64_t Seq) {
   return (static_cast<uint64_t>(Tid + 1) << 40) | Seq;
 }
 
-/// Elision cell packing: tid (16 bits) | wasWrite (1) | ts (47).
-uint64_t packCell(uint32_t Tid, bool WasWrite, uint64_t Ts) {
-  return (static_cast<uint64_t>(Tid) << 48) |
-         (static_cast<uint64_t>(WasWrite) << 47) |
-         (Ts & ((1ULL << 47) - 1));
-}
-uint32_t cellTid(uint64_t Cell) { return static_cast<uint32_t>(Cell >> 48); }
-bool cellWasWrite(uint64_t Cell) { return (Cell >> 47) & 1; }
-uint64_t cellTs(uint64_t Cell) { return Cell & ((1ULL << 47) - 1); }
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -479,14 +469,6 @@ DoubleCheckerRuntime::DoubleCheckerRuntime(const ir::Program &P,
                                            ViolationLog &Violations,
                                            StatisticRegistry &Stats)
     : P(P), Opts(Opts), Violations(Violations), Stats(Stats) {
-  // Resolve the log publication path once: LegacyLog beats everything,
-  // then ThreadArenaLog / PcdOnly select the arena (PcdOnly's online
-  // analysis consumes each log synchronously at transaction end — it
-  // cannot tolerate deferred materialization), and the per-CPU ring
-  // transport (DESIGN.md §13) is the default.
-  Transport = Opts.LegacyLog ? LogTransport::Legacy
-              : (Opts.ThreadArenaLog || Opts.PcdOnly) ? LogTransport::Arena
-                                                      : LogTransport::Ring;
   if (Opts.PcdOnly) {
     this->Opts.LogAccesses = true;
     this->Opts.RunPcd = false;
@@ -503,13 +485,6 @@ DoubleCheckerRuntime::DoubleCheckerRuntime(const ir::Program &P,
 }
 
 DoubleCheckerRuntime::~DoubleCheckerRuntime() {
-  // Defensive: endRun retires the ring drainer; if the run aborted before
-  // reaching it, the drainer must still stop before the transactions it
-  // materializes into are deleted below.
-  if (RingDrainer.joinable()) {
-    DrainerStop.store(true, std::memory_order_release);
-    RingDrainer.join();
-  }
   // Stop the PCD pool before freeing the transactions it may still be
   // replaying, the collector before tearing down the stripes it locks, and
   // the watchdog last (both components beat slots it owns until they stop).
@@ -557,13 +532,11 @@ void DoubleCheckerRuntime::beginRun(rt::Runtime &RT) {
   const bool WantPool = Opts.ParallelPcd && Pcd != nullptr;
   const bool WantCollector =
       !Opts.SerializedIdg && Opts.CollectEveryTx != ~0u;
-  const bool WantDrainer =
-      Opts.LogAccesses && Transport == LogTransport::Ring;
   // Streaming mode always arms the watchdog: the window slot is what turns
   // a wedged flush into a structured WindowFlushStall instead of a stuck
   // server.
   const bool WantWindow = Opts.WindowTxs != 0;
-  if (WantPool || WantCollector || WantDrainer || WantWindow) {
+  if (WantPool || WantCollector || WantWindow) {
     rt::Watchdog::Options WOpts;
     WOpts.TimeoutMs = std::max(1u, Opts.PcdStallTimeoutMs);
     WOpts.PollMs = std::max(1u, Opts.WatchdogPollMs);
@@ -574,8 +547,6 @@ void DoubleCheckerRuntime::beginRun(rt::Runtime &RT) {
     DogGateSlot = Dog->addComponent("gate");
     if (WantCollector)
       DogCollectorSlot = Dog->addComponent("collector");
-    if (WantDrainer)
-      DogDrainerSlot = Dog->addComponent("ring-drainer");
     if (WantWindow)
       DogWindowSlot = Dog->addComponent("window-flush");
   }
@@ -590,38 +561,9 @@ void DoubleCheckerRuntime::beginRun(rt::Runtime &RT) {
     // from safePoint, so a wedged scheduler gate surfaces as GateStall.
     Dog->beginWork(DogGateSlot);
   }
-  if (Opts.LogAccesses) {
-    if (Transport == LogTransport::Legacy) {
-      ElisionCells = std::vector<std::atomic<uint64_t>>(
-          RT.heap().numFieldAddrs());
-      CellContended = std::vector<std::atomic<uint8_t>>(
-          RT.heap().numFieldAddrs());
-    } else if (Transport == LogTransport::Arena) {
-      for (uint32_t T = 0; T < NumThreads; ++T)
-        Threads[T].ChunkCache.attach(&ChunkPool);
-    } else {
-      // Ring transport (DESIGN.md §13): footprint is O(cores), independent
-      // of the program's thread count — per-thread chunk caches stay
-      // detached; the drain side owns the only cache.
-      const uint32_t NumRings =
-          Opts.RingCount != 0
-              ? Opts.RingCount
-              : std::max(1u, std::thread::hardware_concurrency());
-      Ring = std::make_unique<RingLog>(NumRings, Opts.RingBytes);
-      Ring->attachPool(&ChunkPool);
-      // Drain-side chunk refusals are sheds too — surface them as the same
-      // structured ShedLogging event arena mode records at the mutator.
-      // The stamp is the transaction id (schedule-determined), not the
-      // order clock: drain timing is wall-clock and must not leak into the
-      // deterministic degradation report.
-      Ring->setShedHook([this](Transaction *Tx) {
-        recordDegradation(
-            {rt::DegradationEvent::Action::ShedLogging, Tx->Tid, Tx->Id});
-      });
-      DrainerStop.store(false, std::memory_order_relaxed);
-      RingDrainer = std::thread([this] { ringDrainLoop(); });
-    }
-  }
+  if (Opts.LogAccesses)
+    for (uint32_t T = 0; T < NumThreads; ++T)
+      Threads[T].ChunkCache.attach(&ChunkPool);
 }
 
 void DoubleCheckerRuntime::endRun(rt::Runtime &RT) {
@@ -645,13 +587,6 @@ void DoubleCheckerRuntime::endRun(rt::Runtime &RT) {
     AsyncPcd->drain();
   if (Collector)
     Collector->drain();
-  // Ring transport: the run is over and the claim/PCD tail above has been
-  // flushed, so no more records will be published. Retire the drainer (its
-  // loop ends with a final drainAll, materializing any tail).
-  if (RingDrainer.joinable()) {
-    DrainerStop.store(true, std::memory_order_release);
-    RingDrainer.join();
-  }
   // An injected worker stall parks a worker busy-and-silent; give the
   // watchdog time to convert it into a structured fault before disarming,
   // so the fault reliably lands in this run's RunResult.
@@ -687,11 +622,10 @@ void DoubleCheckerRuntime::endRun(rt::Runtime &RT) {
     LogE += PT.LogElided;
     Dropped += PT.LogDropped;
     Sheds += PT.ShedCount;
-    // On the arena path access appends don't bump BytesLogged inline (the
-    // hot path carries no byte accounting; one slot per entry is implied)
-    // — only EdgeIn markers do. The legacy path accounts every append.
-    Bytes += PT.BytesLogged +
-             (Opts.LegacyLog ? 0 : PT.LogEntries * sizeof(LogSlot));
+    // Access appends don't bump BytesLogged inline (the hot path carries
+    // no byte accounting; one slot per entry is implied) — only EdgeIn
+    // markers do.
+    Bytes += PT.BytesLogged + PT.LogEntries * sizeof(LogSlot);
   }
   Stats.get("icd.regular_transactions").add(Regular);
   Stats.get("icd.unary_transactions").add(Unary);
@@ -700,37 +634,13 @@ void DoubleCheckerRuntime::endRun(rt::Runtime &RT) {
   Stats.get("icd.log_entries").add(LogN);
   Stats.get("icd.log_entries_elided").add(LogE);
   Stats.get("logging.bytes_logged").add(Bytes);
-  if (!Opts.LegacyLog) {
-    Stats.get("logging.filter_hits").add(LogE);
-    Stats.get("logging.chunk_allocs").add(ChunkPool.chunkAllocs());
-    Stats.get("logging.chunk_recycles").add(ChunkPool.chunkRecycles());
-    Stats.get("logging.refill_requests").add(ChunkPool.refillRequests());
-    Stats.get("logging.refills_refused").add(ChunkPool.refillsRefused());
-  }
-  if (Ring) {
-    uint64_t RC = 0, RF = 0, RM = 0, RS = 0;
-    for (uint32_t T = 0; T < NumThreads; ++T) {
-      RC += Threads[T].RingCommits;
-      RF += Threads[T].RingFullEvents;
-      RM += Threads[T].RingMigrations;
-      RS += Threads[T].RingSelfDrains;
-    }
-    Stats.get("logging.ring_commits").add(RC);
-    Stats.get("logging.ring_full_events").add(RF);
-    Stats.get("logging.ring_migrations").add(RM);
-    Stats.get("logging.ring_self_drains").add(RS);
-    Stats.get("logging.ring_drains").add(Ring->drainPasses());
-    Stats.get("logging.ring_records_drained").add(Ring->recordsDrained());
-    Stats.get("logging.ring_shed_refusals").add(Ring->shedRefusals());
-    Stats.get("logging.ring_drain_stalls")
-        .add(RingDrainStalls.load(std::memory_order_relaxed));
-    Stats.get("logging.ring_footprint_bytes")
-        .updateMax(Ring->footprintBytes());
-    Stats.get("logging.ring_count").updateMax(Ring->numRings());
-  }
+  Stats.get("logging.filter_hits").add(LogE);
+  Stats.get("logging.chunk_allocs").add(ChunkPool.chunkAllocs());
+  Stats.get("logging.chunk_recycles").add(ChunkPool.chunkRecycles());
+  Stats.get("logging.refill_requests").add(ChunkPool.refillRequests());
+  Stats.get("logging.refills_refused").add(ChunkPool.refillsRefused());
   Stats.get("degradation.log_dropped").add(Dropped);
-  Stats.get("degradation.sheds")
-      .add(Sheds + (Ring ? Ring->shedRefusals() : 0));
+  Stats.get("degradation.sheds").add(Sheds);
   Governor.flush(Stats);
   if (Opts.WindowTxs != 0)
     Stats.get("window.flushes_degraded")
@@ -888,101 +798,48 @@ void DoubleCheckerRuntime::instrumentedAccess(rt::ThreadContext &TC,
 void DoubleCheckerRuntime::logAccess(rt::ThreadContext &TC, PerThread &PT,
                                      Transaction *Cur,
                                      const rt::AccessInfo &Info) {
-  const uint64_t MyTs = PT.CurTs.load(std::memory_order_relaxed);
-  if (!Opts.LegacyLog) {
-    // Default path (DESIGN.md §8): thread-local filter, chunked arena.
-    // The only shared-visible write is the LogLen publication, and chunks
-    // come from the thread's cache — zero shared writes beyond that, zero
-    // allocations in steady state.
-    if (PT.LogShedActive) {
-      // Degradation ladder (DESIGN.md §10): this thread is shedding.
-      // Drop the entry but mark the transaction, so any SCC it joins is
-      // degraded to a potential violation instead of replayed from an
-      // incomplete log (which would be unsound).
-      Cur->LogShed.store(true, std::memory_order_relaxed);
-      ++PT.LogDropped;
-      return;
-    }
-    if (Opts.ElideDuplicates &&
-        PT.Filter.testAndSet(ElisionFilter::key(Info.Obj, Info.Addr), MyTs,
-                             Info.IsWrite)) {
-      // Duplicate with no intervening edge or transaction boundary: elide.
-      ++PT.LogElided;
-      return;
-    }
-    if (Transport == LogTransport::Ring) {
-      // Ring transport (DESIGN.md §13): one wait-free-bounded publish; no
-      // chunk changes hands on this path. The position comes from LogLen
-      // (single-writer: only this thread assigns positions in Cur's log
-      // while it runs), and LogLen is stored only after the cell is
-      // published — a concurrently sampled SrcPos never names an
-      // unpublished record.
-      LogSlot S;
-      S.A = Info.Obj;
-      S.B = Info.Addr;
-      S.Meta = Info.IsWrite ? SlotTagWrite : SlotTagRead;
-      const uint32_t Pos = Cur->LogLen.load(std::memory_order_relaxed);
-      if (!ringPublish(PT, Cur, Pos, &S, 1)) {
-        // Every rung of the full-ring ladder failed: same degradation
-        // decision point as a refused chunk refill on the arena path.
-        beginShed(PT, TC.Tid, Cur);
-        return;
-      }
-      Cur->LogLen.store(Pos + 1, std::memory_order_release);
-      ++PT.LogEntries;
-      return;
-    }
-    if (Cur->Log.tailFull()) {
-      // Chunk boundary: the refill is the ladder's decision point. A
-      // refused refill (governor log-byte pressure or an injected
-      // allocation failure) starts shedding on this thread — except under
-      // PcdOnly, whose online analysis needs complete logs to stay
-      // meaningful, so it falls back to a direct allocation.
-      LogChunk *C = PT.ChunkCache.tryGet();
-      if (C == nullptr) {
-        if (PcdOnlyAnalysis) {
-          C = new LogChunk();
-        } else {
-          beginShed(PT, TC.Tid, Cur);
-          return;
-        }
-      }
-      Cur->Log.adoptChunk(C);
-    }
-    Cur->LogLen.store(
-        Cur->Log.appendAccess(Info.Obj, Info.Addr, Info.IsWrite,
-                              &PT.ChunkCache),
-        std::memory_order_release);
-    ++PT.LogEntries; // Byte accounting is derived at flush: 1 slot/entry.
+  // DESIGN.md §8: thread-local filter, chunked arena. The only
+  // shared-visible write is the LogLen publication, and chunks come from
+  // the thread's cache — zero shared writes beyond that, zero allocations
+  // in steady state.
+  if (PT.LogShedActive) {
+    // Degradation ladder (DESIGN.md §10): this thread is shedding. Drop
+    // the entry but mark the transaction, so any SCC it joins is degraded
+    // to a potential violation instead of replayed from an incomplete log
+    // (which would be unsound).
+    Cur->LogShed.store(true, std::memory_order_relaxed);
+    ++PT.LogDropped;
     return;
   }
-  // Legacy path (LegacyLog): globally shared elision cells and a
-  // reallocating vector log, with the remote-miss simulation the shared
-  // cells warrant.
-  std::atomic<uint64_t> &CellA = ElisionCells[Info.Addr];
-  uint64_t Cell = CellA.load(std::memory_order_relaxed);
-  if (Opts.ElideDuplicates && cellTid(Cell) == TC.Tid &&
-      cellTs(Cell) == MyTs && (cellWasWrite(Cell) || !Info.IsWrite)) {
+  if (Opts.ElideDuplicates &&
+      PT.Filter.testAndSet(ElisionFilter::key(Info.Obj, Info.Addr),
+                           PT.CurTs.load(std::memory_order_relaxed),
+                           Info.IsWrite)) {
+    // Duplicate with no intervening edge or transaction boundary: elide.
     ++PT.LogElided;
     return;
   }
-  LogEntry E;
-  E.K = Info.IsWrite ? LogEntry::Kind::Write : LogEntry::Kind::Read;
-  E.Obj = Info.Obj;
-  E.Addr = Info.Addr;
-  Cur->appendLogLegacy(E);
-  ++PT.LogEntries;
-  PT.BytesLogged += sizeof(LogEntry);
-  if (Opts.LogRemoteMissPenalty != 0) {
-    // Remote-miss simulation for the elision cell rewrite (see
-    // DoubleCheckerOptions::LogRemoteMissPenalty).
-    if (Cell != 0 && cellTid(Cell) != TC.Tid)
-      CellContended[Info.Addr].store(1, std::memory_order_relaxed);
-    if (CellContended[Info.Addr].load(std::memory_order_relaxed))
-      spinPenalty(Opts.LogRemoteMissPenalty, Info.Addr);
+  if (Cur->Log.tailFull()) {
+    // Chunk boundary: the refill is the ladder's decision point. A refused
+    // refill (governor log-byte pressure or an injected allocation
+    // failure) starts shedding on this thread — except under PcdOnly,
+    // whose online analysis needs complete logs to stay meaningful, so it
+    // falls back to a direct allocation.
+    LogChunk *C = PT.ChunkCache.tryGet();
+    if (C == nullptr) {
+      if (PcdOnlyAnalysis) {
+        C = new LogChunk();
+      } else {
+        beginShed(PT, TC.Tid, Cur);
+        return;
+      }
+    }
+    Cur->Log.adoptChunk(C);
   }
-  CellA.store(packCell(TC.Tid, Info.IsWrite, MyTs),
-              std::memory_order_relaxed);
+  Cur->LogLen.store(Cur->Log.appendAccess(Info.Obj, Info.Addr, Info.IsWrite,
+                                          &PT.ChunkCache),
+                    std::memory_order_release);
+  ++PT.LogEntries; // Byte accounting is derived at flush: 1 slot/entry.
 }
 
 void DoubleCheckerRuntime::syncOp(rt::ThreadContext &TC,
@@ -1277,41 +1134,13 @@ void DoubleCheckerRuntime::addCrossEdgeLocked(Transaction *Src,
     Marker.Addr = E.SrcPos;
     Marker.SrcSeq = Src->SeqInThread;
     Marker.Time = OrderClock.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (Opts.LegacyLog) {
-      Dst->appendLogLegacy(Marker);
-      Threads[Phys].BytesLogged += sizeof(LogEntry);
-    } else if (Transport == LogTransport::Ring) {
-      // The marker rides the ring whole — both slots in one cell — so the
-      // drain side materializes it atomically. The position assignment is
-      // single-writer for the same reason the arena append is: the edge
-      // writer holds Dst's stripe and Dst's owner is provably quiescent
-      // (Octet), so nobody else advances Dst->LogLen concurrently.
-      PerThread &Pub = Threads[Phys < NumThreads ? Phys : Dst->Tid];
-      LogSlot S[2];
-      S[0].A = Src->Tid;
-      S[0].B = E.SrcPos;
-      S[0].Meta = SlotTagEdgeIn | (Marker.SrcSeq << 2);
-      S[1].Meta = Marker.Time;
-      const uint32_t Pos = Dst->LogLen.load(std::memory_order_relaxed);
-      if (ringPublish(Pub, Dst, Pos, S, 2)) {
-        Dst->LogLen.store(Pos + 2, std::memory_order_release);
-        Pub.BytesLogged += 2 * sizeof(LogSlot);
-      } else {
-        // The arena path's never-fail chunk fallback has no ring analogue
-        // (blocking here would hold stripes indefinitely). Shedding Dst is
-        // the sound replacement: its SCCs degrade to Potential.
-        Dst->LogShed.store(true, std::memory_order_release);
-      }
-    } else {
-      // The physical thread executing this call supplies the chunks; it
-      // may differ from Dst's owner (requester-side edges), which is fine
-      // because chunks have no owner affinity once linked into a log.
-      Dst->appendLog(Marker, Phys < NumThreads
-                                 ? &Threads[Phys].ChunkCache
-                                 : nullptr);
-      Threads[Phys < NumThreads ? Phys : Dst->Tid].BytesLogged +=
-          2 * sizeof(LogSlot);
-    }
+    // The physical thread executing this call supplies the chunks; it may
+    // differ from Dst's owner (requester-side edges), which is fine because
+    // chunks have no owner affinity once linked into a log.
+    Dst->appendLog(Marker,
+                   Phys < NumThreads ? &Threads[Phys].ChunkCache : nullptr);
+    Threads[Phys < NumThreads ? Phys : Dst->Tid].BytesLogged +=
+        2 * sizeof(LogSlot);
   }
   CrossEdges.fetch_add(1, std::memory_order_relaxed);
   if (Opts.Trace)
@@ -1486,29 +1315,6 @@ void DoubleCheckerRuntime::sccPass(uint32_t Holder) {
 
   if (Detected.empty())
     return;
-  // Ring transport: hand PCD only fully materialized logs; a component
-  // whose drain stalls past the deadline degrades soundly instead.
-  if (Ring) {
-    size_t Kept = 0;
-    for (size_t I = 0; I < Detected.size(); ++I) {
-      std::vector<Transaction *> &Members = Detected[I];
-      if (awaitLogComplete(Members)) {
-        if (Kept != I)
-          Detected[Kept] = std::move(Members);
-        ++Kept;
-      } else {
-        uint64_t Stamp = 0;
-        for (const Transaction *M : Members)
-          Stamp = std::max(Stamp, M->EndTime);
-        degradeScc(Members, Stamp);
-        for (Transaction *M : Members)
-          M->Pins.fetch_sub(1, std::memory_order_release);
-      }
-    }
-    Detected.resize(Kept);
-    if (Detected.empty())
-      return;
-  }
   if (AsyncPcd) {
     AsyncPcd->enqueueBatch(std::move(Detected));
   } else {
@@ -1583,14 +1389,6 @@ void DoubleCheckerRuntime::executeIcdClaims(
       Unpin();
       continue;
     }
-    if (!awaitLogComplete(Members)) {
-      // Ring transport: a member's records never finished materializing
-      // (drain stall, or a shed landed during the wait). Degrading is
-      // sound; replaying an incomplete log would not be.
-      degradeScc(Members, MaxEnd);
-      Unpin();
-      continue;
-    }
     if (AsyncPcd) {
       // Ownership of the pins moves to the pool (a worker or the
       // degrade-on-timeout path unpins after the replay).
@@ -1607,129 +1405,6 @@ void DoubleCheckerRuntime::executeIcdClaims(
 
 uint32_t DoubleCheckerRuntime::stripesHeldByCurrentThread() const {
   return IdgShards ? IdgShards->heldCount(TlsPhysTid) : 0;
-}
-
-//===----------------------------------------------------------------------===//
-// Ring log transport (DESIGN.md §13)
-//===----------------------------------------------------------------------===//
-
-bool DoubleCheckerRuntime::ringPublish(PerThread &PT, Transaction *Tx,
-                                       uint32_t Pos, const LogSlot *S,
-                                       uint32_t N) {
-  if (PT.CpuHintCountdown == 0) {
-    // Refresh the CPU hint. sched_getcpu is cheap but not free; every 64
-    // commits tracks migrations closely enough — a stale hint only shares
-    // a ring (every ring is MPMC), it cannot block or be blocked.
-    const uint32_t Idx = Ring->ringFor(RingLog::currentCpu());
-    if (PT.RingHintValid && Idx != PT.RingIdx)
-      ++PT.RingMigrations;
-    PT.RingIdx = Idx;
-    PT.RingHintValid = true;
-    PT.CpuHintCountdown = 64;
-  }
-  --PT.CpuHintCountdown;
-  RingCommit RC = Ring->commit(PT.RingIdx, Tx, Pos, S, N);
-  if (RC == RingCommit::Contended) {
-    // Bounded CAS losses on the hinted ring — usually a stale hint racing
-    // the ring's real producers. Hop to the neighbour once and re-probe
-    // the hint at the next commit.
-    PT.CpuHintCountdown = 0;
-    RC = Ring->commit(Ring->ringFor(PT.RingIdx + 1), Tx, Pos, S, N);
-  }
-  if (RC == RingCommit::Ok) {
-    ++PT.RingCommits;
-    return true;
-  }
-  // Full (the consumer is a lap behind) or persistently contended: make
-  // space ourselves, bounded — two drain-or-yield rounds, then let the
-  // caller shed. Never an unbounded wait, never a silent drop.
-  ++PT.RingFullEvents;
-  for (int Round = 0; Round < 2; ++Round) {
-    uint32_t Drained = 0;
-    if (Ring->tryDrainAll(Drained))
-      ++PT.RingSelfDrains;
-    else
-      std::this_thread::yield(); // Another consumer is already at it.
-    RC = Ring->commit(PT.RingIdx, Tx, Pos, S, N);
-    if (RC == RingCommit::Ok) {
-      ++PT.RingCommits;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool DoubleCheckerRuntime::awaitLogComplete(
-    const std::vector<Transaction *> &Members) {
-  if (!Ring)
-    return true;
-  // Members are finished and their claim synchronized with the owners'
-  // final LogLen stores, so LogLen is exact here; DrainedSlots counts
-  // materialized (or shed-accounted) slots and meets it exactly when every
-  // record has been consumed.
-  auto Incomplete = [&Members]() -> bool {
-    for (const Transaction *M : Members)
-      if (M->DrainedSlots.load(std::memory_order_acquire) <
-          M->LogLen.load(std::memory_order_acquire))
-        return true;
-    return false;
-  };
-  auto AnyShed = [&Members]() -> bool {
-    for (const Transaction *M : Members)
-      if (M->LogShed.load(std::memory_order_acquire))
-        return true;
-    return false;
-  };
-  if (!Incomplete())
-    return !AnyShed();
-  // Help the drain rather than just waiting. The deadline turns a starved
-  // drain (e.g. a producer descheduled mid-commit gapping a ring) into a
-  // sound degradation instead of a hang.
-  const auto Deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(std::max(1u, Opts.PcdStallTimeoutMs));
-  YieldBackoff Backoff;
-  while (Incomplete()) {
-    if (AnyShed())
-      return false;
-    Ring->drainAll();
-    if (!Incomplete())
-      break;
-    if (std::chrono::steady_clock::now() >= Deadline) {
-      RingDrainStalls.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    // The caller is a gate-admitted program thread: while it waits here no
-    // instruction retires, so beat the gate slot to keep the watchdog
-    // pointed at the real culprit (the drain), not the gate.
-    if (Dog)
-      Dog->heartbeat(DogGateSlot);
-    Backoff.pause();
-  }
-  return !AnyShed();
-}
-
-void DoubleCheckerRuntime::ringDrainLoop() {
-  // Adaptive cadence: drain back-to-back while records flow, back off
-  // exponentially (capped) while idle. Mutator self-drains cover the
-  // window where this thread sleeps and rings fill faster than expected.
-  uint32_t SleepUs = 50;
-  while (!DrainerStop.load(std::memory_order_acquire)) {
-    if (Dog)
-      Dog->beginWork(DogDrainerSlot);
-    const uint32_t Drained = Ring->drainAll();
-    if (Dog)
-      Dog->endWork(DogDrainerSlot);
-    if (Drained != 0) {
-      SleepUs = 50;
-      continue;
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(SleepUs));
-    SleepUs = std::min(SleepUs * 2, 2000u);
-  }
-  // Final sweep: records committed after the last pass but before the
-  // stop flag landed.
-  Ring->drainAll();
 }
 
 //===----------------------------------------------------------------------===//
@@ -1831,16 +1506,6 @@ void DoubleCheckerRuntime::collectNow(uint32_t Holder) {
   for (uint32_t T = 0; T < NumThreads; ++T)
     WeakRoot(Threads[T].LastRdEx);
   WeakRoot(GLastRdSh);
-  // Ring transport: records still in flight reference their transactions;
-  // mark them so the sweep cannot free a transaction whose record the
-  // drain side has yet to materialize. The peek sees every such record for
-  // a *finished* transaction — access publishes precede the owner's
-  // endCurrentTx (which takes its stripe, ordered before this pass's
-  // all-stripe freeze) and EdgeIn publishes happen under stripes — while
-  // records it can miss (published concurrently, no stripe held) can only
-  // belong to current transactions, which are strong roots above.
-  if (Ring)
-    Ring->peekPublished([&](Transaction *Tx) { Tx->MarkEpoch = Epoch; });
   // Sweep: a finished transaction not forward-reachable from any root can
   // never gain another edge (edge sinks are current transactions; edge
   // sources are roots), so it cannot join a future cycle. Unreachable also
@@ -1963,8 +1628,6 @@ void DoubleCheckerRuntime::onComponentStall(const std::string &Component,
     F = rt::CheckerFault::PcdWorkerStall;
   else if (Component == "collector")
     F = rt::CheckerFault::CollectorStall;
-  else if (Component == "ring-drainer")
-    F = rt::CheckerFault::RingDrainStall;
   else if (Component == "window-flush")
     F = rt::CheckerFault::WindowFlushStall;
   recordFault(F, Component + " made no progress for " +
@@ -2077,15 +1740,7 @@ bool DoubleCheckerRuntime::windowFlushNow(uint32_t Holder) {
     Dog->heartbeat(DogWindowSlot);
     Dog->heartbeat(DogGateSlot);
   }
-  // Stage 2 — materialize every published log record, so stage 3's replays
-  // never wait on the drain and the collector's in-flight marks are empty.
-  if (Ring)
-    Ring->drainAll();
-  if (Dog) {
-    Dog->heartbeat(DogWindowSlot);
-    Dog->heartbeat(DogGateSlot);
-  }
-  // Stage 3 — complete in-flight precise replays for cycles wholly inside
+  // Stage 2 — complete in-flight precise replays for cycles wholly inside
   // the retiring window. A healthy pool drains without degrading anything
   // (the replays happen either way — only their completion moves inside
   // the boundary), which is what keeps the streamed verdict set equal to
@@ -2097,8 +1752,8 @@ bool DoubleCheckerRuntime::windowFlushNow(uint32_t Holder) {
     Dog->heartbeat(DogWindowSlot);
     Dog->heartbeat(DogGateSlot);
   }
-  // Stage 4 — sound retirement: mark-sweep over {current txs, pending
-  // detection roots, pins, in-flight ring records}. Everything the sweep
+  // Stage 3 — sound retirement: mark-sweep over {current txs, pending
+  // detection roots, pins}. Everything the sweep
   // keeps is exactly the cross-window state that cannot yet be proven
   // cycle-free (still running, strongly reachable from a runner, or pinned
   // by a replay) — those transactions are carried into the next window;

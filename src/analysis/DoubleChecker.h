@@ -45,7 +45,6 @@
 #include <memory>
 #include <mutex>
 #include <set>
-#include <thread>
 
 #include "analysis/IncrementalCycles.h"
 #include "analysis/OnlinePcd.h"
@@ -158,30 +157,6 @@ struct DoubleCheckerOptions {
   uint32_t CollectEveryTx = 8192;
   /// Passed through to PCD.
   uint32_t MaxSccTxsForPcd = 1u << 20;
-  /// Escape hatch mirroring SerializedIdg: use the seed's logging path —
-  /// globally shared elision cells and a reallocating std::vector log with
-  /// 32-byte entries — instead of the per-thread filter + chunked arena
-  /// (DESIGN.md §8). Kept for one PR so the differential tests and
-  /// bench/logging_throughput can compare the two paths; both must produce
-  /// identical violations.
-  bool LegacyLog = false;
-  /// Escape hatch mirroring LegacyLog, one generation up: keep the PR-2
-  /// per-thread arena as the log *publication* path instead of the default
-  /// per-CPU ring transport (DESIGN.md §13). In arena mode every thread
-  /// appends directly into its transaction's chunk chain from a private
-  /// chunk cache (footprint O(threads)); in ring mode mutators publish
-  /// records into O(cores) bounded rings and a drain side materializes the
-  /// chains off the hot path. Kept as the differential partner — both must
-  /// produce identical violations on identical schedules. PcdOnly forces
-  /// arena (its online analysis consumes each log synchronously at
-  /// transaction end, before any drain could run).
-  bool ThreadArenaLog = false;
-  /// Ring transport geometry. RingCount 0 sizes the array to the host's
-  /// hardware concurrency; RingBytes 0 selects RingLog::DefaultRingBytes.
-  /// Both round up to powers of two. Tests shrink RingBytes to force the
-  /// full-ring ladder.
-  uint32_t RingCount = 0;
-  uint32_t RingBytes = 0;
   /// Log duplicate elision (paper §4). On by default; off is a
   /// differential-testing mode that logs every access.
   bool ElideDuplicates = true;
@@ -193,18 +168,6 @@ struct DoubleCheckerOptions {
   /// to a small replayable witness — the standing proof that the harness
   /// would notice a real unsound filter.
   bool TestOnlyUnsoundFilter = false;
-  /// Remote-cache-miss simulation for the *legacy* log-elision metadata
-  /// (LegacyLog only), mirroring VelodromeOptions::RemoteMissPenalty (see
-  /// DESIGN.md §2): appending a log entry rewrites the field's globally
-  /// shared timestamp cell, which on a real multicore ping-pongs for
-  /// fields logged by several threads. Calibrated at the methodology's
-  /// per-line figure — one ping-ponged cache line costs 300, exactly
-  /// Velodrome's per-line RemoteMissPenalty and half the IDG stripes' two-
-  /// line 600 (an earlier default of 15 under-modelled the miss by an
-  /// order of magnitude relative to those two). The default logging path's
-  /// filter is thread-local and has no remote misses to simulate, so this
-  /// knob is ignored there. 0 disables.
-  uint32_t LogRemoteMissPenalty = 300;
   /// Remote-cache-miss simulation for IDG lock stripes (same methodology):
   /// when a stripe is acquired by a different thread than its last holder,
   /// two lines miss in the acquirer's cache — the stripe's lock word and
@@ -242,12 +205,12 @@ struct DoubleCheckerOptions {
 
   /// Retirement-window size: every this many finished transactions, the
   /// thread that crossed the boundary runs one window flush — pending
-  /// batched detection, a full ring drain, a PCD-pool drain, then a
-  /// synchronous collection — so everything decidable as of the boundary is
-  /// decided and swept. Transactions the flush cannot retire (still
-  /// running, strongly reachable, or pinned by an in-flight replay) are
-  /// carried — "pinned" — into the next window; nothing is dropped. 0
-  /// disables windowing (plain batch mode).
+  /// batched detection, a PCD-pool drain, then a synchronous collection —
+  /// so everything decidable as of the boundary is decided and swept.
+  /// Transactions the flush cannot retire (still running, strongly
+  /// reachable, or pinned by an in-flight replay) are carried — "pinned" —
+  /// into the next window; nothing is dropped. 0 disables windowing (plain
+  /// batch mode).
   uint32_t WindowTxs = 0;
   /// Chrome-trace timeline recorder (tools/dcheck --trace-out). Null
   /// disables all trace hooks. Must outlive the runtime.
@@ -349,21 +312,7 @@ private:
     /// are CurTs values, so the existing bumps invalidate it for free.
     ElisionFilter Filter;
     /// Chunk source for this thread's appends, refilled from ChunkPool.
-    /// Arena/PcdOnly transports only; in ring mode it stays detached and
-    /// empty — the drain side owns the only chunk cache (O(1), not
-    /// O(threads)).
     LogChunkCache ChunkCache;
-    // -- Ring transport (owner thread only) --------------------------------
-    /// Cached target ring, derived from the CPU hint and refreshed every
-    /// CpuHintRefresh commits; a stale hint after a migration is harmless
-    /// (every ring is MPMC), it just shares a ring until the refresh.
-    uint32_t RingIdx = 0;
-    uint32_t CpuHintCountdown = 0;
-    bool RingHintValid = false;
-    uint64_t RingCommits = 0;
-    uint64_t RingFullEvents = 0;
-    uint64_t RingMigrations = 0;
-    uint64_t RingSelfDrains = 0;
   };
 
   class PcdPool;
@@ -434,26 +383,6 @@ private:
   void logAccess(rt::ThreadContext &TC, PerThread &PT, Transaction *Cur,
                  const rt::AccessInfo &Info);
 
-  // -- Ring log transport (DESIGN.md §13) ----------------------------------
-  /// Commits \p N slots of \p Tx's log at position \p Pos into the ring
-  /// array: hinted ring first, one neighbour hop on contention, then a
-  /// bounded self-drain-and-retry ladder when rings are full. Returns false
-  /// when every rung failed — the caller sheds (never blocks, never drops
-  /// silently). Callers publish Tx->LogLen only after a true return, so a
-  /// concurrently sampled SrcPos always refers to published records.
-  bool ringPublish(PerThread &PT, Transaction *Tx, uint32_t Pos,
-                   const LogSlot *S, uint32_t N);
-  /// Blocks (bounded by PcdStallTimeoutMs, helping the drain on the way)
-  /// until every member's log is fully materialized — DrainedSlots has
-  /// caught up with LogLen — or the member was shed. Returns false when a
-  /// member is shed or the deadline passes: the caller must degrade the
-  /// SCC to Potential instead of replaying. True (trivially) without the
-  /// ring transport.
-  bool awaitLogComplete(const std::vector<Transaction *> &Members);
-  /// Body of the background drainer thread: drain all rings, sleep
-  /// adaptively while idle, heartbeat the watchdog.
-  void ringDrainLoop();
-
   // -- Overload / fault tolerance (DESIGN.md §10) --------------------------
   /// Records the first checker-internal fault (later ones only count).
   void recordFault(rt::CheckerFault F, std::string Diagnosis);
@@ -472,7 +401,7 @@ private:
 
   // -- Streaming service mode (DESIGN.md §15) ------------------------------
   /// One retirement-window flush: force everything decidable as of the
-  /// boundary to a decision (batched detection, ring drain, PCD drain),
+  /// boundary to a decision (batched detection, PCD drain),
   /// then collect synchronously so quiesced transactions retire. Returns
   /// false when any stage degraded (stall-timeout steal, shed member) —
   /// the window still completed, but some verdicts moved down the ladder
@@ -486,12 +415,6 @@ private:
   DoubleCheckerOptions Opts;
   ViolationLog &Violations;
   StatisticRegistry &Stats;
-
-  /// Log publication path for this run, resolved once in the constructor:
-  /// LegacyLog beats everything, then ThreadArenaLog / PcdOnly select the
-  /// arena, and the per-CPU ring transport is the default.
-  enum class LogTransport : uint8_t { Ring, Arena, Legacy };
-  LogTransport Transport = LogTransport::Ring;
 
   std::unique_ptr<octet::OctetManager> Octet;
   std::unique_ptr<PreciseCycleDetector> Pcd;
@@ -514,23 +437,6 @@ private:
   /// splices swept transactions' chunks back into it.
   LogChunkPool ChunkPool;
 
-  /// Ring transport state (Transport == Ring and LogAccesses only). The
-  /// drainer thread owns the steady-state drain; mutators self-drain when
-  /// they find their ring full, and completeness waits drain too. DrainMu
-  /// (inside RingLog) orders after any IDG stripes in the lock order.
-  std::unique_ptr<RingLog> Ring;
-  std::thread RingDrainer;
-  std::atomic<bool> DrainerStop{false};
-  /// Completeness waits that hit the deadline (SCC degraded instead).
-  std::atomic<uint64_t> RingDrainStalls{0};
-
-  /// Legacy path (LegacyLog): packed (tid | wasWrite | ts) cells for log
-  /// duplicate elision, indexed by field address and shared by all threads.
-  std::vector<std::atomic<uint64_t>> ElisionCells;
-  /// Sticky multi-thread-logged marker per field (remote-miss simulation;
-  /// LegacyLog only). Relaxed atomics: set/read racily by design, but
-  /// data-race-free.
-  std::vector<std::atomic<uint8_t>> CellContended;
   /// Keeps the penalty spin from being optimized away.
   std::atomic<uint64_t> PenaltySink{0};
 
@@ -578,7 +484,6 @@ private:
   /// Watchdog slot ids (valid while Dog is set).
   uint32_t DogGateSlot = 0;
   uint32_t DogCollectorSlot = 0;
-  uint32_t DogDrainerSlot = 0;
   uint32_t DogWindowSlot = 0;
   /// Serializes window flushes against each other (two threads can cross
   /// consecutive boundaries while the first flush is still draining).

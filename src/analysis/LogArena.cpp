@@ -6,8 +6,6 @@
 
 #include "analysis/LogArena.h"
 
-#include "analysis/Transaction.h"
-
 using namespace dc;
 using namespace dc::analysis;
 
@@ -74,9 +72,9 @@ bool LogChunkPool::admitRefill() {
 LogChunkCache::~LogChunkCache() {
   // Cached chunks were charged to the governor's log-byte gauge when
   // popBatch handed them out; recycling them (rather than deleting) issues
-  // the matching credit, so MaxLogBytes accounting balances across
-  // transports — the same chunks otherwise stayed charged forever and
-  // skewed every later pressure decision.
+  // the matching credit, so MaxLogBytes accounting balances; deleted, the
+  // chunks would stay charged forever and skew every later pressure
+  // decision.
   if (Pool != nullptr && Free != nullptr) {
     LogChunk *Tail = Free;
     while (Tail->Next != nullptr)
@@ -114,42 +112,4 @@ LogChunk *LogChunkCache::get() {
   // Never-fail contract: EdgeIn markers must land even when the pool is
   // refusing refills (the shed decision belongs to access logging only).
   return C != nullptr ? C : new LogChunk();
-}
-
-uint32_t RingLog::drainAllLocked() {
-  uint32_t Total = 0;
-  for (uint32_t R = 0; R < Rings.numRings(); ++R) {
-    Total += Rings.drain(R, [&](RingRecord &Rec) {
-      Transaction *Tx = Rec.Tx;
-      if (!Tx->Log.writeAt(Rec.Pos, Rec.Slots, Rec.NumSlots, &DrainCache)) {
-        // Chunk refused (budget breach / injected allocation failure):
-        // shed the whole transaction instead of losing the record
-        // silently — its SCCs degrade to Potential, which is sound.
-        Tx->LogShed.store(true, std::memory_order_release);
-        ShedRefusals.fetch_add(1, std::memory_order_relaxed);
-        if (ShedHook)
-          ShedHook(Tx);
-      }
-      // Count shed slots too: completeness waits must still terminate,
-      // and a shed transaction's log is never replayed.
-      Tx->DrainedSlots.fetch_add(Rec.NumSlots, std::memory_order_release);
-    });
-  }
-  DrainPasses.fetch_add(1, std::memory_order_relaxed);
-  if (Total != 0)
-    RecordsDrained.fetch_add(Total, std::memory_order_relaxed);
-  return Total;
-}
-
-uint32_t RingLog::drainAll() {
-  SpinLockGuard Guard(DrainMu);
-  return drainAllLocked();
-}
-
-bool RingLog::tryDrainAll(uint32_t &Drained) {
-  if (!DrainMu.tryLock())
-    return false;
-  Drained = drainAllLocked();
-  DrainMu.unlock();
-  return true;
 }

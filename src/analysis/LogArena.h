@@ -13,10 +13,9 @@
 ///    keyed by (object, field address) and stamped with the thread's
 ///    log-elision epoch (PerThread::CurTs). A transaction boundary or an
 ///    incoming/outgoing cross-thread edge bumps the epoch, which implicitly
-///    invalidates every slot — nothing is ever cleared. The filter replaces
-///    the seed's globally shared ElisionCells array, whose cache lines
-///    ping-ponged between threads on read-shared fields (the very effect
-///    LogRemoteMissPenalty simulates for the legacy path).
+///    invalidates every slot — nothing is ever cleared. Being private to
+///    its thread, it has no cache lines to ping-pong between threads on
+///    read-shared fields, unlike a globally shared per-field cell array.
 ///
 ///  * LogSlot / LogChunk / ChunkedLog — packed log storage. An access
 ///    record is one 16-byte slot (half the seed's 32-byte LogEntry); the
@@ -33,14 +32,6 @@
 ///    mark-sweep collector returns every swept transaction's chunks to the
 ///    pool in one splice. Steady state allocates nothing.
 ///
-///  * RingLog — the default publication transport (DESIGN.md §13): a
-///    PerCpuRings array sized O(cores) that mutators commit records into
-///    wait-free, with a single drain side (background drainer, mutator
-///    self-drain on a full ring, collector peek — all serialized by one
-///    internal lock) materializing records into per-transaction
-///    ChunkedLogs at their mutator-assigned positions. Per-thread chunk
-///    caches disappear in this mode; only the drain side holds one.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef DC_ANALYSIS_LOGARENA_H
@@ -49,16 +40,12 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <functional>
 
-#include "support/PerCpuRings.h"
 #include "support/ResourceGovernor.h"
 #include "support/SpinLock.h"
 
 namespace dc {
 namespace analysis {
-
-class Transaction;
 
 //===----------------------------------------------------------------------===//
 // ElisionFilter
@@ -317,50 +304,6 @@ public:
     NumSlots += 2;
   }
 
-  /// Drain-side positional write (ring transport): extends the chain to
-  /// cover slot positions [0, Pos + N) and copies \p N slots at \p Pos,
-  /// growing size() to at least Pos + N. Positions are assigned by the
-  /// logging mutator; records drain out of ring order (a migrated thread's
-  /// records split across rings), so writes land anywhere. Single-writer:
-  /// only the ring drain side (under its lock) calls this, and a log
-  /// written this way is never also appended to.
-  ///
-  /// Returns false when \p Cache refused a needed chunk (budget breach or
-  /// injected allocation failure) — the caller must shed the transaction;
-  /// whatever was already materialized stays linked for reclamation.
-  bool writeAt(uint32_t Pos, const LogSlot *Src, uint32_t N,
-               LogChunkCache *Cache) {
-    const uint32_t End = Pos + N;
-    while (NumChunks * LogChunk::SlotsPerChunk < End) {
-      LogChunk *C = Cache != nullptr ? Cache->tryGet() : new LogChunk();
-      if (C == nullptr)
-        return false;
-      adoptChunk(C);
-    }
-    const uint32_t ChunkIdx = Pos / LogChunk::SlotsPerChunk;
-    if (DrainChunk == nullptr || ChunkIdx < DrainChunkIdx) {
-      DrainChunk = Head;
-      DrainChunkIdx = 0;
-    }
-    while (DrainChunkIdx < ChunkIdx) {
-      DrainChunk = DrainChunk->Next;
-      ++DrainChunkIdx;
-    }
-    LogChunk *C = DrainChunk;
-    uint32_t CI = DrainChunkIdx;
-    for (uint32_t I = 0; I < N; ++I) {
-      const uint32_t P = Pos + I;
-      if (P / LogChunk::SlotsPerChunk != CI) {
-        C = C->Next;
-        ++CI;
-      }
-      C->Slots[P % LogChunk::SlotsPerChunk] = Src[I];
-    }
-    if (End > NumSlots)
-      NumSlots = End;
-    return true;
-  }
-
   /// Moves every chunk to \p Pool (collector reclamation); the log becomes
   /// empty storage-wise but keeps its size (the transaction is dead).
   void releaseTo(LogChunkPool &Pool) {
@@ -370,8 +313,6 @@ public:
     Head = Tail = nullptr;
     TailUsed = LogChunk::SlotsPerChunk;
     NumChunks = 0;
-    DrainChunk = nullptr;
-    DrainChunkIdx = 0;
   }
 
   /// True when the next append needs a fresh chunk — the only point where
@@ -410,8 +351,6 @@ private:
       C = Next;
     }
     Head = Tail = nullptr;
-    DrainChunk = nullptr;
-    DrainChunkIdx = 0;
   }
 
   LogChunk *Head = nullptr;
@@ -420,122 +359,6 @@ private:
   /// Starts "full" so grabSlot's single compare also covers Tail == null.
   uint32_t TailUsed = LogChunk::SlotsPerChunk;
   uint32_t NumChunks = 0;
-  /// writeAt's resume cursor: drains are near-sequential per transaction,
-  /// so remembering the last chunk visited makes the common case O(1).
-  LogChunk *DrainChunk = nullptr;
-  uint32_t DrainChunkIdx = 0;
-};
-
-//===----------------------------------------------------------------------===//
-// RingLog
-//===----------------------------------------------------------------------===//
-
-/// One published log record in flight between a mutator and the drain
-/// side. Carries the record whole — an EdgeIn marker's two slots travel in
-/// one cell — plus the slot position the mutator assigned from its
-/// transaction's LogLen, so materialization is position-exact and
-/// independent of drain timing (what keeps ring-mode results bit-equal
-/// with arena mode on identical schedules).
-struct RingRecord {
-  Transaction *Tx = nullptr;
-  uint32_t Pos = 0;
-  uint32_t NumSlots = 0;
-  LogSlot Slots[2];
-};
-
-/// The default log transport (DESIGN.md §13): bounded per-CPU rings that
-/// mutators commit into wait-free-bounded, drained into per-transaction
-/// ChunkedLogs off the hot path. All consumption — the background drainer,
-/// a mutator self-draining a full ring, the collector's liveness peek — is
-/// serialized by the internal drain lock, which also guards the single
-/// drain-side chunk cache (the O(cores) footprint story: per-thread caches
-/// do not exist in this mode).
-class RingLog {
-public:
-  /// Defaults: rings track the hardware, 64 KiB of cells per ring (1024
-  /// records at one cache line per cell).
-  static constexpr uint32_t DefaultRingBytes = 64 * 1024;
-
-  RingLog(uint32_t NumRings, uint32_t BytesPerRing)
-      : Rings(NumRings, (BytesPerRing ? BytesPerRing : DefaultRingBytes) /
-                            CellBytes) {}
-
-  void attachPool(LogChunkPool *P) { DrainCache.attach(P); }
-
-  /// Invoked (under the drain lock) for each transaction the drain side
-  /// sheds because chunk refill was refused. The checker hooks this to
-  /// record the structured ShedLogging degradation event that arena mode
-  /// records at the mutator — same ladder, different side of the ring.
-  void setShedHook(std::function<void(Transaction *)> H) {
-    ShedHook = std::move(H);
-  }
-
-  uint32_t numRings() const { return Rings.numRings(); }
-  uint32_t capacity() const { return Rings.capacity(); }
-  uint64_t footprintBytes() const { return Rings.footprintBytes(); }
-  uint32_t ringFor(uint32_t CpuHint) const { return Rings.ringFor(CpuHint); }
-  static uint32_t currentCpu() { return PerCpuRings<RingRecord>::currentCpu(); }
-
-  /// Wait-free-bounded publish of one whole record at position \p Pos of
-  /// \p Tx's log. The caller publishes Tx->LogLen only after Ok, so every
-  /// sampled SrcPos refers to published cells.
-  RingCommit commit(uint32_t RingIdx, Transaction *Tx, uint32_t Pos,
-                    const LogSlot *S, uint32_t N) {
-    return Rings.tryCommit(RingIdx, [&](RingRecord &R) {
-      R.Tx = Tx;
-      R.Pos = Pos;
-      R.NumSlots = N;
-      R.Slots[0] = S[0];
-      if (N > 1)
-        R.Slots[1] = S[1];
-    });
-  }
-
-  /// Blocking drain of every ring (drainer thread, completeness waits).
-  /// Returns records materialized.
-  uint32_t drainAll();
-
-  /// Opportunistic drain (mutator self-drain on a full ring): returns
-  /// false without draining when the drain lock is busy — someone else is
-  /// already making space.
-  bool tryDrainAll(uint32_t &Drained);
-
-  /// Visits the Transaction* of every published, unconsumed record across
-  /// all rings (including records stuck behind a gap), under the drain
-  /// lock. The collector uses this to keep transactions with in-flight
-  /// records alive.
-  template <typename VisitFn> void peekPublished(VisitFn &&Visit) {
-    SpinLockGuard Guard(DrainMu);
-    for (uint32_t R = 0; R < Rings.numRings(); ++R)
-      Rings.peek(R, [&](RingRecord &Rec) { Visit(Rec.Tx); });
-  }
-
-  uint64_t drainPasses() const {
-    return DrainPasses.load(std::memory_order_relaxed);
-  }
-  uint64_t recordsDrained() const {
-    return RecordsDrained.load(std::memory_order_relaxed);
-  }
-  /// Records whose materialization was refused a chunk (the transaction
-  /// was shed instead — never lost silently).
-  uint64_t shedRefusals() const {
-    return ShedRefusals.load(std::memory_order_relaxed);
-  }
-
-private:
-  /// PerCpuRings pads each cell to a cache line.
-  static constexpr uint32_t CellBytes = 64;
-
-  uint32_t drainAllLocked();
-
-  PerCpuRings<RingRecord> Rings;
-  std::function<void(Transaction *)> ShedHook;
-  SpinLock DrainMu;
-  /// Guarded by DrainMu, like everything on the consume side.
-  LogChunkCache DrainCache;
-  std::atomic<uint64_t> DrainPasses{0};
-  std::atomic<uint64_t> RecordsDrained{0};
-  std::atomic<uint64_t> ShedRefusals{0};
 };
 
 } // namespace analysis

@@ -22,13 +22,9 @@
 /// source entries are reads that commute with the sink's accesses, so the
 /// replay order PCD reconstructs is still a valid linearization.
 ///
-/// Log storage (DESIGN.md §8): the default path packs records into 16-byte
-/// slots chained through fixed-size arena chunks (LogArena.h) — appends
-/// never reallocate, move, or copy. The seed's std::vector<LogEntry> path
-/// is kept behind DoubleCheckerOptions::LegacyLog for differential testing;
-/// LogCursor reads either representation. Positions (SrcPos, LogLen) count
-/// *slots* on the packed path and *entries* on the legacy path — a run
-/// uses one path throughout, so comparisons are always same-unit.
+/// Log storage (DESIGN.md §8): records are packed into 16-byte slots
+/// chained through fixed-size arena chunks (LogArena.h) — appends never
+/// reallocate, move, or copy. Positions (SrcPos, LogLen) count slots.
 ///
 /// LogLen publication contract: appendLog publishes the log's length with
 /// release order once per *record* (after both slots of an EdgeIn), so a
@@ -64,8 +60,7 @@ class Transaction;
 struct IcdGroup;    // IncrementalCycles.h
 struct IcdEdgeNode; // IncrementalCycles.h
 
-/// One decoded entry of a transaction's read/write log (also the legacy
-/// path's stored representation). EdgeIn markers record the edge's *source
+/// One decoded entry of a transaction's read/write log. EdgeIn markers record the edge's *source
 /// coordinates* — (source thread, source SeqInThread, sampled source log
 /// position) — so PCD can enforce the ordering even when the source
 /// transaction itself is outside the SCC being replayed: the constraint
@@ -165,22 +160,10 @@ public:
   /// edge-adding thread while the owner is provably quiescent (EdgeIn).
   /// Packed chunked storage; see LogArena.h.
   ChunkedLog Log;
-  /// Legacy storage (DoubleCheckerOptions::LegacyLog): the seed's
-  /// reallocating vector of 32-byte entries. A transaction uses exactly
-  /// one representation, decided by which append method feeds it.
-  std::vector<LogEntry> VecLog;
-  /// Published length of the log (slots for Log, entries for VecLog),
-  /// sampled lock-free for edge SrcPos. Published once per record with
-  /// release order — this is the only shared-visible write an append
-  /// performs on the packed path.
+  /// Published length of the log in slots, sampled lock-free for edge
+  /// SrcPos. Published once per record with release order — this is the
+  /// only shared-visible write an append performs.
   std::atomic<uint32_t> LogLen{0};
-
-  /// Ring transport only: slots the drain side has materialized into Log
-  /// (or accounted as shed). The log is replay-complete when this reaches
-  /// LogLen on a Finished transaction. Written under the ring drain lock
-  /// with release order; completeness waiters read with acquire, which
-  /// makes the materialized chain visible to the replayer.
-  std::atomic<uint32_t> DrainedSlots{0};
 
   /// Appends to the packed log. \p Cache supplies recycled chunks on the
   /// runtime hot path; null (tests, hand-built SCCs) falls back to plain
@@ -191,13 +174,6 @@ public:
     else
       Log.appendAccess(E.Obj, E.Addr, E.K == LogEntry::Kind::Write, Cache);
     LogLen.store(Log.size(), std::memory_order_release);
-  }
-
-  /// Appends to the legacy vector log (DoubleCheckerOptions::LegacyLog).
-  void appendLogLegacy(const LogEntry &E) {
-    VecLog.push_back(E);
-    LogLen.store(static_cast<uint32_t>(VecLog.size()),
-                 std::memory_order_release);
   }
 
   // --- Scratch state for Tarjan SCC, epoch-stamped to avoid clearing ---
@@ -265,32 +241,22 @@ public:
   std::atomic<uint32_t> Pins{0};
 };
 
-/// Sequential reader over a transaction's log, transparent to the storage
-/// representation. pos() is in the same units as LogLen/SrcPos (slots on
-/// the packed path, entries on the legacy path), so replay's "source has
-/// passed position P" checks compare like with like. Only valid while the
-/// log is stable (transaction Finished, or single-threaded tests).
+/// Sequential reader over a transaction's packed log. pos() is in the same
+/// units as LogLen/SrcPos (slots), so replay's "source has passed position
+/// P" checks compare like with like. Only valid while the log is stable
+/// (transaction Finished, or single-threaded tests).
 class LogCursor {
 public:
   LogCursor() = default;
 
-  explicit LogCursor(const Transaction &Tx) {
-    if (!Tx.VecLog.empty()) {
-      Vec = &Tx.VecLog;
-      End = static_cast<uint32_t>(Tx.VecLog.size());
-    } else {
-      Chunk = Tx.Log.head();
-      End = Tx.Log.size();
-    }
-  }
+  explicit LogCursor(const Transaction &Tx)
+      : Chunk(Tx.Log.head()), End(Tx.Log.size()) {}
 
   bool atEnd() const { return Pos >= End; }
   uint32_t pos() const { return Pos; }
 
   /// Decodes the record at the cursor. Requires !atEnd().
   LogEntry current() const {
-    if (Vec != nullptr)
-      return (*Vec)[Pos];
     const LogSlot &S = slot(0);
     LogEntry E;
     switch (S.Meta & SlotTagMask) {
@@ -313,12 +279,8 @@ public:
     return E;
   }
 
-  /// Consumes the current record (1 slot; 2 for EdgeIn on the packed path).
+  /// Consumes the current record (1 slot; 2 for EdgeIn).
   void advance() {
-    if (Vec != nullptr) {
-      ++Pos;
-      return;
-    }
     const uint32_t N =
         (slot(0).Meta & SlotTagMask) == SlotTagEdgeIn ? 2 : 1;
     for (uint32_t I = 0; I < N; ++I) {
@@ -344,7 +306,6 @@ private:
     return C->Slots[Idx];
   }
 
-  const std::vector<LogEntry> *Vec = nullptr; ///< Legacy path; else chunks.
   const LogChunk *Chunk = nullptr;
   uint32_t InChunk = 0;
   uint32_t Pos = 0;

@@ -148,10 +148,6 @@ RunOutcome core::runChecker(const ir::Program &Source,
     if (Cfg.PcdQueueDepth != 0)
       DOpts.PcdQueueDepth = Cfg.PcdQueueDepth;
     DOpts.SerializedIdg = Cfg.SerializedIdg;
-    DOpts.LegacyLog = Cfg.LegacyLog;
-    DOpts.ThreadArenaLog = Cfg.ThreadArenaLog;
-    DOpts.RingCount = Cfg.RingCount;
-    DOpts.RingBytes = Cfg.RingBytes;
     DOpts.SerialRoundtrips = Cfg.SerialRoundtrips;
     DOpts.BatchedScc = Cfg.BatchedScc;
     if (Cfg.IcdMaxRegion != 0)

@@ -81,18 +81,6 @@ struct RunConfig {
   /// collection (the pre-sharding behaviour) instead of the sharded hot
   /// path. For old-vs-new comparisons; violations must be identical.
   bool SerializedIdg = false;
-  /// Escape hatch: use the pre-arena logging path (shared elision cells,
-  /// reallocating vector logs). For old-vs-new comparisons; violations
-  /// must be identical.
-  bool LegacyLog = false;
-  /// Escape hatch: publish log records into per-thread chunk arenas
-  /// directly instead of the default per-CPU ring transport (DESIGN.md
-  /// §13). For ring-vs-arena comparisons; violations must be identical.
-  bool ThreadArenaLog = false;
-  /// Ring transport sizing overrides (0 = hardware concurrency rings of
-  /// 64 KiB). Tiny values force the full-ring backpressure path.
-  uint32_t RingCount = 0;
-  uint32_t RingBytes = 0;
   /// Escape hatch: run Octet coordination with the seed's serial spin-only
   /// protocol instead of the pipelined fan-out (DESIGN.md §11). For
   /// old-vs-new comparisons; violations must be identical.

@@ -24,8 +24,6 @@ const char *dc::rt::toString(CheckerFault F) {
     return "collector-stall";
   case CheckerFault::GateStall:
     return "gate-stall";
-  case CheckerFault::RingDrainStall:
-    return "ring-drain-stall";
   case CheckerFault::WindowFlushStall:
     return "window-flush-stall";
   }

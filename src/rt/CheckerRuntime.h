@@ -49,7 +49,6 @@ enum class CheckerFault : uint8_t {
                    ///< timeout (queue saturated and no worker progress).
   CollectorStall,  ///< The transaction collector stopped heartbeating.
   GateStall,       ///< The scheduler gate made no progress (wedged run).
-  RingDrainStall,  ///< The ring-log drainer stopped heartbeating.
   WindowFlushStall, ///< A streaming window flush could not quiesce within
                     ///< its bounded waits (wedged drain inside a window).
 };

@@ -337,14 +337,20 @@ TEST(IcdDetectorTest, LockWaitAccountingChargesHeldWaits) {
   DetectorHarness H;
   Transaction *A = H.node(0), *B = H.node(1);
   std::atomic<bool> InHook{false};
+  std::atomic<bool> Retiring{false};
   H.D->setReorderHook([&](size_t) {
     InHook.store(true, std::memory_order_release);
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    // Hold Mu until the test thread is about to retire A, then long
+    // enough that a loaded host cannot delay its acquisition past the hook.
+    while (!Retiring.load(std::memory_order_acquire))
+      std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
   });
   std::thread T([&] { H.edge(B, A); }); // Inconsistent: reorders under Mu.
   while (!InHook.load(std::memory_order_acquire))
     std::this_thread::yield();
   // Mu is held for the rest of the hook's sleep: this acquisition waits.
+  Retiring.store(true, std::memory_order_release);
   H.retire(A);
   T.join();
   StatisticRegistry Stats;
@@ -617,8 +623,7 @@ TEST(IcdStressTest, ReorderNeverHoldsAllStripes) {
   ViolationLog Violations;
   DoubleCheckerOptions Opts;
   Opts.CollectEveryTx = 64;      // Sweeps race the order maintenance.
-  Opts.LogRemoteMissPenalty = 0; // Pure-concurrency stress.
-  Opts.IdgRemoteMissPenalty = 0;
+  Opts.IdgRemoteMissPenalty = 0; // Pure-concurrency stress.
   auto DC =
       std::make_unique<DoubleCheckerRuntime>(P, Opts, Violations, Stats);
   rt::Runtime RT(P, DC.get());
@@ -714,6 +719,7 @@ TEST(IcdStressTest, ReorderNeverHoldsAllStripes) {
 TEST(IcdStressTest, LockFreeFastPathSurvivesForcedReorders) {
   constexpr uint32_t FastThreads = 4;
   constexpr uint32_t Universe = 192;
+  constexpr uint32_t Block = 8;
   constexpr uint64_t EdgesPerThread = 3000;
 
   DetectorHarness H;
@@ -735,8 +741,13 @@ TEST(IcdStressTest, LockFreeFastPathSurvivesForcedReorders) {
   std::thread Chaos([&] {
     SplitMix64 Rng(97);
     while (!Stop.load(std::memory_order_relaxed)) {
-      const uint32_t I = Rng.nextBelow(Universe - 1);
-      const uint32_t J = I + 1 + Rng.nextBelow(Universe - I - 1);
+      // Back edges stay inside disjoint blocks of Block nodes. Forward
+      // edges only climb in creation order, so every cycle lies within one
+      // block: merged components stay small at any parallelism, and the
+      // cross-block edges the audit below checks keep existing.
+      const uint32_t Base = Rng.nextBelow(Universe / Block) * Block;
+      const uint32_t I = Base + Rng.nextBelow(Block - 1);
+      const uint32_t J = I + 1 + Rng.nextBelow(Base + Block - I - 1);
       IncrementalCycleDetector::ClaimList Claims;
       // Against creation order: inconsistent unless a prior reorder or
       // merge already fixed it — a steady supply of writer sections.

@@ -58,9 +58,8 @@ TEST(IdgStressTest, ConcurrentTransactionsEdgesCollectionAndPcdPool) {
   DoubleCheckerOptions Opts;
   Opts.ParallelPcd = true;
   Opts.PcdWorkers = 3;
-  Opts.CollectEveryTx = 64;       // Hammer the background collector.
-  Opts.LogRemoteMissPenalty = 0;  // Pure-concurrency stress; no simulation
-  Opts.IdgRemoteMissPenalty = 0;  // spins.
+  Opts.CollectEveryTx = 64;      // Hammer the background collector.
+  Opts.IdgRemoteMissPenalty = 0; // Pure-concurrency stress; no spins.
   auto DC = std::make_unique<DoubleCheckerRuntime>(P, Opts, Violations,
                                                    Stats);
   rt::Runtime RT(P, DC.get());

@@ -6,11 +6,12 @@
 ///
 /// \file
 /// Unit tests for the logging hot path's pieces (ElisionFilter, ChunkedLog,
-/// LogCursor, chunk recycling) plus the differential guarantee the arena
-/// rewrite rides on: the same deterministic schedule, run with elision
-/// on/off and with arena vs. legacy vector logs, must report byte-identical
-/// violation sets and identical PCD replay outcomes — in single-run and in
-/// multi-run mode.
+/// LogCursor, chunk recycling) plus the differential guarantee elision
+/// rides on: the same oracle-recorded schedule, run with elision on and
+/// off, must report byte-identical violation sets and identical PCD replay
+/// outcomes — in single-run and in multi-run mode — and the blamed methods
+/// must equal both Velodrome's and the ground-truth oracle's
+/// (src/support/Oracle.h) on that schedule.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +22,7 @@
 #include "analysis/LogArena.h"
 #include "analysis/Transaction.h"
 #include "core/Checker.h"
+#include "support/Oracle.h"
 #include "tests/TestPrograms.h"
 
 using namespace dc;
@@ -177,24 +179,6 @@ TEST(ChunkedLogTest, EdgeInRecordStraddlesChunkBoundary) {
   EXPECT_TRUE(C.atEnd());
 }
 
-TEST(ChunkedLogTest, LegacyVectorLogDecodesThroughTheSameCursor) {
-  Transaction Tx(1, 0, 0, ir::MethodId(0), true);
-  for (uint32_t I = 0; I < 10; ++I) {
-    LogEntry E;
-    E.K = LogEntry::Kind::Read;
-    E.Obj = I;
-    E.Addr = I + 100;
-    Tx.appendLogLegacy(E);
-  }
-  EXPECT_EQ(Tx.LogLen.load(), 10u);
-  uint32_t I = 0;
-  for (LogCursor C(Tx); !C.atEnd(); C.advance(), ++I) {
-    EXPECT_EQ(C.pos(), I) << "legacy positions are entry indices";
-    EXPECT_EQ(C.current().Addr, I + 100);
-  }
-  EXPECT_EQ(I, 10u);
-}
-
 TEST(ChunkPoolTest, RecycledChunksAreServedBeforeAllocating) {
   LogChunkPool Pool;
   LogChunkCache Cache;
@@ -228,7 +212,7 @@ TEST(ChunkPoolTest, RecycledChunksAreServedBeforeAllocating) {
 }
 
 //===----------------------------------------------------------------------===//
-// Differential: arena vs legacy, elision on/off
+// Differential: elision on/off, against Velodrome and the oracle
 //===----------------------------------------------------------------------===//
 
 /// Canonical byte representation of a violation set (order-independent).
@@ -248,30 +232,39 @@ std::string serializeViolations(const std::vector<ViolationRecord> &Records) {
   return Out;
 }
 
-struct PathConfig {
-  bool LegacyLog;
-  bool Elide;
-  const char *Name;
+/// One deterministic schedule recorded by the oracle, plus its verdict.
+struct RecordedSchedule {
+  oracle::RecordedTrace Trace;
+  oracle::OracleVerdict Truth;
 };
 
-constexpr PathConfig Paths[] = {
-    {false, true, "arena+elide"},
-    {false, false, "arena"},
-    {true, true, "legacy+elide"},
-    {true, false, "legacy"},
-};
+RecordedSchedule recordSchedule(const ir::Program &P,
+                                const AtomicitySpec &Spec, uint64_t Seed) {
+  rt::RunOptions RO;
+  RO.Deterministic = true;
+  RO.ScheduleSeed = Seed;
+  RecordedSchedule R;
+  R.Trace = oracle::recordTrace(P, Spec, RO);
+  R.Truth = oracle::decideSerializability(P, R.Trace);
+  return R;
+}
 
-RunOutcome runPath(const ir::Program &P, const AtomicitySpec &Spec, Mode M,
-                   const PathConfig &Path, uint64_t Seed,
-                   const StaticTransactionInfo *Info = nullptr) {
+/// Replays \p Schedule exactly (HardError on exhaustion: every mode
+/// compiles to the same instruction stream, so a divergence is a bug).
+RunOutcome replay(const ir::Program &P, const AtomicitySpec &Spec, Mode M,
+                  const std::vector<uint32_t> &Schedule, bool Elide = true,
+                  const StaticTransactionInfo *Info = nullptr) {
   RunConfig Cfg;
   Cfg.M = M;
   Cfg.RunOpts.Deterministic = true;
-  Cfg.RunOpts.ScheduleSeed = Seed;
-  Cfg.LegacyLog = Path.LegacyLog;
-  Cfg.ElideDuplicates = Path.Elide;
+  Cfg.RunOpts.ExplicitSchedule = Schedule;
+  Cfg.RunOpts.OnScheduleExhausted = rt::ScheduleExhaustPolicy::HardError;
+  Cfg.ElideDuplicates = Elide;
   Cfg.StaticInfo = Info;
-  return runChecker(P, Spec, Cfg);
+  RunOutcome O = runChecker(P, Spec, Cfg);
+  EXPECT_FALSE(O.Result.Aborted) << toString(M);
+  EXPECT_FALSE(O.Result.ScheduleDiverged) << toString(M);
+  return O;
 }
 
 TEST(LogDifferentialTest, SingleRunViolationsAreByteIdenticalAcrossPaths) {
@@ -279,26 +272,28 @@ TEST(LogDifferentialTest, SingleRunViolationsAreByteIdenticalAcrossPaths) {
   AtomicitySpec Spec = AtomicitySpec::initial(P);
   bool AnyViolation = false;
   for (uint64_t Seed = 0; Seed < 6; ++Seed) {
-    RunOutcome Ref =
-        runPath(P, Spec, Mode::SingleRun, Paths[0], Seed);
+    RecordedSchedule S = recordSchedule(P, Spec, Seed);
+    RunOutcome Ref = replay(P, Spec, Mode::SingleRun, S.Trace.Schedule);
     const std::string RefBytes = serializeViolations(Ref.Violations);
     AnyViolation |= !Ref.Violations.empty();
     EXPECT_EQ(Ref.stat("pcd.replay_stuck"), 0u);
-    for (const PathConfig &Path :
-         {Paths[1], Paths[2], Paths[3]}) {
-      RunOutcome O = runPath(P, Spec, Mode::SingleRun, Path, Seed);
-      EXPECT_EQ(serializeViolations(O.Violations), RefBytes)
-          << Path.Name << " seed " << Seed;
-      // Identical replay outcomes, not just identical reports: the same
-      // SCCs reach PCD, every replay terminates, and the same cycles fall
-      // out of the reconstructed PDG.
-      EXPECT_EQ(O.stat("pcd.sccs_processed"), Ref.stat("pcd.sccs_processed"))
-          << Path.Name << " seed " << Seed;
-      EXPECT_EQ(O.stat("pcd.cycles"), Ref.stat("pcd.cycles"))
-          << Path.Name << " seed " << Seed;
-      EXPECT_EQ(O.stat("pcd.replay_stuck"), 0u)
-          << Path.Name << " seed " << Seed;
-    }
+    // The independent references: Velodrome's online precise graph and
+    // the oracle's offline one. deposit is the only atomic method, so the
+    // oracle's cycle methods are exactly what a precise checker blames.
+    RunOutcome Velo = replay(P, Spec, Mode::Velodrome, S.Trace.Schedule);
+    EXPECT_EQ(Ref.BlamedMethods, Velo.BlamedMethods) << "seed " << Seed;
+    EXPECT_EQ(Ref.BlamedMethods, S.Truth.CycleMethods) << "seed " << Seed;
+
+    RunOutcome O = replay(P, Spec, Mode::SingleRun, S.Trace.Schedule,
+                          /*Elide=*/false);
+    EXPECT_EQ(serializeViolations(O.Violations), RefBytes) << "seed " << Seed;
+    // Identical replay outcomes, not just identical reports: the same SCCs
+    // reach PCD, every replay terminates, and the same cycles fall out of
+    // the reconstructed PDG.
+    EXPECT_EQ(O.stat("pcd.sccs_processed"), Ref.stat("pcd.sccs_processed"))
+        << "seed " << Seed;
+    EXPECT_EQ(O.stat("pcd.cycles"), Ref.stat("pcd.cycles")) << "seed " << Seed;
+    EXPECT_EQ(O.stat("pcd.replay_stuck"), 0u) << "seed " << Seed;
   }
   EXPECT_TRUE(AnyViolation) << "differential test never saw a violation";
 }
@@ -306,59 +301,52 @@ TEST(LogDifferentialTest, SingleRunViolationsAreByteIdenticalAcrossPaths) {
 TEST(LogDifferentialTest, MultiRunViolationsAreByteIdenticalAcrossPaths) {
   ir::Program P = doubledRacyBank(3, 400, 2);
   AtomicitySpec Spec = AtomicitySpec::initial(P);
-  // First run (no logging) is path-independent; reuse its static info for
-  // every second-run path.
-  RunOutcome First = runPath(P, Spec, Mode::FirstRun, Paths[0], 3);
-  ASSERT_TRUE(First.StaticInfo.MethodNames.count("deposit"));
   bool AnyViolation = false;
   for (uint64_t Seed = 0; Seed < 4; ++Seed) {
-    RunOutcome Ref = runPath(P, Spec, Mode::SecondRun, Paths[0], Seed,
-                             &First.StaticInfo);
+    RecordedSchedule S = recordSchedule(P, Spec, Seed);
+    // First run (no logging) on the same schedule feeds both second runs.
+    RunOutcome First = replay(P, Spec, Mode::FirstRun, S.Trace.Schedule);
+    RunOutcome Ref = replay(P, Spec, Mode::SecondRun, S.Trace.Schedule,
+                            /*Elide=*/true, &First.StaticInfo);
     const std::string RefBytes = serializeViolations(Ref.Violations);
     AnyViolation |= !Ref.Violations.empty();
-    for (const PathConfig &Path : {Paths[1], Paths[2], Paths[3]}) {
-      RunOutcome O = runPath(P, Spec, Mode::SecondRun, Path, Seed,
-                             &First.StaticInfo);
-      EXPECT_EQ(serializeViolations(O.Violations), RefBytes)
-          << Path.Name << " seed " << Seed;
-      EXPECT_EQ(O.stat("pcd.cycles"), Ref.stat("pcd.cycles"))
-          << Path.Name << " seed " << Seed;
-      EXPECT_EQ(O.stat("pcd.replay_stuck"), 0u)
-          << Path.Name << " seed " << Seed;
-    }
+    RunOutcome Velo = replay(P, Spec, Mode::Velodrome, S.Trace.Schedule);
+    EXPECT_EQ(Ref.BlamedMethods, Velo.BlamedMethods) << "seed " << Seed;
+    EXPECT_EQ(Ref.BlamedMethods, S.Truth.CycleMethods) << "seed " << Seed;
+
+    RunOutcome O = replay(P, Spec, Mode::SecondRun, S.Trace.Schedule,
+                          /*Elide=*/false, &First.StaticInfo);
+    EXPECT_EQ(serializeViolations(O.Violations), RefBytes) << "seed " << Seed;
+    EXPECT_EQ(O.stat("pcd.cycles"), Ref.stat("pcd.cycles")) << "seed " << Seed;
+    EXPECT_EQ(O.stat("pcd.replay_stuck"), 0u) << "seed " << Seed;
   }
   EXPECT_TRUE(AnyViolation) << "differential test never saw a violation";
 }
 
 TEST(LogDifferentialTest, ElisionActuallyElidesOnBothPaths) {
   // Guard against the differential passing because elision silently became
-  // a no-op: on the doubled workload both paths must elide something when
+  // a no-op: on the doubled workload the log must elide something when
   // enabled and nothing when disabled.
   ir::Program P = doubledRacyBank(2, 200, 2);
   AtomicitySpec Spec = AtomicitySpec::initial(P);
-  for (bool Legacy : {false, true}) {
-    PathConfig On{Legacy, true, "on"};
-    PathConfig Off{Legacy, false, "off"};
-    RunOutcome WithElide = runPath(P, Spec, Mode::SingleRun, On, 1);
-    RunOutcome NoElide = runPath(P, Spec, Mode::SingleRun, Off, 1);
-    EXPECT_EQ(NoElide.stat("icd.log_entries_elided"), 0u);
-    EXPECT_GT(NoElide.stat("icd.log_entries"),
-              WithElide.stat("icd.log_entries"))
-        << (Legacy ? "legacy" : "arena");
-  }
+  RecordedSchedule S = recordSchedule(P, Spec, 1);
+  RunOutcome WithElide = replay(P, Spec, Mode::SingleRun, S.Trace.Schedule);
+  RunOutcome NoElide = replay(P, Spec, Mode::SingleRun, S.Trace.Schedule,
+                              /*Elide=*/false);
+  EXPECT_GT(WithElide.stat("icd.log_entries_elided"), 0u);
+  EXPECT_EQ(NoElide.stat("icd.log_entries_elided"), 0u);
+  EXPECT_GT(NoElide.stat("icd.log_entries"),
+            WithElide.stat("icd.log_entries"));
 }
 
 TEST(LogDifferentialTest, ArenaPathReportsLoggingCounters) {
   ir::Program P = testprogs::racyBank(2, 300, 2);
   AtomicitySpec Spec = AtomicitySpec::initial(P);
-  RunOutcome O = runPath(P, Spec, Mode::SingleRun, Paths[0], 2);
+  RecordedSchedule S = recordSchedule(P, Spec, 2);
+  RunOutcome O = replay(P, Spec, Mode::SingleRun, S.Trace.Schedule);
   EXPECT_GT(O.stat("logging.bytes_logged"), 0u);
   EXPECT_GT(O.stat("logging.chunk_allocs"), 0u);
   EXPECT_GT(O.stat("icd.log_entries"), 0u);
-  // Legacy runs must not report arena counters.
-  RunOutcome L = runPath(P, Spec, Mode::SingleRun, Paths[2], 2);
-  EXPECT_EQ(L.stat("logging.chunk_allocs"), 0u);
-  EXPECT_GT(L.stat("logging.bytes_logged"), 0u);
 }
 
 } // namespace

@@ -136,16 +136,4 @@ TEST(SrcPosSamplingTest, ConcurrentRunsReplaySampledPositionsToCompletion) {
   }
 }
 
-TEST(SrcPosSamplingTest, LegacyPathHonorsTheSameContract) {
-  ir::Program P = testprogs::racyBank(3, 300, 2);
-  core::AtomicitySpec Spec = core::AtomicitySpec::initial(P);
-  core::RunConfig Cfg;
-  Cfg.M = core::Mode::SingleRun;
-  Cfg.RunOpts.Deterministic = false;
-  Cfg.LegacyLog = true;
-  core::RunOutcome O = core::runChecker(P, Spec, Cfg);
-  EXPECT_FALSE(O.Result.Aborted);
-  EXPECT_EQ(O.stat("pcd.replay_stuck"), 0u);
-}
-
 } // namespace

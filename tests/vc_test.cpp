@@ -495,29 +495,48 @@ TEST(VcStress, TransactionSealedMidAccessIsRotated) {
   // unary transaction, as currentForAccess would have. Targeting U instead
   // would close the cycle U -> T1 -> T2 -> U and leave one transaction
   // fewer.
-  VcHarness H;
-  H.Penalty = 250'000'000; // A few hundred milliseconds per contended access.
-  VectorClockOptions Opts;
-  Opts.WindowTxs = 1;
-  H.start(Opts);
-  const rt::ObjectId X = 0, Y = 1;
-  H.access(0, Y, 0, true); // U writes y.
-  H.access(1, X, 0, true); // Thread 1 touches x first.
-  std::thread T2([&] { H.access(2, X, 0, true); }); // Holds x, spinning.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  std::thread T0([&] { H.access(0, X, 0, true); }); // Waits for x.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  H.access(1, Y, 0, false); // U -> thread 1: interrupts U.
-  H.begin(1, "m1");         // Ends thread 1's span: the flush seals U.
-  H.end(1, "m1");
-  T2.join();
-  T0.join();
-  H.finish();
-  // Three initial spans, thread 1's m1 and its unary successor, and the
-  // span replacing U.
-  EXPECT_EQ(H.Stats.value("vc.txs"), 6u);
-  EXPECT_GE(H.Stats.value("vc.txs_sealed"), 1u);
-  EXPECT_EQ(H.Violations.count(), 0u);
+  //
+  // The interleaving is staged with sleeps and penalty spins (thread 1's
+  // read of y spins too, since U wrote y), so on a loaded host thread 0
+  // can finish its access before the flush. Such a run is inconclusive and
+  // is retried: only a flush that completes while thread 0 is still inside
+  // its access can have sealed U first.
+  constexpr int MaxAttempts = 5;
+  for (int Attempt = 1;; ++Attempt) {
+    VcHarness H;
+    H.Penalty = 250'000'000; // A few hundred milliseconds per contended access.
+    VectorClockOptions Opts;
+    Opts.WindowTxs = 1;
+    H.start(Opts);
+    const rt::ObjectId X = 0, Y = 1;
+    H.access(0, Y, 0, true); // U writes y.
+    H.access(1, X, 0, true); // Thread 1 touches x first.
+    std::thread T2([&] { H.access(2, X, 0, true); }); // Holds x, spinning.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    std::atomic<bool> T0Done{false};
+    std::thread T0([&] { // Waits for x.
+      H.access(0, X, 0, true);
+      T0Done.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    H.access(1, Y, 0, false); // U -> thread 1: interrupts U.
+    H.begin(1, "m1");         // Ends thread 1's span: the flush seals U.
+    H.end(1, "m1");
+    const bool FlushedInTime = !T0Done.load();
+    T2.join();
+    T0.join();
+    H.finish();
+    if (!FlushedInTime && Attempt < MaxAttempts)
+      continue;
+    ASSERT_TRUE(FlushedInTime)
+        << "the flush never completed before thread 0's access";
+    // Three initial spans, thread 1's m1 and its unary successor, and the
+    // span replacing U.
+    EXPECT_EQ(H.Stats.value("vc.txs"), 6u);
+    EXPECT_GE(H.Stats.value("vc.txs_sealed"), 1u);
+    EXPECT_EQ(H.Violations.count(), 0u);
+    break;
+  }
 }
 
 /// Drives the engine's hooks from free-running OS threads. With \p Windowed

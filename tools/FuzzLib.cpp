@@ -215,48 +215,39 @@ PairResult fuzz::checkPair(const ir::Program &Source,
     return true;
   };
 
-  // Transport axis values: 0 = ring (default), 1 = arena, 2 = legacy.
-  auto BaseCfg = [&](core::Mode M, bool SerIdg, int Transport,
-                     bool SerialOctet) {
+  auto BaseCfg = [&](core::Mode M, bool SerIdg, bool SerialOctet) {
     core::RunConfig Cfg;
     Cfg.M = M;
     Cfg.RunOpts = replayOpts(Trace.Schedule);
     Cfg.SerializedIdg = SerIdg;
-    Cfg.ThreadArenaLog = Transport == 1;
-    Cfg.LegacyLog = Transport == 2;
     Cfg.SerialRoundtrips = SerialOctet;
     Cfg.TestOnlyUnsoundIcdFilter = InjectIcdBug;
     return Cfg;
   };
-  auto KnobName = [](bool SerIdg, int Transport, bool SerialOctet) {
+  auto KnobName = [](bool SerIdg, bool SerialOctet) {
     return std::string(SerIdg ? "serialized-idg" : "sharded-idg") + "/" +
-           (Transport == 0 ? "ring-log"
-                           : Transport == 1 ? "arena-log" : "legacy-log") +
-           "/" + (SerialOctet ? "serial-octet" : "fanout-octet");
+           (SerialOctet ? "serial-octet" : "fanout-octet");
   };
 
-  // Single-run DoubleChecker across the 2×3×2 knob grid (IDG sharding ×
-  // log transport × Octet coordination protocol, DESIGN.md §11–§13) — the
-  // per-CPU ring transport, the per-thread arena escape hatch, and the
-  // legacy path must blame identically on one schedule.
+  // Single-run DoubleChecker across the 2×2 knob grid (IDG sharding ×
+  // Octet coordination protocol, DESIGN.md §7/§11) — both must blame
+  // identically on one schedule.
   for (bool SerIdg : {false, true})
-    for (int Transport : {0, 1, 2})
-      for (bool SerialOctet : {false, true}) {
-        core::RunOutcome O = core::runChecker(
-            Source, Spec,
-            BaseCfg(core::Mode::SingleRun, SerIdg, Transport, SerialOctet));
-        if (!Admit("single/" + KnobName(SerIdg, Transport, SerialOctet), O))
-          return R;
-      }
+    for (bool SerialOctet : {false, true}) {
+      core::RunOutcome O = core::runChecker(
+          Source, Spec, BaseCfg(core::Mode::SingleRun, SerIdg, SerialOctet));
+      if (!Admit("single/" + KnobName(SerIdg, SerialOctet), O))
+        return R;
+    }
 
   // Cycle-detection axis, collapsed to extra configs (orthogonal to the
-  // other knobs). The 2×2×2 grid above runs the default *incremental*
+  // other knobs). The 2×2 grid above runs the default *incremental*
   // order-maintenance detector (DESIGN.md §12); these replay the same
   // schedule through the batched stop-the-world Tarjan passes — the
   // differential partner that claims the same components at the same claim
   // points, so violations must be identical.
   {
-    core::RunConfig Cfg = BaseCfg(core::Mode::SingleRun, false, 0, false);
+    core::RunConfig Cfg = BaseCfg(core::Mode::SingleRun, false, false);
     Cfg.BatchedScc = true;
     core::RunOutcome O = core::runChecker(Source, Spec, Cfg);
     if (!Admit("single/batched-scc", O))
@@ -267,7 +258,7 @@ PairResult fuzz::checkPair(const ir::Program &Source,
   // filter with chain compression. Detected components — and therefore
   // violations — must be identical.
   {
-    core::RunConfig Cfg = BaseCfg(core::Mode::SingleRun, false, 0, false);
+    core::RunConfig Cfg = BaseCfg(core::Mode::SingleRun, false, false);
     Cfg.BatchedScc = true;
     Cfg.EagerSccRoots = true;
     core::RunOutcome O = core::runChecker(Source, Spec, Cfg);
@@ -280,7 +271,7 @@ PairResult fuzz::checkPair(const ir::Program &Source,
   // intentionally trades blame precision for bounded reorder cost, so the
   // blamed set legitimately differs from the precise configs).
   {
-    core::RunConfig Cfg = BaseCfg(core::Mode::SingleRun, false, 0, false);
+    core::RunConfig Cfg = BaseCfg(core::Mode::SingleRun, false, false);
     Cfg.IcdMaxRegion = 1;
     core::RunOutcome O = core::runChecker(Source, Spec, Cfg);
     if (O.Result.ScheduleDiverged || O.Result.Aborted) {
@@ -308,7 +299,7 @@ PairResult fuzz::checkPair(const ir::Program &Source,
   // behaviour). The fast path must be a pure performance change — blamed
   // and potential sets stay bit-equal to the default config's.
   {
-    core::RunConfig Cfg = BaseCfg(core::Mode::SingleRun, false, 0, false);
+    core::RunConfig Cfg = BaseCfg(core::Mode::SingleRun, false, false);
     Cfg.IcdLockedFastPath = true;
     core::RunOutcome O = core::runChecker(Source, Spec, Cfg);
     if (!Admit("single/icd-locked-fastpath", O))
@@ -375,31 +366,28 @@ PairResult fuzz::checkPair(const ir::Program &Source,
   // Multi-run DoubleChecker: first run (ICD only, same schedule) feeding
   // the second run's selective instrumentation, replayed on the same
   // schedule again.
-  // The Octet axis collapses to one extra multi-run config (sharded/arena/
+  // The Octet axis collapses to one extra multi-run config (sharded/
   // serial-octet): multi-run doubles the executions per config, and the
   // coordination protocol is orthogonal to the first-run/second-run split
   // the other knobs interact with.
   for (bool SerIdg : {false, true})
-    for (int Transport : {0, 1, 2})
-      for (bool SerialOctet : {false, true}) {
-        if (SerialOctet && (SerIdg || Transport != 0))
-          continue;
-        core::RunOutcome First = core::runChecker(
-            Source, Spec,
-            BaseCfg(core::Mode::FirstRun, SerIdg, Transport, SerialOctet));
-        if (First.Result.ScheduleDiverged || First.Result.Aborted) {
-          Fail("multi(first)/" + KnobName(SerIdg, Transport, SerialOctet) +
-               ": recorded schedule did not replay");
-          return R;
-        }
-        core::RunConfig Cfg =
-            BaseCfg(core::Mode::SecondRun, SerIdg, Transport, SerialOctet);
-        Cfg.StaticInfo = &First.StaticInfo;
-        core::RunOutcome Second = core::runChecker(Source, Spec, Cfg);
-        if (!Admit("multi/" + KnobName(SerIdg, Transport, SerialOctet),
-                   Second))
-          return R;
+    for (bool SerialOctet : {false, true}) {
+      if (SerialOctet && SerIdg)
+        continue;
+      core::RunOutcome First = core::runChecker(
+          Source, Spec, BaseCfg(core::Mode::FirstRun, SerIdg, SerialOctet));
+      if (First.Result.ScheduleDiverged || First.Result.Aborted) {
+        Fail("multi(first)/" + KnobName(SerIdg, SerialOctet) +
+             ": recorded schedule did not replay");
+        return R;
       }
+      core::RunConfig Cfg =
+          BaseCfg(core::Mode::SecondRun, SerIdg, SerialOctet);
+      Cfg.StaticInfo = &First.StaticInfo;
+      core::RunOutcome Second = core::runChecker(Source, Spec, Cfg);
+      if (!Admit("multi/" + KnobName(SerIdg, SerialOctet), Second))
+        return R;
+    }
 
   return R;
 }
@@ -428,10 +416,6 @@ std::string FaultCase::name() const {
     N += " icd-retry-storm=" + std::to_string(IcdSeqRetryStorm);
   if (WindowTxs != 0)
     N += " window-txs=" + std::to_string(WindowTxs);
-  if (LogTransport == Transport::Arena)
-    N += " arena-log";
-  else if (LogTransport == Transport::Legacy)
-    N += " legacy-log";
   if (Eng == Engine::Vc)
     N += " engine=vc";
   return N + "]";
@@ -490,16 +474,6 @@ std::vector<FaultCase> fuzz::faultSweepCases() {
   {
     FaultCase C;
     C.MaxSccTxs = 1;
-    Cases.push_back(C);
-  }
-  // Allocation failure under the arena transport: the refusal fires on
-  // the *mutator's* per-thread cache instead of the ring drainer's — the
-  // shed decision travels the other side of the ring and must degrade
-  // identically soundly.
-  {
-    FaultCase C;
-    C.Plan.AllocFailAt = 1;
-    C.LogTransport = FaultCase::Transport::Arena;
     Cases.push_back(C);
   }
   // Combination: shedding and a dying worker in the same run.
@@ -629,8 +603,6 @@ fuzz::checkFaultCase(const ir::Program &Source,
     Cfg.IcdMaxRegion = Case.IcdMaxRegion;
     Cfg.IcdLockedFastPath = Case.IcdLockedFastPath;
     Cfg.IcdSeqRetryStorm = Case.IcdSeqRetryStorm;
-    Cfg.ThreadArenaLog = Case.LogTransport == FaultCase::Transport::Arena;
-    Cfg.LegacyLog = Case.LogTransport == FaultCase::Transport::Legacy;
   }
   core::RunOutcome O = core::runChecker(Source, Spec, Cfg);
   const std::string Name = Case.name();
@@ -910,10 +882,6 @@ bool fuzz::writeWitness(const std::string &Path, const Divergence &D,
           << "\n";
     if (D.Fault.WindowTxs != 0)
       Out << "# fault-window-txs: " << D.Fault.WindowTxs << "\n";
-    if (D.Fault.LogTransport == FaultCase::Transport::Arena)
-      Out << "# fault-transport: arena\n";
-    else if (D.Fault.LogTransport == FaultCase::Transport::Legacy)
-      Out << "# fault-transport: legacy\n";
     if (D.Fault.Eng == FaultCase::Engine::Vc)
       Out << "# fault-engine: vc\n";
   }
@@ -1001,17 +969,6 @@ bool fuzz::readWitness(const std::string &Path, Witness &W,
       LS >> W.Fault.WindowTxs;
     } else if (Tag == "window-txs:") {
       LS >> W.WindowTxs;
-    } else if (Tag == "fault-transport:") {
-      std::string T;
-      LS >> T;
-      if (T == "arena")
-        W.Fault.LogTransport = FaultCase::Transport::Arena;
-      else if (T == "legacy")
-        W.Fault.LogTransport = FaultCase::Transport::Legacy;
-      else if (T != "ring") {
-        Error = "bad '# fault-transport:' value: " + T;
-        return false;
-      }
     } else if (Tag == "fault-engine:") {
       std::string E;
       LS >> E;

@@ -10,15 +10,11 @@
 /// bounded-exhaustive, or uniform random), record the trace, and run the
 /// same (program, schedule) pair through the full checker config matrix —
 ///
-///   single-run: {ShardedIdg, SerializedIdg} ×
-///               {RingLog, ArenaLog, LegacyLog} ×
-///               {FanoutOctet, SerialRoundtrips}
-///   multi-run:  {ShardedIdg, SerializedIdg} ×
-///               {RingLog, ArenaLog, LegacyLog}
-///               + sharded/ring/SerialRoundtrips
-///   + batched-Tarjan extras + Velodrome + the vector-clock engine
+///   single-run: {ShardedIdg, SerializedIdg} × {FanoutOctet, SerialRoundtrips}
+///   multi-run:  {ShardedIdg, SerializedIdg} + sharded/SerialRoundtrips
+///   + batched-Tarjan and ICD extras + Velodrome + the vector-clock engine
 ///
-/// — asserting that all twenty-four agree with each other and with the
+/// — asserting that all thirteen agree with each other and with the
 /// ground-truth serializability oracle (src/support/Oracle.h). The
 /// vector-clock engine is held to verdict equality plus oracle-subset
 /// blame (its closing-edge blame is legitimately coarser than the graph
@@ -105,10 +101,6 @@ PairResult checkPair(const ir::Program &Source,
 /// worker stall needs the parallel pool; queue saturation needs a tiny
 /// queue). Zero-valued knobs keep the checker defaults.
 struct FaultCase {
-  /// Log publication transport the case runs under: the same fault can
-  /// trigger on different sides of the ring (the drain thread's chunk
-  /// refill vs. the mutator's), so the sweep pins it explicitly.
-  enum class Transport : uint8_t { Ring, Arena, Legacy };
   /// Checker engine the fault plan is injected into. DoubleChecker cases
   /// sweep the full plan; VectorClock cases exercise the one fault that
   /// engine owns (a delayed collector) under an aggressive collect cadence.
@@ -138,15 +130,13 @@ struct FaultCase {
   /// any fault plan may be layered over windowing to prove the flush path
   /// degrades as soundly as batch mode.
   uint32_t WindowTxs = 0;
-  Transport LogTransport = Transport::Ring;
   Engine Eng = Engine::DoubleChecker;
 
   bool any() const {
     return Plan.any() || ParallelPcd || PcdQueueDepth != 0 ||
            MaxSccTxs != 0 || PcdTimeoutMs != 0 || BatchedScc ||
            IcdMaxRegion != 0 || IcdLockedFastPath || IcdSeqRetryStorm != 0 ||
-           WindowTxs != 0 || LogTransport != Transport::Ring ||
-           Eng != Engine::DoubleChecker;
+           WindowTxs != 0 || Eng != Engine::DoubleChecker;
   }
   /// Human-readable label, also used in witness headers.
   std::string name() const;

@@ -20,15 +20,31 @@ cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-ci -j "$JOBS"
 ctest --test-dir build-ci --output-on-failure -j 1
 
+echo "== Determinism under parallel and pinned scheduling =="
+# The degradation report and the fault-injection outcomes are keyed to
+# schedule-determined values, so they must not depend on how many cores
+# the host has or on which tests share them. Run both suites 10 times at
+# full ctest parallelism, then 10 times pinned to one CPU; any failure
+# fails the gate.
+for PIN in "" "taskset -c 0"; do
+  for RUN in $(seq 1 10); do
+    # $PIN is unquoted on purpose: empty means unpinned.
+    if ! $PIN ctest --test-dir build-ci -j "$(nproc)" \
+        -R "DegradationProperty|FaultInjection" >/dev/null; then
+      echo "error: determinism suites failed (run $RUN, ${PIN:-unpinned})"
+      $PIN ctest --test-dir build-ci --rerun-failed --output-on-failure
+      exit 1
+    fi
+  done
+done
+
 echo "== Logging hot-path bench (smoke) =="
 # A tiny-scale run to catch regressions that only show up under the bench
-# harness (ring commit/drain plumbing, chunk recycling, the arena and
-# legacy escape hatches). The sweep spawns real OS threads up to 256 —
-# far past any CI host's cores — so even the smoke run exercises the ring
-# transport's oversubscribed 64/128/256-thread rows (producers descheduled
-# mid-commit, mutator self-drains on full rings). The JSON goes to a
-# throwaway path so the checked-in BENCH_logging.json keeps the numbers
-# recorded on a quiet machine at full scale.
+# harness (chunk recycling, batch refills from the shared pool). The sweep
+# spawns real OS threads up to 256 — far past any CI host's cores — so
+# even the smoke run exercises oversubscribed 64/128/256-thread rows. The
+# JSON goes to a throwaway path so the checked-in BENCH_logging.json keeps
+# the numbers recorded on a quiet machine at full scale.
 DC_BENCH_SCALE=0.02 DC_BENCH_TRIALS=1 \
   build-ci/bench/logging_throughput build-ci/bench_logging_smoke.json
 DC_BENCH_SCALE=0.02 DC_BENCH_TRIALS=1 \
@@ -117,13 +133,13 @@ done
 echo "== Differential schedule fuzz (bounded) =="
 # Fixed seed set, wall-clock bounded: PCT + bounded-exhaustive schedules on
 # tiny generated programs, every pair swept through the full config matrix
-# against the ground-truth oracle. The matrix includes the Octet protocol
-# axis (pipelined fan-out vs. SerialRoundtrips), the log-transport axis
-# (ring vs. arena vs. legacy), and the engine axis (DoubleChecker configs +
-# Velodrome + the vector-clock engine), so every pair also
-# differential-tests the coordination path, the ring publication protocol,
-# and all three checking algorithms. DC_FUZZ_BUDGET_SECONDS=600
-# (or more) is the nightly setting; the default keeps the gate fast.
+# against the ground-truth oracle. The matrix includes the IDG sharding
+# axis, the Octet protocol axis (pipelined fan-out vs. SerialRoundtrips),
+# and the engine axis (DoubleChecker configs + Velodrome + the
+# vector-clock engine), so every pair also differential-tests the
+# coordination path and all three checking algorithms.
+# DC_FUZZ_BUDGET_SECONDS=600 (or more) is the nightly setting; the default
+# keeps the gate fast.
 FUZZ_BUDGET="${DC_FUZZ_BUDGET_SECONDS:-30}"
 build-ci/tools/dcfuzz --seed 1 --budget-seconds "$FUZZ_BUDGET" \
   --pairs 1000000 --strategy mixed --progress 5000
@@ -177,8 +193,8 @@ cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DDC_SANITIZE=thread >/dev/null
 cmake --build build-ci-tsan -j "$JOBS" --target idg_stress_test \
   octet_stress_test octet_coord_test log_elision_test log_srcpos_test \
-  ring_log_test fault_injection_test icd_test vc_test property_test \
-  streaming_test dcfuzz dcsoak
+  fault_injection_test icd_test vc_test property_test streaming_test \
+  dcfuzz dcsoak
 
 echo "== Differential schedule fuzz under TSan (smoke) =="
 # Much slower per pair under TSan; a short fixed-seed slice is enough to
@@ -201,29 +217,27 @@ build-ci-tsan/tests/icd_test \
 # stalled in the remote-miss penalty has its transaction sealed mid-access.
 build-ci-tsan/tests/vc_test --gtest_filter='VcStress.*'
 # A TSan slice of the service-mode soak: window flushes synchronize the
-# mutator, the PCD pool, the ring drainer, and the collector — exactly the
-# cross-thread seams TSan exists for. Iteration-bounded (TSan's slowdown
-# makes wall-clock budgets unpredictable), with the fault rotation on and
-# the min-windows floor scaled to the short slice.
+# mutator, the PCD pool, and the collector — exactly the cross-thread
+# seams TSan exists for. Iteration-bounded (TSan's slowdown makes
+# wall-clock budgets unpredictable), with the fault rotation on and the
+# min-windows floor scaled to the short slice.
 build-ci-tsan/tools/dcsoak --iterations 60 --seconds 0 --seed 13 \
   --min-windows 20
 # TSan slows execution ~5-15x; restrict to the tests whose whole point is
 # cross-thread synchronization rather than re-running the full suite. The
 # logging tests are in that set: LogSrcPos races a lock-free LogLen
-# sampler against an appender, and LogElision stresses both log paths.
+# sampler against an appender, and LogElision replays the log with
+# elision on and off against Velodrome and the oracle.
 # FaultInjection exercises the watchdog, worker stall/death, and the
 # destruction-under-saturated-queue teardown. Icd covers the detector's
 # lock-free hot path (atomic order keys, program-order chain pointers)
-# plus the stripe-locality stress test. The Ring suites drive the per-CPU
-# ring transport's wait-free commit / concurrent-drain protocol with real
-# producer threads racing the drainer (wraparound, migration mid-commit,
-# full-ring self-drain) — the prime TSan target this file has. The Vc
-# suites drive the vector-clock engine's hooks from free-running OS
-# threads (per-field spin locks racing the engine lock and the mark-sweep
-# collector), and the three-way EngineAgreement property replays one
-# recorded schedule through all engines under TSan.
+# plus the stripe-locality stress test. The Vc suites drive the
+# vector-clock engine's hooks from free-running OS threads (per-field spin
+# locks racing the engine lock and the mark-sweep collector), and the
+# three-way EngineAgreement property replays one recorded schedule through
+# all engines under TSan.
 ctest --test-dir build-ci-tsan --output-on-failure \
-  -R "Idg|Octet|ElisionFilter|LogDifferential|SrcPosSampling|FaultInjection|Icd|Ring|Vc|EngineAgreement|Streaming"
+  -R "Idg|Octet|ElisionFilter|LogDifferential|SrcPosSampling|FaultInjection|Icd|Vc|EngineAgreement|Streaming"
 
 echo "== AddressSanitizer build + abort-mid-coordination regression =="
 # The seed's serial protocol could return from an aborted roundtrip while a

@@ -77,8 +77,6 @@ struct CliOptions {
   unsigned PcdTimeoutMs = 0;
   std::string FaultPlanSpec;
   bool SerializedIdg = false;
-  bool LegacyLog = false;
-  bool ArenaLog = false;
   bool SerialRoundtrips = false;
   bool BatchedScc = false;
   bool IcdLockedFastPath = false;
@@ -142,10 +140,6 @@ void printUsage() {
       "                        components (0 = default 10000)\n"
       "  --fault-plan <spec>   inject deterministic checker faults, e.g.\n"
       "                        alloc-fail@1,worker-stall@2 (see dcfuzz)\n"
-      "  --legacy-log          pre-arena escape hatch: shared elision\n"
-      "                        cells + vector logs (for comparisons)\n"
-      "  --arena-log           pre-ring escape hatch: publish into per-\n"
-      "                        thread chunk arenas (for comparisons)\n"
       "  --serialized-idg      pre-sharding escape hatch: one global IDG\n"
       "                        lock, inline collection (for comparisons)\n"
       "  --serial-roundtrips   pre-pipelining escape hatch: serial spin-\n"
@@ -233,10 +227,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       Opts.FaultPlanSpec = V;
     else if (Arg == "--serialized-idg")
       Opts.SerializedIdg = true;
-    else if (Arg == "--legacy-log")
-      Opts.LegacyLog = true;
-    else if (Arg == "--arena-log")
-      Opts.ArenaLog = true;
     else if (Arg == "--serial-roundtrips")
       Opts.SerialRoundtrips = true;
     else if (Arg == "--batched-scc")
@@ -462,8 +452,6 @@ int main(int Argc, char **Argv) {
   Cfg.ParallelPcd = Opts.ParallelPcd;
   Cfg.PcdWorkers = Opts.PcdWorkers;
   Cfg.SerializedIdg = Opts.SerializedIdg;
-  Cfg.LegacyLog = Opts.LegacyLog;
-  Cfg.ThreadArenaLog = Opts.ArenaLog;
   Cfg.SerialRoundtrips = Opts.SerialRoundtrips;
   Cfg.BatchedScc = Opts.BatchedScc;
   Cfg.IcdLockedFastPath = Opts.IcdLockedFastPath;
