@@ -1,15 +1,14 @@
-//===- bench/cycle_detection.cpp - Incremental vs batched ICD sweep -------===//
+//===- bench/cycle_detection.cpp - Incremental ICD sweep ------------------===//
 //
 // Part of the DoubleChecker reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The tentpole microbench for incremental online cycle detection
-/// (DESIGN.md §12): cross-edge insertion latency and end-to-end
-/// transaction throughput, default incremental order maintenance vs. the
-/// batched stop-the-world Tarjan escape hatch, at 1/4/8 threads, on a
-/// cycle-free and a cycle-heavy edge stream.
+/// The microbench for incremental online cycle detection (DESIGN.md §12):
+/// cross-edge insertion latency and end-to-end transaction throughput of
+/// incremental order maintenance at 1/4/8 threads, on a cycle-free and a
+/// cycle-heavy edge stream, plus a contention row set on the raw detector.
 ///
 /// Same harness as bench/scaling_threads: the hooks are driven directly
 /// from one OS thread, round-robining T logical threads one access at a
@@ -24,23 +23,18 @@
 ///    thread index (writes reclaim from readers: down; reads: up), and
 ///    across generations only program order connects — so the IDG stays
 ///    acyclic by construction, and the whole run is pure order
-///    maintenance. This is the paper's dominant regime (cycles are rare),
-///    and the acceptance shape: the incremental detector pays O(1) per
-///    consistent edge where batched mode keeps freezing every stripe for
-///    Tarjan passes that find nothing.
+///    maintenance. This is the paper's dominant regime (cycles are rare):
+///    the detector pays O(1) per consistent edge.
 ///  - *cycle-heavy*: every fourth transaction read-modify-writes one of
 ///    two hot objects, ping-ponging ownership in both directions between
 ///    overlapping transactions — a dense stream of inconsistent edges,
-///    region reorders, and real cycles. The adversarial regime: batched
-///    mode amortizes many cycles into one pass, incremental pays a
-///    bounded two-way search per back edge.
+///    region reorders, and real cycles. The adversarial regime: a bounded
+///    two-way search per back edge.
 ///
-/// Latency is split at the two places the modes differ: the shared-slot
-/// access (where the incremental detector runs its fast path or reorder
-/// inline under the edge writer's stripes) and the transaction boundary
-/// (where batched mode retires roots and, every SccBatch, freezes the
-/// graph for a pass). Everything else — Octet, logging, PCD — is
-/// identical between the two columns.
+/// Latency is split at the two places the detector runs: the shared-slot
+/// access (the fast path or reorder, inline under the edge writer's
+/// stripes) and the transaction boundary (retire, where the last member
+/// of a cycle claims it).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -84,25 +78,22 @@ struct SweepPoint {
   uint64_t IncEdges = 0;
   uint64_t Reorders = 0;
   uint64_t Sccs = 0;
-  uint64_t SccPasses = 0;
   uint64_t CyclesIncremental = 0;
 };
 
 SweepPoint runOnce(const ir::Program &P, uint32_t Threads,
-                   uint64_t TxPerThread, Shape S, bool Batched) {
+                   uint64_t TxPerThread, Shape S) {
   StatisticRegistry Stats;
   analysis::ViolationLog Violations;
   analysis::DoubleCheckerOptions Opts;
-  Opts.BatchedScc = Batched;
   Opts.ParallelPcd = true;
   Opts.PcdWorkers = 2;
   Opts.CollectEveryTx = 1024;
   Opts.MaxLiveTxs = 8192; // Same bounded-live-graph regime for every row.
   // The calibrated remote-miss penalties stay at their defaults (as in
   // bench/scaling_threads): this round-robin harness multiplexes the
-  // logical threads onto one OS thread, so the cost a full-graph freeze
-  // inflicts — every stripe's next per-thread acquisition is a coherence
-  // miss — only shows up through the model.
+  // logical threads onto one OS thread, so stripe handoff costs only show
+  // up through the model.
   auto DC = std::make_unique<analysis::DoubleCheckerRuntime>(P, Opts,
                                                              Violations, Stats);
   rt::Runtime RT(P, DC.get());
@@ -188,7 +179,7 @@ SweepPoint runOnce(const ir::Program &P, uint32_t Threads,
     DC->unblocked(Tc[T]);
     DC->threadExiting(Tc[T]);
   }
-  DC->endRun(RT); // Drain deferred detection inside the timed region.
+  DC->endRun(RT); // Drain the PCD pool inside the timed region.
   auto End = Clock::now();
 
   SweepPoint Pt;
@@ -201,7 +192,6 @@ SweepPoint runOnce(const ir::Program &P, uint32_t Threads,
   Pt.IncEdges = Stats.value("icd.inc_edges");
   Pt.Reorders = Stats.value("icd.reorders");
   Pt.Sccs = Stats.value("icd.sccs");
-  Pt.SccPasses = Stats.value("icd.scc_passes");
   Pt.CyclesIncremental = Stats.value("icd.cycles_incremental");
   return Pt;
 }
@@ -227,11 +217,9 @@ const char *shapeName(Shape S) {
 // section hammers IncrementalCycleDetector::addEdge directly from real
 // concurrent threads with an all-consistent cross-edge stream (every node
 // pre-created in key order, every edge pointing up the order): zero
-// reorders, so every lock wait is pure fast-path serialization. The
-// lock-free default is compared against the --icd-locked-fastpath partner
-// (the pre-seqlock behaviour, every edge under Mu), and each row records
-// icd.lock_waits / icd.seqlock_retries / icd.fastpath_lockfree — the
-// structural claim is lock_waits == 0 for the lock-free column.
+// reorders, so every lock wait would be pure fast-path serialization.
+// Each row records icd.lock_waits / icd.seqlock_retries /
+// icd.fastpath_lockfree — the structural claim is lock_waits == 0.
 
 struct ContentionPoint {
   double Seconds = 0;
@@ -242,13 +230,10 @@ struct ContentionPoint {
   uint64_t FastpathLockfree = 0;
 };
 
-ContentionPoint runContention(uint32_t Threads, uint64_t TotalEdges,
-                              bool Locked) {
+ContentionPoint runContention(uint32_t Threads, uint64_t TotalEdges) {
   using analysis::IncrementalCycleDetector;
   using analysis::Transaction;
-  IncrementalCycleDetector::Options O;
-  O.LockedFastPath = Locked;
-  IncrementalCycleDetector D(O);
+  IncrementalCycleDetector D(IncrementalCycleDetector::Options{});
 
   constexpr uint32_t Universe = 4096;
   std::vector<std::unique_ptr<Transaction>> Owned;
@@ -320,141 +305,100 @@ int main(int argc, char **argv) {
   // performs the same total transaction count split across its threads.
   const uint64_t TotalTx =
       std::max<uint64_t>(8 * 256, static_cast<uint64_t>(120000 * Scale));
-  std::printf("Cycle detection sweep: incremental order maintenance vs "
-              "batched Tarjan (scale %.2f, %llu total tx per row)\n\n",
+  std::printf("Cycle detection sweep: incremental order maintenance "
+              "(scale %.2f, %llu total tx per row)\n\n",
               Scale, static_cast<unsigned long long>(TotalTx));
 
   TextTable Table;
-  Table.setHeader({"threads", "shape", "inc tx/s", "bat tx/s", "inc edge ns",
-                   "bat edge ns", "inc txend ns", "bat txend ns", "passes",
-                   "cycles", "speedup"});
+  Table.setHeader({"threads", "shape", "tx/s", "edge ns", "txend ns",
+                   "cross edges", "reorders", "cycles"});
   JsonRows Json;
+  addHostHeader(Json, Scale, Trials);
 
   struct Combo {
     uint32_t Threads;
     uint64_t TxPerThread;
     Shape S;
-    bool Batched;
     ir::Program P;
     std::vector<SweepPoint> Runs;
   };
   std::vector<Combo> Combos;
-  const std::vector<uint32_t> Rows = {1u, 4u, 8u};
-  for (uint32_t Threads : Rows) {
+  for (uint32_t Threads : {1u, 4u, 8u}) {
     const uint64_t TxPerThread =
         std::max<uint64_t>(2 * SharedTxPeriod, TotalTx / Threads) /
         SharedTxPeriod * SharedTxPeriod;
     for (Shape S : {Shape::CycleFree, Shape::CycleHeavy})
-      for (bool Batched : {false, true})
-        Combos.push_back(
-            Combo{Threads, TxPerThread, S, Batched, benchProgram(Threads), {}});
+      Combos.push_back(Combo{Threads, TxPerThread, S, benchProgram(Threads), {}});
   }
-  // Interleave trials across combos so every row sees the same host noise
-  // (the comparison is inc-vs-bat within a row, not row-vs-row).
+  // Interleave trials across combos so every row sees the same host noise.
   for (unsigned R = 0; R < Trials; ++R)
     for (Combo &C : Combos)
-      C.Runs.push_back(runOnce(C.P, C.Threads, C.TxPerThread, C.S, C.Batched));
+      C.Runs.push_back(runOnce(C.P, C.Threads, C.TxPerThread, C.S));
 
-  for (size_t I = 0; I + 1 < Combos.size(); I += 2) {
-    Combo &IncC = Combos[I], &BatC = Combos[I + 1];
-    SweepPoint Inc = median(IncC.Runs);
-    SweepPoint Bat = median(BatC.Runs);
-    const double Speedup = Bat.Seconds / Inc.Seconds;
-    Table.addRow({std::to_string(IncC.Threads), shapeName(IncC.S),
-                  formatWithCommas(static_cast<uint64_t>(Inc.TxPerSec)),
-                  formatWithCommas(static_cast<uint64_t>(Bat.TxPerSec)),
-                  formatDouble(Inc.SharedNsAvg, 0),
-                  formatDouble(Bat.SharedNsAvg, 0),
-                  formatDouble(Inc.TxEndNsAvg, 0),
-                  formatDouble(Bat.TxEndNsAvg, 0),
-                  formatWithCommas(Bat.SccPasses),
-                  formatWithCommas(Inc.CyclesIncremental),
-                  formatDouble(Speedup, 2) + "x"});
+  for (Combo &C : Combos) {
+    SweepPoint Pt = median(C.Runs);
+    Table.addRow({std::to_string(C.Threads), shapeName(C.S),
+                  formatWithCommas(static_cast<uint64_t>(Pt.TxPerSec)),
+                  formatDouble(Pt.SharedNsAvg, 0),
+                  formatDouble(Pt.TxEndNsAvg, 0),
+                  formatWithCommas(Pt.CrossEdges),
+                  formatWithCommas(Pt.Reorders),
+                  formatWithCommas(Pt.CyclesIncremental)});
     Json.beginRow();
-    Json.add("threads", static_cast<uint64_t>(IncC.Threads));
-    Json.add("shape", std::string(shapeName(IncC.S)));
-    Json.add("tx_per_thread", IncC.TxPerThread);
-    Json.add("incremental_wall_s", Inc.Seconds);
-    Json.add("batched_wall_s", Bat.Seconds);
-    Json.add("incremental_tx_per_s", Inc.TxPerSec);
-    Json.add("batched_tx_per_s", Bat.TxPerSec);
-    Json.add("incremental_shared_access_ns", Inc.SharedNsAvg);
-    Json.add("batched_shared_access_ns", Bat.SharedNsAvg);
-    Json.add("incremental_txend_ns", Inc.TxEndNsAvg);
-    Json.add("batched_txend_ns", Bat.TxEndNsAvg);
-    Json.add("incremental_cross_edges", Inc.CrossEdges);
-    Json.add("batched_cross_edges", Bat.CrossEdges);
-    Json.add("incremental_inc_edges", Inc.IncEdges);
-    Json.add("incremental_reorders", Inc.Reorders);
-    Json.add("incremental_sccs", Inc.Sccs);
-    Json.add("batched_sccs", Bat.Sccs);
-    Json.add("incremental_scc_passes", Inc.SccPasses);
-    Json.add("batched_scc_passes", Bat.SccPasses);
-    Json.add("incremental_cycles", Inc.CyclesIncremental);
-    Json.add("speedup", Speedup);
+    Json.add("threads", static_cast<uint64_t>(C.Threads));
+    Json.add("shape", std::string(shapeName(C.S)));
+    Json.add("tx_per_thread", C.TxPerThread);
+    Json.add("wall_s", Pt.Seconds);
+    Json.add("tx_per_s", Pt.TxPerSec);
+    Json.add("shared_access_ns", Pt.SharedNsAvg);
+    Json.add("txend_ns", Pt.TxEndNsAvg);
+    Json.add("cross_edges", Pt.CrossEdges);
+    Json.add("inc_edges", Pt.IncEdges);
+    Json.add("reorders", Pt.Reorders);
+    Json.add("sccs", Pt.Sccs);
+    Json.add("cycles", Pt.CyclesIncremental);
   }
 
   std::printf("%s\n", Table.render().c_str());
-  std::printf("(speedup = batched wall / incremental wall; edge ns = mean "
-              "shared-slot access, txend ns = mean transaction boundary — "
-              "batched pays its stop-the-world passes there)\n");
+  std::printf("(edge ns = mean shared-slot access, txend ns = mean "
+              "transaction boundary)\n");
 
-  // Contention isolation: real OS threads, all-consistent edges, lock-free
-  // default vs the locked-fast-path partner (see the section comment).
+  // Contention isolation: real OS threads, all-consistent edges (see the
+  // section comment).
   const uint64_t ContentionEdges =
       std::max<uint64_t>(20000, static_cast<uint64_t>(240000 * Scale));
   std::printf("Fast-path contention isolation (real OS threads, "
               "all-consistent cross edges, %llu edges per row)\n\n",
               static_cast<unsigned long long>(ContentionEdges));
   TextTable CTable;
-  CTable.setHeader({"threads", "lf edges/s", "locked edges/s", "lf waits",
-                    "locked waits", "lf retries", "lf lockfree", "speedup"});
-  struct ContCombo {
-    uint32_t Threads;
-    bool Locked;
-    std::vector<ContentionPoint> Runs;
-  };
-  std::vector<ContCombo> CCombos;
-  for (uint32_t Threads : {4u, 8u, 16u})
-    for (bool Locked : {false, true})
-      CCombos.push_back(ContCombo{Threads, Locked, {}});
+  CTable.setHeader({"threads", "edges/s", "lock waits", "retries",
+                    "lock-free edges"});
+  const std::vector<uint32_t> ContThreads = {4u, 8u, 16u};
+  std::vector<std::vector<ContentionPoint>> CRuns(ContThreads.size());
   for (unsigned R = 0; R < Trials; ++R)
-    for (ContCombo &C : CCombos)
-      C.Runs.push_back(runContention(C.Threads, ContentionEdges, C.Locked));
-  for (size_t I = 0; I + 1 < CCombos.size(); I += 2) {
-    ContentionPoint Lf = medianContention(CCombos[I].Runs);
-    ContentionPoint Lk = medianContention(CCombos[I + 1].Runs);
-    const double Speedup = Lk.Seconds / Lf.Seconds;
-    CTable.addRow({std::to_string(CCombos[I].Threads),
-                   formatWithCommas(static_cast<uint64_t>(Lf.EdgesPerSec)),
-                   formatWithCommas(static_cast<uint64_t>(Lk.EdgesPerSec)),
-                   formatWithCommas(Lf.LockWaits),
-                   formatWithCommas(Lk.LockWaits),
-                   formatWithCommas(Lf.SeqRetries),
-                   formatWithCommas(Lf.FastpathLockfree),
-                   formatDouble(Speedup, 2) + "x"});
+    for (size_t I = 0; I < ContThreads.size(); ++I)
+      CRuns[I].push_back(runContention(ContThreads[I], ContentionEdges));
+  for (size_t I = 0; I < ContThreads.size(); ++I) {
+    ContentionPoint Pt = medianContention(CRuns[I]);
+    CTable.addRow({std::to_string(ContThreads[I]),
+                   formatWithCommas(static_cast<uint64_t>(Pt.EdgesPerSec)),
+                   formatWithCommas(Pt.LockWaits),
+                   formatWithCommas(Pt.SeqRetries),
+                   formatWithCommas(Pt.FastpathLockfree)});
     Json.beginRow();
-    Json.add("threads", static_cast<uint64_t>(CCombos[I].Threads));
+    Json.add("threads", static_cast<uint64_t>(ContThreads[I]));
     Json.add("shape", std::string("contention"));
     Json.add("edges", ContentionEdges);
-    Json.add("lockfree_wall_s", Lf.Seconds);
-    Json.add("locked_wall_s", Lk.Seconds);
-    Json.add("lockfree_edges_per_s", Lf.EdgesPerSec);
-    Json.add("locked_edges_per_s", Lk.EdgesPerSec);
-    Json.add("lockfree_lock_waits", Lf.LockWaits);
-    Json.add("locked_lock_waits", Lk.LockWaits);
-    Json.add("lockfree_lock_wait_ns", Lf.LockWaitNs);
-    Json.add("locked_lock_wait_ns", Lk.LockWaitNs);
-    Json.add("lockfree_seqlock_retries", Lf.SeqRetries);
-    Json.add("lockfree_fastpath_lockfree", Lf.FastpathLockfree);
-    Json.add("locked_fastpath_lockfree", Lk.FastpathLockfree);
-    Json.add("speedup", Speedup);
+    Json.add("wall_s", Pt.Seconds);
+    Json.add("edges_per_s", Pt.EdgesPerSec);
+    Json.add("lock_waits", Pt.LockWaits);
+    Json.add("lock_wait_ns", Pt.LockWaitNs);
+    Json.add("seqlock_retries", Pt.SeqRetries);
+    Json.add("fastpath_lockfree", Pt.FastpathLockfree);
   }
   std::printf("%s\n", CTable.render().c_str());
-  std::printf("(lf = lock-free default, locked = --icd-locked-fastpath "
-              "partner; waits are contended detector-lock acquisitions — "
-              "structurally 0 for the lock-free column on this "
-              "reorder-free stream)\n");
+  std::printf("(lock waits are contended detector-lock acquisitions — "
+              "structurally 0 on this reorder-free stream)\n");
 
   if (Json.write(OutPath, "cycle_detection"))
     std::printf("wrote %s\n", OutPath);

@@ -5,23 +5,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Serial vs. pipelined Octet coordination (DESIGN.md §11), measured on the
+/// Pipelined Octet coordination (DESIGN.md §11), measured on the
 /// protocol's worst case: RdSh->WrEx, which needs a roundtrip with *every*
 /// other thread. T real OS threads run a read/write ping-pong on one
 /// object: the responders each read it (driving it through RdEx into RdSh),
 /// then the requester writes it, paying one coordination with T-1 executing
-/// responders. The seed protocol completes those roundtrips one at a time —
-/// on this single-core host each one costs a full scheduler rotation before
-/// the responder polls — while the pipelined protocol posts all T-1
-/// requests up front and waits for them together, so the whole batch
-/// resolves in roughly one rotation.
+/// responders. The fan-out posts all T-1 requests up front and waits for
+/// them together, spinning then parking.
 ///
-/// Reported per (threads, protocol): the requester-observed write latency
+/// Reported per thread count: the requester-observed write latency
 /// (median-of-trials mean over iterations), full-cycle throughput, and the
-/// new octet.* coordination counters (roundtrips by path, spins, parks,
+/// octet.* coordination counters (roundtrips by path, spins, parks,
 /// fan-out batch size). T=1 has no responders and serves as the
 /// barrier-overhead floor; T=2 degenerates to a single RdEx->WrEx
-/// roundtrip; the fan-out advantage is expected at T=4 and T=8.
+/// roundtrip.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,15 +53,13 @@ struct Point {
   uint64_t ImplicitRoundtrips = 0;
   uint64_t WaitSpins = 0;
   uint64_t Parks = 0;
-  double AvgBatch = 0; ///< Responders per fan-out batch (0 under serial).
+  double AvgBatch = 0; ///< Responders per fan-out batch.
 };
 
-Point runOnce(const ir::Program &P, uint32_t Threads, uint64_t Iters,
-              bool Serial) {
+Point runOnce(const ir::Program &P, uint32_t Threads, uint64_t Iters) {
   rt::Runtime RT(P, nullptr);
   StatisticRegistry Stats;
-  octet::OctetManager Manager(RT.heap(), Threads, nullptr, Stats, nullptr,
-                              Serial);
+  octet::OctetManager Manager(RT.heap(), Threads, nullptr, Stats);
 
   std::atomic<uint64_t> Gen{0};      // Requester bumps; responders read once.
   std::atomic<uint64_t> ReadAcks{0}; // Total responder reads completed.
@@ -140,11 +135,11 @@ Point runOnce(const ir::Program &P, uint32_t Threads, uint64_t Iters,
   return Pt;
 }
 
-Point sweep(uint32_t Threads, uint64_t Iters, bool Serial, unsigned Trials) {
+Point sweep(uint32_t Threads, uint64_t Iters, unsigned Trials) {
   ir::Program P = benchProgram(Threads);
   std::vector<Point> Runs;
   for (unsigned R = 0; R < Trials; ++R)
-    Runs.push_back(runOnce(P, Threads, Iters, Serial));
+    Runs.push_back(runOnce(P, Threads, Iters));
   std::sort(Runs.begin(), Runs.end(), [](const Point &A, const Point &B) {
     return A.WriteLatencyUs < B.WriteLatencyUs;
   });
@@ -159,50 +154,39 @@ int main(int argc, char **argv) {
   const unsigned Trials = benchTrials();
   const uint64_t Iters =
       std::max<uint64_t>(32, static_cast<uint64_t>(800 * Scale));
-  std::printf("Octet coordination ping-pong: serial roundtrips vs pipelined "
-              "fan-out (scale %.2f, %llu cycles)\n\n",
+  std::printf("Octet coordination ping-pong: pipelined fan-out (scale "
+              "%.2f, %llu cycles)\n\n",
               Scale, static_cast<unsigned long long>(Iters));
 
   TextTable Table;
-  Table.setHeader({"threads", "serial write us", "fanout write us", "speedup",
-                   "serial cyc/s", "fanout cyc/s", "fanout parks",
-                   "avg batch"});
+  Table.setHeader({"threads", "write us", "cyc/s", "explicit", "implicit",
+                   "spins", "parks", "avg batch"});
   JsonRows Json;
+  addHostHeader(Json, Scale, Trials);
 
   for (uint32_t Threads : {1u, 2u, 4u, 8u}) {
-    Point Ser = sweep(Threads, Iters, /*Serial=*/true, Trials);
-    Point Fan = sweep(Threads, Iters, /*Serial=*/false, Trials);
-    double Speedup =
-        Fan.WriteLatencyUs > 0 ? Ser.WriteLatencyUs / Fan.WriteLatencyUs : 1.0;
-    Table.addRow({std::to_string(Threads), formatDouble(Ser.WriteLatencyUs, 1),
-                  formatDouble(Fan.WriteLatencyUs, 1),
-                  formatDouble(Speedup, 2) + "x",
-                  formatWithCommas(static_cast<uint64_t>(Ser.CyclesPerSec)),
-                  formatWithCommas(static_cast<uint64_t>(Fan.CyclesPerSec)),
-                  formatWithCommas(Fan.Parks), formatDouble(Fan.AvgBatch, 2)});
+    Point Pt = sweep(Threads, Iters, Trials);
+    Table.addRow({std::to_string(Threads), formatDouble(Pt.WriteLatencyUs, 1),
+                  formatWithCommas(static_cast<uint64_t>(Pt.CyclesPerSec)),
+                  formatWithCommas(Pt.ExplicitRoundtrips),
+                  formatWithCommas(Pt.ImplicitRoundtrips),
+                  formatWithCommas(Pt.WaitSpins), formatWithCommas(Pt.Parks),
+                  formatDouble(Pt.AvgBatch, 2)});
     Json.beginRow();
     Json.add("threads", static_cast<uint64_t>(Threads));
     Json.add("cycles", Iters);
-    Json.add("serial_write_us", Ser.WriteLatencyUs);
-    Json.add("fanout_write_us", Fan.WriteLatencyUs);
-    Json.add("write_latency_speedup", Speedup);
-    Json.add("serial_cycles_per_s", Ser.CyclesPerSec);
-    Json.add("fanout_cycles_per_s", Fan.CyclesPerSec);
-    Json.add("serial_explicit_roundtrips", Ser.ExplicitRoundtrips);
-    Json.add("fanout_explicit_roundtrips", Fan.ExplicitRoundtrips);
-    Json.add("serial_implicit_roundtrips", Ser.ImplicitRoundtrips);
-    Json.add("fanout_implicit_roundtrips", Fan.ImplicitRoundtrips);
-    Json.add("serial_wait_spins", Ser.WaitSpins);
-    Json.add("fanout_wait_spins", Fan.WaitSpins);
-    Json.add("serial_parks", Ser.Parks);
-    Json.add("fanout_parks", Fan.Parks);
-    Json.add("fanout_avg_batch", Fan.AvgBatch);
+    Json.add("write_us", Pt.WriteLatencyUs);
+    Json.add("cycles_per_s", Pt.CyclesPerSec);
+    Json.add("explicit_roundtrips", Pt.ExplicitRoundtrips);
+    Json.add("implicit_roundtrips", Pt.ImplicitRoundtrips);
+    Json.add("wait_spins", Pt.WaitSpins);
+    Json.add("parks", Pt.Parks);
+    Json.add("avg_batch", Pt.AvgBatch);
   }
 
   std::printf("%s\n", Table.render().c_str());
   std::printf("(write us = requester-observed RdSh->WrEx coordination "
-              "latency, mean over cycles, median of %u trials; speedup = "
-              "serial / fanout)\n",
+              "latency, mean over cycles, median of %u trials)\n",
               Trials);
   if (Json.write(OutPath, "octet_coordination"))
     std::printf("wrote %s\n", OutPath);

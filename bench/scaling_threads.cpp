@@ -5,11 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Old-vs-new IDG hot path as thread count grows. The "old" configuration
-/// is the SerializedIdg escape hatch (one global IDG lock, inline PCD and
-/// collection — the pre-sharding behaviour); the "new" one is the default
-/// sharded hot path with the multi-worker PCD pool and the background
-/// collector.
+/// The sharded IDG hot path (multi-worker PCD pool, background collector)
+/// as thread count grows, next to the vector-clock engine on the same
+/// workload.
 ///
 /// The harness drives DoubleCheckerRuntime's hooks directly from one OS
 /// thread, round-robining T logical threads one access at a time — the
@@ -19,26 +17,20 @@
 /// so cross-thread conflicts resolve synchronously through the implicit
 /// protocol. The workload is the paper's common shape: fifteen of every
 /// sixteen transactions touch only thread-private fields (where the
-/// sharded path never leaves its own stripe, while the global lock changes
-/// holder at every transaction boundary and pays the calibrated
-/// remote-miss penalty, DESIGN.md §2/§7); the sixteenth writes a random
-/// shared object, forcing Octet conflicts and cross edges.
+/// sharded path never leaves its own stripe, DESIGN.md §2/§7); the
+/// sixteenth writes a random shared object, forcing Octet conflicts and
+/// cross edges.
 ///
-/// Expect the 1-thread row below 1.0x on a single-core host: the new
-/// path's background collector and PCD workers cost real context switches
-/// here, while on a multicore they would run on otherwise-idle cores. The
-/// rows that matter are 2+ threads, where the old path's per-transaction
-/// global-lock handoffs dominate. The vc columns run the same round-robin
-/// workload through the vector-clock engine (DESIGN.md §14) — no Octet
-/// protocol, no dependence graph, one engine lock — as the raw-speed
-/// reference the sharded path is chasing. Also expect multi-thread rows below the
-/// 1-thread row on such a host: the 1-thread row has no cross-thread
-/// conflicts at all — no Octet coordination, no cross edges, no Tarjan
-/// passes, no PCD replay — and with every checker thread multiplexed onto
-/// one core that conflict analysis is pure added latency rather than
-/// parallel work. The multi-thread rows should be compared against each
-/// other and against their own history, not against the conflict-free
-/// 1-thread row.
+/// The vc columns run the same round-robin workload through the
+/// vector-clock engine (DESIGN.md §14) — no Octet protocol, no dependence
+/// graph, one engine lock — as the raw-speed reference the sharded path is
+/// chasing. Expect multi-thread rows below the 1-thread row: the 1-thread
+/// row has no cross-thread conflicts at all — no Octet coordination, no
+/// cross edges, no reorders, no PCD replay — and with every logical thread
+/// multiplexed onto one OS thread that conflict analysis is pure added
+/// latency rather than parallel work. The multi-thread rows should be
+/// compared against each other and against their own history, not against
+/// the conflict-free 1-thread row.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,12 +68,9 @@ struct SweepPoint {
   uint64_t CrossEdges = 0;
   uint64_t Handoffs = 0;
   uint64_t Sccs = 0;
-  // Incremental cycle detection (DESIGN.md §12): the default sharded path
-  // maintains the topological order online, so scc_passes stays 0 and the
-  // reorder count profiles how often a cross edge actually arrived
-  // order-inconsistent.
+  // Incremental cycle detection (DESIGN.md §12): the reorder count
+  // profiles how often a cross edge actually arrived order-inconsistent.
   uint64_t IcdReorders = 0;
-  uint64_t SccPasses = 0;
   // Contention on the detector's internal lock: how often a cross-edge
   // writer / retire actually blocked, and for how long in total. This is
   // the one serialization point the sharded design left in the cross-edge
@@ -100,21 +89,20 @@ struct SweepPoint {
 };
 
 SweepPoint runOnce(const ir::Program &P, uint32_t Threads,
-                   uint64_t TxPerThread, bool Serialized) {
+                   uint64_t TxPerThread) {
   StatisticRegistry Stats;
   analysis::ViolationLog Violations;
   analysis::DoubleCheckerOptions Opts;
-  Opts.SerializedIdg = Serialized;
-  Opts.ParallelPcd = !Serialized;
+  Opts.ParallelPcd = true;
   Opts.PcdWorkers = 2;
-  Opts.CollectEveryTx = 1024; // Keep the live graph (and Tarjan) small.
+  Opts.CollectEveryTx = 1024; // Keep the live graph small.
   // Bound the live graph (governor backpressure at tx boundaries). The
   // round-robin mutator never blocks, so on a host with fewer cores than
   // checker threads the background collector only runs when the OS
   // preempts the mutator — whether a row lands in the "collector keeps
   // up" or the "live graph snowballs" regime was scheduler lottery, and
-  // dominated the row-to-row comparison. With the budget, every row and
-  // configuration runs in the same bounded-live-graph regime.
+  // dominated the row-to-row comparison. With the budget, every row runs
+  // in the same bounded-live-graph regime.
   Opts.MaxLiveTxs = 8192;
   auto DC = std::make_unique<analysis::DoubleCheckerRuntime>(P, Opts,
                                                              Violations, Stats);
@@ -164,7 +152,7 @@ SweepPoint runOnce(const ir::Program &P, uint32_t Threads,
     DC->threadExiting(Tc[T]);
   }
   DC->endRun(RT); // Drains the PCD pool and the collector: deferred work
-                  // stays inside the timed region for a fair comparison.
+                  // stays inside the timed region.
   auto End = std::chrono::steady_clock::now();
 
   SweepPoint Pt;
@@ -175,7 +163,6 @@ SweepPoint runOnce(const ir::Program &P, uint32_t Threads,
   Pt.Handoffs = Stats.value("icd.idg_lock_handoffs");
   Pt.Sccs = Stats.value("icd.sccs");
   Pt.IcdReorders = Stats.value("icd.reorders");
-  Pt.SccPasses = Stats.value("icd.scc_passes");
   Pt.IcdLockWaits = Stats.value("icd.lock_waits");
   Pt.IcdLockWaitNs = Stats.value("icd.lock_wait_ns");
   Pt.Conflicting = Stats.value("octet.conflicting");
@@ -270,22 +257,20 @@ int main(int argc, char **argv) {
   // row-to-row comparisons (is 4T above 1T?) flipped sign between runs.
   const uint64_t TotalTx =
       std::max<uint64_t>(8 * 512, static_cast<uint64_t>(200000 * Scale));
-  std::printf("IDG scaling sweep: global lock (SerializedIdg) vs sharded "
-              "hot path (scale %.2f, %llu total tx per row)\n\n",
+  std::printf("IDG scaling sweep: sharded hot path vs the vector-clock "
+              "engine (scale %.2f, %llu total tx per row)\n\n",
               Scale, static_cast<unsigned long long>(TotalTx));
 
   TextTable Table;
-  Table.setHeader({"threads", "old wall s", "new wall s",
-                   "vc wall s", "old tx/s", "new tx/s", "vc tx/s",
-                   "new edges/s", "conflicts", "icd reorders",
-                   "icd lock waits", "scc passes", "speedup"});
+  Table.setHeader({"threads", "dc wall s", "vc wall s", "dc tx/s", "vc tx/s",
+                   "dc edges/s", "conflicts", "icd reorders",
+                   "icd lock waits"});
   JsonRows Json;
   addHostHeader(Json, Scale, Trials);
 
   const std::vector<uint32_t> Rows = {1u, 2u, 4u, 8u};
-  // Three configurations per row: the pre-sharding global lock, the
-  // default sharded IDG, and the vector-clock engine (the graph-free
-  // reference point). Both IDG configurations log through the same arena.
+  // Two configurations per row: the default sharded IDG and the
+  // vector-clock engine (the graph-free reference point).
   //
   // Trials are interleaved across every (row, configuration) combination
   // rather than run combination-by-combination: on a shared host, load
@@ -296,7 +281,6 @@ int main(int argc, char **argv) {
   struct Combo {
     uint32_t Threads;
     uint64_t TxPerThread;
-    bool Serialized;
     bool Vc;
     ir::Program P;
     std::vector<SweepPoint> Runs;
@@ -306,77 +290,52 @@ int main(int argc, char **argv) {
     const uint64_t TxPerThread =
         std::max<uint64_t>(SharedTxPeriod, TotalTx / Threads) /
         SharedTxPeriod * SharedTxPeriod;
-    for (auto [Serialized, Vc] :
-         {std::pair{true, false}, {false, false}, {false, true}})
-      Combos.push_back(Combo{Threads, TxPerThread, Serialized, Vc,
-                             benchProgram(Threads), {}});
+    for (bool Vc : {false, true})
+      Combos.push_back(
+          Combo{Threads, TxPerThread, Vc, benchProgram(Threads), {}});
   }
   for (unsigned R = 0; R < Trials; ++R)
     for (Combo &C : Combos)
       C.Runs.push_back(C.Vc ? runOnceVc(C.P, C.Threads, C.TxPerThread)
-                            : runOnce(C.P, C.Threads, C.TxPerThread,
-                                      C.Serialized));
+                            : runOnce(C.P, C.Threads, C.TxPerThread));
 
   for (size_t Row = 0; Row < Rows.size(); ++Row) {
     const uint32_t Threads = Rows[Row];
-    const uint64_t TxPerThread = Combos[Row * 3].TxPerThread;
-    SweepPoint Old = median(Combos[Row * 3].Runs);
-    SweepPoint New = median(Combos[Row * 3 + 1].Runs);
-    SweepPoint Vc = median(Combos[Row * 3 + 2].Runs);
-    double Speedup = Old.Seconds / New.Seconds;
-    Table.addRow({std::to_string(Threads), formatDouble(Old.Seconds, 3),
-                  formatDouble(New.Seconds, 3),
+    const uint64_t TxPerThread = Combos[Row * 2].TxPerThread;
+    SweepPoint Dc = median(Combos[Row * 2].Runs);
+    SweepPoint Vc = median(Combos[Row * 2 + 1].Runs);
+    Table.addRow({std::to_string(Threads), formatDouble(Dc.Seconds, 3),
                   formatDouble(Vc.Seconds, 3),
-                  formatWithCommas(static_cast<uint64_t>(Old.TxPerSec)),
-                  formatWithCommas(static_cast<uint64_t>(New.TxPerSec)),
+                  formatWithCommas(static_cast<uint64_t>(Dc.TxPerSec)),
                   formatWithCommas(static_cast<uint64_t>(Vc.TxPerSec)),
-                  formatWithCommas(static_cast<uint64_t>(New.EdgesPerSec)),
-                  formatWithCommas(New.Conflicting),
-                  formatWithCommas(New.IcdReorders),
-                  formatWithCommas(New.IcdLockWaits),
-                  formatWithCommas(New.SccPasses),
-                  formatDouble(Speedup, 2) + "x"});
+                  formatWithCommas(static_cast<uint64_t>(Dc.EdgesPerSec)),
+                  formatWithCommas(Dc.Conflicting),
+                  formatWithCommas(Dc.IcdReorders),
+                  formatWithCommas(Dc.IcdLockWaits)});
     Json.beginRow();
     Json.add("threads", static_cast<uint64_t>(Threads));
     Json.add("tx_per_thread", TxPerThread);
-    Json.add("serialized_wall_s", Old.Seconds);
-    Json.add("sharded_wall_s", New.Seconds);
+    Json.add("sharded_wall_s", Dc.Seconds);
     Json.add("vc_wall_s", Vc.Seconds);
-    Json.add("serialized_tx_per_s", Old.TxPerSec);
-    Json.add("sharded_tx_per_s", New.TxPerSec);
+    Json.add("sharded_tx_per_s", Dc.TxPerSec);
     Json.add("vc_tx_per_s", Vc.TxPerSec);
     Json.add("vc_cross_edges", Vc.CrossEdges);
-    Json.add("serialized_edges_per_s", Old.EdgesPerSec);
-    Json.add("sharded_edges_per_s", New.EdgesPerSec);
-    Json.add("serialized_lock_handoffs", Old.Handoffs);
-    Json.add("sharded_lock_handoffs", New.Handoffs);
-    Json.add("serialized_sccs", Old.Sccs);
-    Json.add("sharded_sccs", New.Sccs);
-    Json.add("serialized_icd_reorders", Old.IcdReorders);
-    Json.add("sharded_icd_reorders", New.IcdReorders);
-    Json.add("serialized_scc_passes", Old.SccPasses);
-    Json.add("sharded_scc_passes", New.SccPasses);
-    Json.add("serialized_icd_lock_waits", Old.IcdLockWaits);
-    Json.add("sharded_icd_lock_waits", New.IcdLockWaits);
-    Json.add("serialized_icd_lock_wait_ns", Old.IcdLockWaitNs);
-    Json.add("sharded_icd_lock_wait_ns", New.IcdLockWaitNs);
-    Json.add("serialized_octet_conflicting", Old.Conflicting);
-    Json.add("sharded_octet_conflicting", New.Conflicting);
-    Json.add("serialized_explicit_roundtrips", Old.ExplicitRoundtrips);
-    Json.add("sharded_explicit_roundtrips", New.ExplicitRoundtrips);
-    Json.add("serialized_implicit_roundtrips", Old.ImplicitRoundtrips);
-    Json.add("sharded_implicit_roundtrips", New.ImplicitRoundtrips);
-    Json.add("serialized_wait_spins", Old.WaitSpins);
-    Json.add("sharded_wait_spins", New.WaitSpins);
-    Json.add("serialized_parks", Old.Parks);
-    Json.add("sharded_parks", New.Parks);
-    Json.add("speedup", Speedup);
+    Json.add("sharded_edges_per_s", Dc.EdgesPerSec);
+    Json.add("sharded_lock_handoffs", Dc.Handoffs);
+    Json.add("sharded_sccs", Dc.Sccs);
+    Json.add("sharded_icd_reorders", Dc.IcdReorders);
+    Json.add("sharded_icd_lock_waits", Dc.IcdLockWaits);
+    Json.add("sharded_icd_lock_wait_ns", Dc.IcdLockWaitNs);
+    Json.add("sharded_octet_conflicting", Dc.Conflicting);
+    Json.add("sharded_explicit_roundtrips", Dc.ExplicitRoundtrips);
+    Json.add("sharded_implicit_roundtrips", Dc.ImplicitRoundtrips);
+    Json.add("sharded_wait_spins", Dc.WaitSpins);
+    Json.add("sharded_parks", Dc.Parks);
   }
 
   std::printf("%s\n", Table.render().c_str());
-  std::printf("(speedup = serialized wall / sharded wall; vc = the "
-              "graph-free vector-clock engine; identical total work per "
-              "row)\n");
+  std::printf("(dc = DoubleChecker's sharded hot path; vc = the graph-free "
+              "vector-clock engine; identical total work per row)\n");
   if (Json.write(OutPath, "scaling_threads"))
     std::printf("wrote %s\n", OutPath);
   return 0;

@@ -127,6 +127,7 @@ int main(int argc, char **argv) {
   Table.setHeader({"strategy", "runs", "distinct", "violating",
                    "distinct viol", "viol/run", "runs/s"});
   JsonRows Json;
+  addHostHeader(Json, Scale, /*Trials=*/1); // One deterministic pass.
   for (int S = 0; S < 3; ++S) {
     const Coverage &C = Cov[S];
     const double ViolRate =

@@ -121,75 +121,65 @@ public:
     }
   }
 
-  /// Hands one detection pass's SCCs to the workers (members already
-  /// pinned by the caller; whoever replays or degrades an SCC releases its
-  /// pins). Backpressure is *timed*: an SCC that cannot be queued within
-  /// the stall timeout is degraded to potential violations and a
-  /// PcdQueueStall fault is recorded — the detecting thread is never
-  /// blocked forever. Safe to wait here: callers hold no IDG stripe and
-  /// workers never take one. One notify per woken worker for the whole
-  /// batch, not one per SCC: a woken worker drains everything it can see.
-  void enqueueBatch(std::vector<std::vector<Transaction *>> Sccs) {
+  /// Hands one claimed SCC to the workers (members already pinned by the
+  /// caller; whoever replays or degrades the SCC releases its pins).
+  /// Backpressure is *timed*: an SCC that cannot be queued within the
+  /// stall timeout is degraded to potential violations and a PcdQueueStall
+  /// fault is recorded — the detecting thread is never blocked forever.
+  /// Safe to wait here: callers hold no IDG stripe and workers never take
+  /// one.
+  void enqueue(std::vector<Transaction *> Members) {
     const auto Now = std::chrono::steady_clock::now();
-    size_t Queued = 0;
     bool ReleasedHold = false;
-    std::vector<std::vector<Transaction *>> TimedOut;
+    bool Admitted = true;
     {
       std::unique_lock<std::mutex> L(S->M);
-      for (std::vector<Transaction *> &Members : Sccs) {
-        // The enqueue-attempt counter keys the injected faults: attempts
-        // happen in detection order, which a fixed schedule reproduces
-        // bit-exactly (dequeue order would not).
-        const uint64_t Seq = ++S->EnqueueAttempts;
-        if (S->HoldUntil != 0 && Seq >= S->HoldUntil && !S->HoldReleased) {
-          S->HoldReleased = true;
-          ReleasedHold = true;
+      // The enqueue-attempt counter keys the injected faults: attempts
+      // happen in detection order, which a fixed schedule reproduces
+      // bit-exactly (dequeue order would not).
+      const uint64_t Seq = ++S->EnqueueAttempts;
+      if (S->HoldUntil != 0 && Seq >= S->HoldUntil && !S->HoldReleased) {
+        S->HoldReleased = true;
+        ReleasedHold = true;
+      }
+      uint8_t Inject = 0;
+      if (Seq == DC.Opts.Faults.WorkerStallAt)
+        Inject = InjectStall;
+      else if (Seq == DC.Opts.Faults.WorkerDieAt)
+        Inject = InjectDie;
+      const auto Deadline = std::chrono::steady_clock::now() +
+                            std::chrono::milliseconds(StallTimeoutMs);
+      while (S->Queue.size() >= MaxDepth &&
+             !S->Stop.load(std::memory_order_relaxed)) {
+        if (std::chrono::steady_clock::now() >= Deadline) {
+          Admitted = false;
+          break;
         }
-        uint8_t Inject = 0;
-        if (Seq == DC.Opts.Faults.WorkerStallAt)
-          Inject = InjectStall;
-        else if (Seq == DC.Opts.Faults.WorkerDieAt)
-          Inject = InjectDie;
-        const auto Deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::milliseconds(StallTimeoutMs);
-        bool Admitted = true;
-        while (S->Queue.size() >= MaxDepth &&
-               !S->Stop.load(std::memory_order_relaxed)) {
-          if (std::chrono::steady_clock::now() >= Deadline) {
-            Admitted = false;
-            break;
-          }
-          S->NotFull.wait_for(L, std::chrono::milliseconds(5));
-          // The caller is the gate-admitted program thread: while it waits
-          // here no instruction retires, so beat the gate slot to keep the
-          // watchdog pointed at the real culprit (the queue), not the gate.
-          if (DC.Dog)
-            DC.Dog->heartbeat(DC.DogGateSlot);
-        }
-        if (!Admitted) {
-          EnqueueTimeouts.add(1);
-          TimedOut.push_back(std::move(Members));
-          continue;
-        }
+        S->NotFull.wait_for(L, std::chrono::milliseconds(5));
+        // The caller is the gate-admitted program thread: while it waits
+        // here no instruction retires, so beat the gate slot to keep the
+        // watchdog pointed at the real culprit (the queue), not the gate.
+        if (DC.Dog)
+          DC.Dog->heartbeat(DC.DogGateSlot);
+      }
+      if (Admitted) {
         S->Queue.push_back(Item{std::move(Members), Now, Inject});
-        ++Queued;
         SccsQueued.add(1);
         MaxQueueDepth.updateMax(S->Queue.size());
         DC.Governor.queueDepth(+1);
       }
     }
-    for (size_t I = std::min(Queued, Workers.size()); I-- > 0;)
-      S->HasWork.notify_one();
     if (ReleasedHold)
       S->HasWork.notify_all();
-    if (!TimedOut.empty()) {
+    else if (Admitted)
+      S->HasWork.notify_one();
+    if (!Admitted) {
+      EnqueueTimeouts.add(1);
       DC.recordFault(rt::CheckerFault::PcdQueueStall,
                      "pcd enqueue found the queue saturated for " +
                          std::to_string(StallTimeoutMs) +
                          " ms with no worker progress");
-      for (std::vector<Transaction *> &Members : TimedOut)
-        degradeAndUnpin(Members);
+      degradeAndUnpin(Members);
     }
   }
 
@@ -501,22 +491,19 @@ void DoubleCheckerRuntime::beginRun(rt::Runtime &RT) {
   NumThreads = RT.numThreads();
   Threads = std::make_unique<PerThread[]>(NumThreads);
   // Stripe 0 is the global stripe (gLastRdSh); Tid+1 is thread Tid's.
-  NumShards = Opts.SerializedIdg ? 1 : NumThreads + 1;
+  NumShards = NumThreads + 1;
   IdgShards = std::make_unique<StripedLockSet>(NumShards);
-  // Default cycle detection is incremental (DESIGN.md §12): every edge
-  // insert answers "cycle?" directly and no stop-the-world Tarjan pass
-  // ever runs. BatchedScc selects the batched passes; PcdOnly and the
-  // DetectIcdCycles ablation need no cycle detection at all.
-  if (!PcdOnlyAnalysis && Opts.DetectIcdCycles && !Opts.BatchedScc) {
+  // Cycle detection is incremental (DESIGN.md §12): every edge insert
+  // answers "cycle?" directly. PcdOnly and the DetectIcdCycles ablation
+  // need no cycle detection at all.
+  if (!PcdOnlyAnalysis && Opts.DetectIcdCycles) {
     IncrementalCycleDetector::Options IOpts;
     IOpts.MaxRegion = std::max(1u, Opts.IcdMaxRegion);
-    IOpts.LockedFastPath = Opts.IcdLockedFastPath;
     IOpts.RetryStorm = Opts.IcdSeqRetryStorm;
     Icd = std::make_unique<IncrementalCycleDetector>(IOpts);
   }
-  Octet = std::make_unique<octet::OctetManager>(
-      RT.heap(), NumThreads, this, Stats, &RT.abortFlag(),
-      Opts.SerialRoundtrips);
+  Octet = std::make_unique<octet::OctetManager>(RT.heap(), NumThreads, this,
+                                                Stats, &RT.abortFlag());
   // Resource governor: budgets come straight from the options; the chunk
   // pool charges log bytes against it and consults it on refills.
   ResourceBudgets B;
@@ -526,12 +513,10 @@ void DoubleCheckerRuntime::beginRun(rt::Runtime &RT) {
   ChunkPool.setGovernor(&Governor);
   ChunkPool.failRefillAt(Opts.Faults.AllocFailAt);
   // The watchdog only exists when there are background components to
-  // monitor. SerializedIdg keeps the pre-sharding behaviour: collection
-  // runs inline on the triggering thread. CollectEveryTx == ~0u (PcdOnly)
-  // never triggers, so the collector thread would sit idle.
+  // monitor. CollectEveryTx == ~0u (PcdOnly) never triggers, so the
+  // collector thread would sit idle.
   const bool WantPool = Opts.ParallelPcd && Pcd != nullptr;
-  const bool WantCollector =
-      !Opts.SerializedIdg && Opts.CollectEveryTx != ~0u;
+  const bool WantCollector = Opts.CollectEveryTx != ~0u;
   // Streaming mode always arms the watchdog: the window slot is what turns
   // a wedged flush into a structured WindowFlushStall instead of a stuck
   // server.
@@ -572,16 +557,12 @@ void DoubleCheckerRuntime::endRun(rt::Runtime &RT) {
   if (Dog)
     Dog->endWork(DogGateSlot);
   // Flush the tail of detection, then drain the deferred machinery it may
-  // have fed. Incremental mode has nothing batched to flush — every cycle
-  // was claimed at its last member's retire — so finalize only claims
-  // defensively (icd.finalize_claims, expected 0) and keeps scc_passes at
-  // zero. Batched mode flushes roots still short of a full batch.
+  // have fed. Every cycle was claimed at its last member's retire, so
+  // finalize only claims defensively (icd.finalize_claims, expected 0).
   if (Icd) {
     IncrementalCycleDetector::ClaimList Claims;
     Icd->finalize(Claims);
     executeIcdClaims(Claims);
-  } else {
-    sccPass(HolderCollector);
   }
   if (AsyncPcd)
     AsyncPcd->drain();
@@ -648,9 +629,6 @@ void DoubleCheckerRuntime::endRun(rt::Runtime &RT) {
   Stats.get("icd.idg_cross_edges")
       .add(CrossEdges.load(std::memory_order_relaxed));
   Stats.get("icd.sccs").add(SccCount.load(std::memory_order_relaxed));
-  Stats.get("icd.scc_passes").add(SccPasses.load(std::memory_order_relaxed));
-  Stats.get("icd.scc_visited")
-      .add(SccVisited.load(std::memory_order_relaxed));
   Stats.get("governor.tx_backpressure_waits")
       .add(BackpressureWaits.load(std::memory_order_relaxed));
   Stats.get("icd.collector_runs")
@@ -926,7 +904,7 @@ void DoubleCheckerRuntime::onUpgradeToRdSh(uint32_t Tid, uint32_t OldOwner,
   unsigned N = 0;
   auto Add = [&](uint32_t S) {
     if (S == 0)
-      return; // Already held (always the case under SerializedIdg).
+      return; // Already held.
     for (unsigned I = 0; I < N; ++I)
       if (Need[I] == S)
         return;
@@ -1056,15 +1034,6 @@ void DoubleCheckerRuntime::endCurrentTx(uint32_t Tid) {
   }
   Cur->EndTime = OrderClock.fetch_add(1, std::memory_order_relaxed) + 1;
   Cur->Finished.store(true, std::memory_order_release);
-  // Root filter (see Transaction::HasCrossOut): only a transaction with an
-  // outgoing cross edge at its end can be the claiming (maximal-EndTime)
-  // member of a cycle, so only those are worth a detection pass. This is
-  // what keeps Tarjan off the hot path — most conflicting transactions
-  // only *receive* edges (the sources are usually long finished) and end
-  // without ever becoming a root.
-  const bool NeedScc =
-      !PcdOnlyAnalysis && Opts.DetectIcdCycles && Icd == nullptr &&
-      (Cur->HasCrossOut || (Opts.EagerSccRoots && Cur->HasCrossIn));
   unlockShard(Shard);
   // The follow-ups run without the own stripe. Cur is finished, so its log
   // and incoming-edge set are frozen: edges always target the *requesting*
@@ -1075,16 +1044,15 @@ void DoubleCheckerRuntime::endCurrentTx(uint32_t Tid) {
     PcdOnlyAnalysis->processTransaction(Cur);
   }
   if (Icd) {
-    // Incremental mode: observing the end is what can complete a cycle's
-    // claim (last member to finish). No stripes are held here, so a claim
-    // may block on PCD backpressure safely. Until retire returns, Cur is
-    // still this thread's CurrTx — a strong collector root — so an
-    // unclaimed component containing it cannot be swept.
+    // Observing the end is what can complete a cycle's claim (last member
+    // to finish). No stripes are held here, so a claim may block on PCD
+    // backpressure safely. Until retire returns, Cur is still this
+    // thread's CurrTx — a strong collector root — so an unclaimed
+    // component containing it cannot be swept.
     IncrementalCycleDetector::ClaimList Claims;
     Icd->retire(Cur, Claims);
     executeIcdClaims(Claims);
-  } else if (NeedScc)
-    pendSccRoot(Cur, Tid);
+  }
   if (Opts.Trace)
     Opts.Trace->instant("tx", Cur->Regular ? "tx-end" : "unary-end", Tid,
                         TraceRecorder::Args().num("id", Cur->Id));
@@ -1097,13 +1065,13 @@ void DoubleCheckerRuntime::endCurrentTx(uint32_t Tid) {
     // subsumes a collection, so the periodic trigger below is skipped.
     windowFlushNow(Tid);
   else if (Finished % Opts.CollectEveryTx == 0)
-    requestCollect(Tid);
+    requestCollect();
   else if (Opts.CollectEveryTx != ~0u &&
            (Governor.pressure() & PressureLiveTxs) != 0)
     // Live-transaction budget breached: collect now instead of waiting for
     // the periodic trigger. Collection is the correct relief valve here —
     // shedding would not free a single finished transaction.
-    requestCollect(Tid);
+    requestCollect();
 }
 
 void DoubleCheckerRuntime::addCrossEdgeLocked(Transaction *Src,
@@ -1117,8 +1085,6 @@ void DoubleCheckerRuntime::addCrossEdgeLocked(Transaction *Src,
   E.SrcPos = Src->LogLen.load(std::memory_order_acquire);
   E.Intra = false;
   Src->Out.push_back(E);
-  Src->HasCrossOut = true;
-  Dst->HasCrossIn = true;
   // Timestamp bumps end log-elision windows on both threads (§4).
   Threads[Src->Tid].CurTs.fetch_add(1, std::memory_order_relaxed);
   Threads[Dst->Tid].CurTs.fetch_add(1, std::memory_order_relaxed);
@@ -1163,170 +1129,6 @@ void DoubleCheckerRuntime::addCrossEdgeLocked(Transaction *Src,
 }
 
 //===----------------------------------------------------------------------===//
-// SCC detection (Tarjan over finished transactions)
-//===----------------------------------------------------------------------===//
-
-void DoubleCheckerRuntime::pendSccRoot(Transaction *V, uint32_t Holder) {
-  bool Flush;
-  {
-    SpinLockGuard Guard(PendingLock);
-    PendingSccRoots.push_back(V);
-    Flush = PendingSccRoots.size() >= Opts.SccBatch;
-  }
-  if (Flush)
-    sccPass(Holder);
-}
-
-void DoubleCheckerRuntime::sccPass(uint32_t Holder) {
-  // All stripes: freezes the whole IDG (every edge writer holds a stripe)
-  // and serializes passes against each other and the collector. One freeze
-  // serves the whole batch of roots. The pending list is swapped out only
-  // *under* the stripes: the entries are what keeps undetected cycles
-  // strongly rooted, so removing them while a collection could still run
-  // would let it sweep the very transactions this pass is about to walk.
-  lockAllShards(Holder);
-  std::vector<Transaction *> Roots;
-  {
-    SpinLockGuard Guard(PendingLock);
-    Roots.swap(PendingSccRoots);
-  }
-  if (Roots.empty()) {
-    unlockAllShards();
-    return;
-  }
-  const uint64_t Epoch = ++SccEpochCounter;
-  for (Transaction *R : Roots)
-    R->RootEpoch = Epoch;
-  uint32_t NextIndex = 0;
-  std::vector<Transaction *> TarjanStack;
-  struct Frame {
-    Transaction *Tx;
-    size_t EdgeIdx;
-  };
-  std::vector<Frame> CallStack;
-  std::vector<std::vector<Transaction *>> Detected;
-
-  auto Visit = [&](Transaction *Tx) {
-    Tx->SccEpoch = Epoch;
-    Tx->SccIndex = Tx->SccLow = NextIndex++;
-    Tx->OnStack = true;
-    TarjanStack.push_back(Tx);
-    CallStack.push_back(Frame{Tx, 0});
-  };
-
-  for (Transaction *R : Roots) {
-    if (R->SccEpoch == Epoch)
-      continue; // Already visited from an earlier root of this pass.
-    Visit(R);
-    while (!CallStack.empty()) {
-      Frame &F = CallStack.back();
-      if (F.EdgeIdx < F.Tx->Out.size()) {
-        Transaction *Next = F.Tx->Out[F.EdgeIdx++].Dst;
-        // Only expand finished transactions (§3.2.3): an unfinished
-        // successor's cycle, if any, is incomplete and will trigger its
-        // own detection when it ends.
-        if (!Next->Finished.load(std::memory_order_acquire))
-          continue;
-        if (Next->SccEpoch != Epoch) {
-          Visit(Next);
-        } else if (Next->OnStack) {
-          F.Tx->SccLow = std::min(F.Tx->SccLow, Next->SccIndex);
-        }
-        continue;
-      }
-      // Post-order: pop the frame; maybe pop a component.
-      Transaction *Tx = F.Tx;
-      CallStack.pop_back();
-      if (!CallStack.empty())
-        CallStack.back().Tx->SccLow =
-            std::min(CallStack.back().Tx->SccLow, Tx->SccLow);
-      if (Tx->SccLow != Tx->SccIndex)
-        continue;
-      // Tx is the root of a component; pop its members.
-      std::vector<Transaction *> Members;
-      for (;;) {
-        Transaction *M = TarjanStack.back();
-        TarjanStack.pop_back();
-        M->OnStack = false;
-        Members.push_back(M);
-        if (M == Tx)
-          break;
-      }
-      if (Members.size() < 2)
-        continue;
-      if (Opts.TestOnlyUnsoundFilter && Members.size() == 2)
-        continue; // Injected unsoundness; see DoubleCheckerOptions.
-      // Exactly-once across passes: a cycle is complete precisely when its
-      // maximal-EndTime member finishes (edges only ever target unfinished
-      // transactions, so no member edge postdates that end). That member
-      // always passes the HasCrossOut root filter (see Transaction.h), and
-      // every filtered transaction is a detection root of exactly one pass
-      // — so the pass whose root set holds that member claims the
-      // component. Earlier passes saw the cycle incomplete; later ones
-      // skip it here.
-      uint64_t MaxEnd = 0;
-      Transaction *Last = nullptr;
-      for (Transaction *M : Members)
-        if (Last == nullptr || M->EndTime > MaxEnd) {
-          MaxEnd = M->EndTime;
-          Last = M;
-        }
-      if (Last->RootEpoch != Epoch)
-        continue;
-      SccCount.fetch_add(1, std::memory_order_relaxed);
-      if (Opts.Trace)
-        Opts.Trace->instant("scc", "scc-claim", Last->Tid,
-                            TraceRecorder::Args()
-                                .num("members", Members.size())
-                                .num("stamp", MaxEnd));
-      {
-        SpinLockGuard Guard(SccStateLock);
-        for (Transaction *M : Members) {
-          if (M->Regular)
-            SccSites.insert(M->Site);
-          else
-            SccAnyUnary = true;
-        }
-      }
-      if (Pcd) {
-        // Degradation ladder: SCCs the replay cannot handle precisely —
-        // oversized (the paper's PCD ran out of memory on such
-        // transactions) or containing a member whose log was shed — are
-        // degraded here, under the stripes, to potential violations.
-        // Sound because every true PDG cycle lies within an ICD SCC.
-        bool Degrade = Members.size() > Opts.MaxSccTxsForPcd;
-        for (size_t I = 0; !Degrade && I < Members.size(); ++I)
-          Degrade = Members[I]->LogShed.load(std::memory_order_relaxed);
-        if (Degrade) {
-          degradeScc(Members, MaxEnd);
-        } else {
-          // Pin before releasing the stripes so the collector cannot sweep
-          // members while the replay (inline or pooled) is in flight.
-          for (Transaction *M : Members)
-            M->Pins.fetch_add(1, std::memory_order_relaxed);
-          Detected.push_back(std::move(Members));
-        }
-      }
-    }
-  }
-  unlockAllShards();
-  SccPasses.fetch_add(1, std::memory_order_relaxed);
-  SccVisited.fetch_add(NextIndex, std::memory_order_relaxed);
-
-  if (Detected.empty())
-    return;
-  if (AsyncPcd) {
-    AsyncPcd->enqueueBatch(std::move(Detected));
-  } else {
-    for (std::vector<Transaction *> &Members : Detected) {
-      Pcd->processScc(Members);
-      for (Transaction *M : Members)
-        M->Pins.fetch_sub(1, std::memory_order_release);
-    }
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // Incremental claim execution (IncrementalCycles.h)
 //===----------------------------------------------------------------------===//
 
@@ -1338,16 +1140,14 @@ void DoubleCheckerRuntime::executeIcdClaims(
       for (Transaction *M : Members)
         M->Pins.fetch_sub(1, std::memory_order_release);
     };
-    // Mirror sccPass's order exactly: the injected unsound filter drops a
-    // two-member component before it reaches the site set, SccCount, or
-    // PCD — in both modes, so the fuzzer's bug-detection differential sees
-    // the same (broken) behaviour whichever detector is selected.
+    // The injected unsound filter drops a two-member component before it
+    // reaches the site set, SccCount, or PCD, so the fuzzer's
+    // bug-detection differential sees it in every output.
     if (!C.Oversized && Opts.TestOnlyUnsoundFilter && Members.size() == 2) {
       Unpin();
       continue;
     }
-    // Sites feed multi-run mode's static info for every claim kind, just
-    // like the batched pass accumulates them for every detected component.
+    // Sites feed multi-run mode's static info for every claim kind.
     {
       SpinLockGuard Guard(SccStateLock);
       for (Transaction *M : Members) {
@@ -1357,8 +1157,8 @@ void DoubleCheckerRuntime::executeIcdClaims(
           SccAnyUnary = true;
       }
     }
-    // Stamps: max member EndTime, like sccPass / degradeScc — but members
-    // of an oversized absorption may still be running (EndTime unset).
+    // Stamps: max member EndTime, like degradeScc — but members of an
+    // oversized absorption may still be running (EndTime unset).
     uint64_t MaxEnd = 0;
     bool Shed = false;
     for (Transaction *M : Members) {
@@ -1392,9 +1192,7 @@ void DoubleCheckerRuntime::executeIcdClaims(
     if (AsyncPcd) {
       // Ownership of the pins moves to the pool (a worker or the
       // degrade-on-timeout path unpins after the replay).
-      std::vector<std::vector<Transaction *>> Batch;
-      Batch.push_back(std::move(Members));
-      AsyncPcd->enqueueBatch(std::move(Batch));
+      AsyncPcd->enqueue(std::move(Members));
     } else {
       Pcd->processScc(Members);
       Unpin();
@@ -1411,11 +1209,9 @@ uint32_t DoubleCheckerRuntime::stripesHeldByCurrentThread() const {
 // Transaction collection (stands in for the JVM's GC)
 //===----------------------------------------------------------------------===//
 
-void DoubleCheckerRuntime::requestCollect(uint32_t Holder) {
+void DoubleCheckerRuntime::requestCollect() {
   if (Collector)
     Collector->request();
-  else
-    collectNow(Holder);
 }
 
 void DoubleCheckerRuntime::collectBackpressure(uint32_t Tid) {
@@ -1431,7 +1227,7 @@ void DoubleCheckerRuntime::collectBackpressure(uint32_t Tid) {
   // throughput, never liveness — the watchdog is what reports a genuinely
   // stuck collector.
   BackpressureWaits.fetch_add(1, std::memory_order_relaxed);
-  requestCollect(Tid);
+  requestCollect();
   // Wall-clock bound, not an iteration count: a yield's cost varies by
   // orders of magnitude with run-queue contention, and a wait long enough
   // to look like gate silence would trip the watchdog's stalled-gate abort.
@@ -1468,23 +1264,15 @@ void DoubleCheckerRuntime::collectNow(uint32_t Holder) {
       Work.push_back(Tx);
     }
   };
-  // Strong roots: the unfinished transactions. Everything a future Tarjan
-  // walk can visit is forward-reachable from one of them — every edge ever
-  // added terminates at a transaction that was current (unfinished) when
-  // the edge was created, so no path from the live region leads backward
-  // into transactions that finished unreachable.
+  // Strong roots: the unfinished transactions. Every transaction a future
+  // cycle can contain is forward-reachable from one of them — every edge
+  // ever added terminates at a transaction that was current (unfinished)
+  // when the edge was created, so no path from the live region leads
+  // backward into transactions that finished unreachable. A cycle whose
+  // members have all finished was claimed (and pinned) at its last
+  // member's retire, before that member stopped being a root.
   for (uint32_t T = 0; T < NumThreads; ++T)
     AddRoot(Threads[T].CurrTx.load(std::memory_order_relaxed));
-  // Pending detection roots are strong too: a cycle whose members all
-  // finished is no longer reachable from any current transaction, but its
-  // batched Tarjan pass has not run yet — members are mutually reachable,
-  // so rooting the pending member keeps the whole component alive until
-  // the pass claims and pins it.
-  {
-    SpinLockGuard Guard(PendingLock);
-    for (Transaction *R : PendingSccRoots)
-      AddRoot(R);
-  }
   while (!Work.empty()) {
     Transaction *Tx = Work.back();
     Work.pop_back();
@@ -1610,7 +1398,8 @@ void DoubleCheckerRuntime::beginShed(PerThread &PT, uint32_t Tid,
 void DoubleCheckerRuntime::degradeScc(
     const std::vector<Transaction *> &Members, uint64_t Stamp) {
   // Pcd always exists on these paths: degradation is only reachable from
-  // sccPass (guarded by Pcd) and the pool (which holds a Pcd reference).
+  // claim execution (guarded by Pcd) and the pool (which holds a Pcd
+  // reference).
   Pcd->reportPotential(Members);
   recordDegradation(
       {rt::DegradationEvent::Action::PotentialOnly, 0, Stamp});
@@ -1728,19 +1517,10 @@ bool DoubleCheckerRuntime::windowFlushNow(uint32_t Holder) {
     SpinLockGuard Guard(HealthLock);
     DegBefore = DegEvents.size();
   }
-  // Stage 1 — decide everything decidable as of the boundary. Batched mode
-  // claims pending roots now instead of waiting for a full SccBatch;
-  // incremental mode has nothing pending (cycles are claimed at their last
-  // member's retire, so mid-run there is no deferred detection state — and
+  // Detection needs no flush: cycles are claimed at their last member's
+  // retire, so mid-run there is no deferred detection state (and
   // Icd->finalize must NOT run here, it assumes end-of-run quiescence).
-  if (Icd == nullptr && !PcdOnlyAnalysis && Opts.DetectIcdCycles &&
-      IdgShards != nullptr)
-    sccPass(Holder);
-  if (Dog) {
-    Dog->heartbeat(DogWindowSlot);
-    Dog->heartbeat(DogGateSlot);
-  }
-  // Stage 2 — complete in-flight precise replays for cycles wholly inside
+  // Stage 1 — complete in-flight precise replays for cycles wholly inside
   // the retiring window. A healthy pool drains without degrading anything
   // (the replays happen either way — only their completion moves inside
   // the boundary), which is what keeps the streamed verdict set equal to
@@ -1752,9 +1532,8 @@ bool DoubleCheckerRuntime::windowFlushNow(uint32_t Holder) {
     Dog->heartbeat(DogWindowSlot);
     Dog->heartbeat(DogGateSlot);
   }
-  // Stage 3 — sound retirement: mark-sweep over {current txs, pending
-  // detection roots, pins}. Everything the sweep
-  // keeps is exactly the cross-window state that cannot yet be proven
+  // Stage 2 — sound retirement: mark-sweep over {current txs, pins}.
+  // Everything the sweep keeps is exactly the cross-window state that cannot yet be proven
   // cycle-free (still running, strongly reachable from a runner, or pinned
   // by a replay) — those transactions are carried into the next window;
   // nothing is silently dropped (DESIGN.md §15's soundness argument).
@@ -1792,16 +1571,12 @@ bool DoubleCheckerRuntime::windowFlushNow(uint32_t Holder) {
 }
 
 StaticTransactionInfo DoubleCheckerRuntime::staticInfo() {
-  // Make the accumulated site set complete as of the snapshot: batched
-  // mode claims any cycles whose roots are still pending; incremental mode
-  // has already claimed everything at retire time, so finalize is a
-  // defensive no-op sweep.
+  // Everything was claimed at retire time; finalize is a defensive no-op
+  // sweep that makes the site set complete as of the snapshot.
   if (Icd) {
     IncrementalCycleDetector::ClaimList Claims;
     Icd->finalize(Claims);
     executeIcdClaims(Claims);
-  } else if (IdgShards) {
-    sccPass(HolderCollector);
   }
   SpinLockGuard Guard(SccStateLock);
   StaticTransactionInfo Info;

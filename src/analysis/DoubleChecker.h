@@ -15,8 +15,8 @@
 ///  * It demarcates regular transactions at txBegin/txEnd and merges
 ///    non-transactional accesses into unary transactions until a
 ///    cross-thread edge interrupts them.
-///  * When a transaction with cross-thread edges ends, it computes the
-///    maximal SCC containing it over *finished* transactions (§3.2.3);
+///  * When the last member of a cycle ends, the incremental detector claims
+///    the maximal SCC containing it over *finished* transactions (§3.2.3);
 ///    members' static sites feed multi-run mode's StaticTransactionInfo,
 ///    and — when logging is on — the SCC goes to PCD for precise checking.
 ///  * A mark-sweep collector reclaims transactions unreachable from the
@@ -27,11 +27,11 @@
 /// Concurrency (see DESIGN.md §7 for the full argument): the IDG is
 /// sharded — one lock stripe per thread plus one global stripe — so the
 /// per-thread transaction lifecycle only touches its own stripe, cross
-/// edges take the two involved threads' stripes, and only SCC detection
-/// and collection quiesce the whole graph. Collection runs on a background
-/// thread; PCD SCCs go to a bounded multi-worker pool. The pre-sharding
-/// behaviour (one global lock, inline collection) is kept behind
-/// DoubleCheckerOptions::SerializedIdg as a one-PR escape hatch.
+/// edges take the two involved threads' stripes, and only collection
+/// quiesces the whole graph. Cycle detection is incremental
+/// (IncrementalCycles.h): each edge insert answers "cycle?" under the
+/// stripes its writer already holds. Collection runs on a background
+/// thread; PCD SCCs go to a bounded multi-worker pool.
 ///
 /// Configure with LogAccesses=false, RunPcd=false for the first run of
 /// multi-run mode ("ICD w/o logging"); defaults give single-run mode.
@@ -93,16 +93,6 @@ struct DoubleCheckerOptions {
   /// Disable ICD SCC detection entirely (§5.4 array-instrumentation
   /// ablation, where conflated metadata makes cycles meaningless).
   bool DetectIcdCycles = true;
-  /// Escape hatch: answer "did this edge close a cycle?" with the batched
-  /// stop-the-world Tarjan passes instead of the default incremental
-  /// order-maintenance detector (IncrementalCycles.h, DESIGN.md §12). Both
-  /// modes claim a component at the same instant — when its last member
-  /// finishes — and hand identical member sets to PCD, so they blame
-  /// identical methods on identical schedules; dcfuzz replays every pair
-  /// through both to keep that differential honest. The batched pass
-  /// freezes every IDG stripe per flush; the incremental detector never
-  /// takes more stripes than the edge writer already holds.
-  bool BatchedScc = false;
   /// Incremental detector's affected-region cap: an inconsistent edge
   /// whose two-way search would visit more vertices than this stops
   /// reordering and degrades the region soundly — it collapses into one
@@ -110,48 +100,16 @@ struct DoubleCheckerOptions {
   /// (Pcd::reportPotential) instead of being replayed. The default is
   /// unreachable for any governed live graph; tests shrink it.
   uint32_t IcdMaxRegion = 1u << 20;
-  /// Escape hatch: force every ICD cross edge through the detector's Mu
-  /// slow path instead of the default lock-free seqlock-validated fast
-  /// path for order-consistent edges (DESIGN.md §12). For
-  /// lockfree-vs-locked comparisons; violations must be identical.
-  bool IcdLockedFastPath = false;
   /// Test/fault knob: force each ICD fast-path attempt to fail seqlock
   /// validation this many times (0 = off), deterministically exercising
-  /// the retry counter and the retry-cap fallback.
+  /// the retry counter and — past the retry cap — the detector-lock
+  /// fallback (DESIGN.md §12).
   uint32_t IcdSeqRetryStorm = 0;
-  /// Cross-edged transactions that must finish before one batched Tarjan
-  /// pass walks from all of them at once (BatchedScc mode only). Every
-  /// pass takes all IDG stripes (a full-graph freeze), so batching divides
-  /// both the freeze frequency and the per-thread stripe handoffs a freeze
-  /// inflicts on uninvolved threads by this factor. Detection totals are
-  /// unchanged — a cycle is complete by the time its last member finishes,
-  /// pending roots are collector-strong until their pass runs, and endRun
-  /// flushes the tail — only the report is deferred by at most this many
-  /// transactions. 1 restores per-transaction-end detection.
-  uint32_t SccBatch = 8;
   /// §5.4 straw man: feed *every* transaction to a persistent precise
   /// analysis instead of filtering through ICD SCCs. Implies LogAccesses;
   /// the transaction collector is disabled (the persistent maps pin
   /// transactions), reproducing the variant's memory blow-up.
   bool PcdOnly = false;
-  /// Escape hatch: collapse all IDG stripes into one global lock and run
-  /// the collector inline under it — the pre-sharding behaviour. Kept for
-  /// one PR so bench/scaling_threads.cpp can compare the two paths; the
-  /// default (sharded) path must produce identical violations.
-  bool SerializedIdg = false;
-  /// Escape hatch mirroring SerializedIdg, one layer down: run Octet
-  /// coordination with the seed's serial spin-only protocol (one roundtrip
-  /// completed before the next is posted) instead of the pipelined fan-out
-  /// with spin-then-park waiting (DESIGN.md §11). Kept so dcfuzz can
-  /// differentially test serial vs. pipelined on one schedule; both must
-  /// produce identical violations.
-  bool SerialRoundtrips = false;
-  /// Escape hatch for the SCC root filter (BatchedScc mode only): pend
-  /// every cross-touched transaction as a Tarjan root, not just those with an outgoing cross
-  /// edge (which are the only possible claiming members — see
-  /// Transaction.h). Same detected components either way — kept so dcfuzz
-  /// can replay one schedule through both and assert identical violations.
-  bool EagerSccRoots = false;
   /// Trigger the transaction collector every this many finished
   /// transactions.
   uint32_t CollectEveryTx = 8192;
@@ -204,9 +162,9 @@ struct DoubleCheckerOptions {
   // --- Streaming service mode (DESIGN.md §15) -----------------------------
 
   /// Retirement-window size: every this many finished transactions, the
-  /// thread that crossed the boundary runs one window flush — pending
-  /// batched detection, a PCD-pool drain, then a synchronous collection —
-  /// so everything decidable as of the boundary is decided and swept.
+  /// thread that crossed the boundary runs one window flush — a PCD-pool
+  /// drain, then a synchronous collection — so everything decidable as of
+  /// the boundary is decided and swept.
   /// Transactions the flush cannot retire (still running, strongly
   /// reachable, or pinned by an in-flight replay) are carried — "pinned" —
   /// into the next window; nothing is dropped. 0 disables windowing (plain
@@ -261,14 +219,13 @@ public:
   void onFence(uint32_t Tid) override;
 
   /// Static transaction information accumulated from ICD SCCs (multi-run
-  /// mode's first-run output). Flushes any pending batched detection pass
-  /// so the snapshot is complete as of the call. Valid after endRun.
+  /// mode's first-run output). Valid after endRun.
   StaticTransactionInfo staticInfo();
 
   /// The underlying Octet manager; valid between beginRun and destruction.
   octet::OctetManager *octetManager() { return Octet.get(); }
 
-  /// The incremental cycle detector, or null in BatchedScc / PcdOnly /
+  /// The incremental cycle detector, or null in PcdOnly /
   /// DetectIcdCycles=false modes. Test-only: the stripe-locality stress
   /// test installs its reorder hook here.
   IncrementalCycleDetector *icdDetector() { return Icd.get(); }
@@ -320,13 +277,10 @@ private:
 
   // -- IDG stripes ---------------------------------------------------------
   // Stripe 0 guards gLastRdSh; stripe Tid+1 guards thread Tid's IDG state
-  // (CurrTx identity, lastRdEx, Owned, and the Out lists / HasCrossOut of
-  // its transactions). SerializedIdg collapses everything onto stripe 0.
-  // Lock order: ascending stripe index; SccStateLock / PcdOnlyLock are
-  // innermost and never held while acquiring a stripe.
-  uint32_t shardOf(uint32_t Tid) const {
-    return Opts.SerializedIdg ? 0 : Tid + 1;
-  }
+  // (CurrTx identity, lastRdEx, Owned, and the Out lists of its
+  // transactions). Lock order: ascending stripe index; SccStateLock /
+  // PcdOnlyLock are innermost and never held while acquiring a stripe.
+  static uint32_t shardOf(uint32_t Tid) { return Tid + 1; }
   void lockShard(uint32_t S, uint32_t Holder);
   void unlockShard(uint32_t S) { IdgShards->unlock(S); }
   /// Acquires the N stripes in Shards (caller-sorted ascending), paying at
@@ -343,36 +297,26 @@ private:
   Transaction *newTransactionLocked(uint32_t Tid, ir::MethodId Site,
                                     bool Regular);
   /// Finishes Tid's current transaction, then runs the out-of-line
-  /// follow-ups (PCD-only feed, SCC detection, collection trigger).
+  /// follow-ups (PCD-only feed, cycle claims, collection trigger).
   /// Caller must hold no stripe. CurrTx intentionally keeps pointing at
   /// the finished transaction until the next newTransactionLocked.
   void endCurrentTx(uint32_t Tid);
   /// Requires shard(Src->Tid) and shard(Dst->Tid). \p Phys is the physical
   /// thread executing the call (its chunk cache feeds the EdgeIn append).
   void addCrossEdgeLocked(Transaction *Src, Transaction *Dst, uint32_t Phys);
-  /// Queues the just-finished, cross-edged \p V as a detection root and
-  /// runs a batched pass once Opts.SccBatch roots are pending. Caller must
-  /// hold no stripe.
-  void pendSccRoot(Transaction *V, uint32_t Holder);
-  /// Executes component claims the incremental detector produced: the
-  /// exact post-claim logic of sccPass — site accumulation, the injected
-  /// unsound filter, the degradation checks, the PCD hand-off, unpinning.
+  /// Executes component claims the incremental detector produced: site
+  /// accumulation, the injected unsound filter, the degradation checks,
+  /// the PCD hand-off, unpinning.
   /// Precise claims only arise on the retire()/finalize paths (no stripes
   /// held — the hand-off may block on queue backpressure); Oversized
   /// claims also arise under ≤ 2 stripes from edge insertion, where they
   /// touch only innermost locks.
   void executeIcdClaims(IncrementalCycleDetector::ClaimList &Claims);
-  /// Batched Tarjan over finished transactions from every pending root;
-  /// takes all stripes once for the whole batch. A component is claimed
-  /// exactly by the pass whose root set contains its maximal-EndTime
-  /// member (that member's end is when the cycle became complete, and each
-  /// transaction is a root of exactly one pass).
-  void sccPass(uint32_t Holder);
   /// One mark-sweep pass; takes all stripes, frees outside them.
   void collectNow(uint32_t Holder);
-  /// Routes a collection trigger to the background collector (sharded) or
-  /// runs it inline (SerializedIdg).
-  void requestCollect(uint32_t Holder);
+  /// Routes a collection trigger to the background collector (a no-op
+  /// when collection is disabled, as under PcdOnly).
+  void requestCollect();
   /// Bounded wait at a transaction boundary while the live-tx budget is
   /// breached: lends the collector this thread's cycles (see definition).
   void collectBackpressure(uint32_t Tid);
@@ -401,11 +345,11 @@ private:
 
   // -- Streaming service mode (DESIGN.md §15) ------------------------------
   /// One retirement-window flush: force everything decidable as of the
-  /// boundary to a decision (batched detection, PCD drain),
-  /// then collect synchronously so quiesced transactions retire. Returns
-  /// false when any stage degraded (stall-timeout steal, shed member) —
-  /// the window still completed, but some verdicts moved down the ladder
-  /// to Potential. Serialized by WindowMu; caller must hold no stripes.
+  /// boundary to a decision (PCD drain), then collect synchronously so
+  /// quiesced transactions retire. Returns false when any stage degraded
+  /// (stall-timeout steal, shed member) — the window still completed, but
+  /// some verdicts moved down the ladder to Potential. Serialized by
+  /// WindowMu; caller must hold no stripes.
   bool windowFlushNow(uint32_t Holder);
   /// Fills a point-in-time health snapshot from atomics + the stats
   /// registry's stable-snapshot API. Safe mid-run from any thread.
@@ -418,8 +362,7 @@ private:
 
   std::unique_ptr<octet::OctetManager> Octet;
   std::unique_ptr<PreciseCycleDetector> Pcd;
-  /// Incremental online cycle detection (the default); null selects the
-  /// batched Tarjan passes (Opts.BatchedScc) and in PcdOnly /
+  /// Incremental online cycle detection; null in PcdOnly /
   /// DetectIcdCycles=false modes.
   std::unique_ptr<IncrementalCycleDetector> Icd;
   /// Declared before the pool/collector: workers beat its slots, so it is
@@ -428,14 +371,14 @@ private:
   std::unique_ptr<PcdPool> AsyncPcd;
   std::unique_ptr<OnlinePcd> PcdOnlyAnalysis;
   std::unique_ptr<TxCollector> Collector;
+  /// Global free list backing every thread's chunk cache; the collector
+  /// splices swept transactions' chunks back into it. Declared before
+  /// Threads so it outlives the caches that recycle into it on teardown.
+  LogChunkPool ChunkPool;
   std::unique_ptr<PerThread[]> Threads;
   uint32_t NumThreads = 0;
   uint32_t NumShards = 0;
   std::unique_ptr<StripedLockSet> IdgShards;
-
-  /// Global free list backing every thread's chunk cache; the collector
-  /// splices swept transactions' chunks back into it.
-  LogChunkPool ChunkPool;
 
   /// Keeps the penalty spin from being optimized away.
   std::atomic<uint64_t> PenaltySink{0};
@@ -451,23 +394,13 @@ private:
   std::atomic<uint64_t> CrossEdges{0};
   std::atomic<uint64_t> FinishedTxs{0};
   std::atomic<uint64_t> SccCount{0};
-  std::atomic<uint64_t> SccPasses{0};
-  std::atomic<uint64_t> SccVisited{0};
   std::atomic<uint64_t> BackpressureWaits{0};
   std::atomic<uint64_t> CollectorRuns{0};
   std::atomic<uint64_t> CollectorNs{0};
   std::atomic<uint64_t> TxsSwept{0};
   /// Largest live set (kept transactions) any collection observed.
   std::atomic<uint64_t> CollectorLiveMax{0};
-  uint64_t SccEpochCounter = 0;  ///< All stripes (Tarjan scratch epoch).
   uint64_t MarkEpochCounter = 0; ///< All stripes (collector mark epoch).
-
-  /// Finished cross-edged transactions awaiting a batched detection pass.
-  /// Guarded by PendingLock (innermost, never held while taking a stripe);
-  /// the collector treats every entry as a strong mark root so undetected
-  /// cycles survive until their pass.
-  SpinLock PendingLock;
-  std::vector<Transaction *> PendingSccRoots;
 
   /// Guards SccSites/SccAnyUnary (innermost; also used by staticInfo).
   mutable SpinLock SccStateLock;

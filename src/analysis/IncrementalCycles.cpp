@@ -157,68 +157,66 @@ void IncrementalCycleDetector::addEdge(Transaction *Src, Transaction *Dst,
   if (Src == nullptr || Dst == nullptr || Src == Dst)
     return;
   EdgesObserved.fetch_add(1, std::memory_order_relaxed);
-  if (!Opts.LockedFastPath) {
-    // Lock-free fast path: snapshot both endpoints' group/key state under
-    // the reorder seqlock, and if the edge is order-consistent publish the
-    // adjacency cells and revalidate. Only a snapshot that raced an actual
-    // reorder falls through to Mu. DESIGN.md §12 has the linearization
-    // argument for why a validated fast edge is observed by every later
-    // reorder or cycle check.
-    uint32_t Storm = Opts.RetryStorm;
-    for (unsigned Attempt = 0; Attempt < FastPathRetryCap; ++Attempt) {
-      const uint64_t E = Seq.readBegin();
-      if (Storm > 0) {
-        // Deterministic validation failure for tests/fault sweeps.
-        --Storm;
-        SeqRetries.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      IcdGroup *GS = Src->IcdG.load(std::memory_order_acquire);
-      IcdGroup *GD = Dst->IcdG.load(std::memory_order_acquire);
-      const bool Same = GS != nullptr && GS == GD;
-      const bool Poisoned =
-          (GS != nullptr && GS->Oversized) || (GD != nullptr && GD->Oversized);
-      const uint64_t KS = GS != nullptr
-                              ? GS->Ord.load(std::memory_order_relaxed)
-                              : Src->IcdOrd.load(std::memory_order_relaxed);
-      const uint64_t KD = GD != nullptr
-                              ? GD->Ord.load(std::memory_order_relaxed)
-                              : Dst->IcdOrd.load(std::memory_order_relaxed);
-      if (Seq.readRetry(E)) {
-        SeqRetries.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      // The snapshot was stable at epoch E.
-      if (Same)
-        return; // Internal to a merged component: not recorded (see the
-                // slow path's rationale), and a later merge racing this
-                // conclusion can only have *added* the same-group fact.
-      if (Poisoned || KS >= KD)
-        break; // Needs absorption or a reorder: classify under Mu.
-      if (headIsDuplicate(Src, Dst)) {
-        // Consecutive duplicate (one transaction pair conflicting on many
-        // variables): the existing cell already carries the edge, so the
-        // order invariant is already upheld — nothing to publish.
-        LfFast.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      publishEdge(Src, Dst);
-      if (!Seq.readRetry(E)) {
-        // No reorder overlapped [snapshot, publication]: the edge was
-        // consistent when published and every later writer section will
-        // observe the cells (fence argument, DESIGN.md §12). Done — the
-        // hot path never touched Mu.
-        LfFast.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      // A reorder raced the publication. The cells are in the chains
-      // (possibly already seen by the writer's search); only the
-      // *classification* is stale. Reconcile under Mu without
-      // re-publishing.
+  // Lock-free fast path: snapshot both endpoints' group/key state under
+  // the reorder seqlock, and if the edge is order-consistent publish the
+  // adjacency cells and revalidate. Only a snapshot that raced an actual
+  // reorder falls through to Mu. DESIGN.md §12 has the linearization
+  // argument for why a validated fast edge is observed by every later
+  // reorder or cycle check.
+  uint32_t Storm = Opts.RetryStorm;
+  for (unsigned Attempt = 0; Attempt < FastPathRetryCap; ++Attempt) {
+    const uint64_t E = Seq.readBegin();
+    if (Storm > 0) {
+      // Deterministic validation failure for tests/fault sweeps.
+      --Storm;
       SeqRetries.fetch_add(1, std::memory_order_relaxed);
-      addEdgeSlow(Src, Dst, Out, /*Publish=*/false);
+      continue;
+    }
+    IcdGroup *GS = Src->IcdG.load(std::memory_order_acquire);
+    IcdGroup *GD = Dst->IcdG.load(std::memory_order_acquire);
+    const bool Same = GS != nullptr && GS == GD;
+    const bool Poisoned =
+        (GS != nullptr && GS->Oversized) || (GD != nullptr && GD->Oversized);
+    const uint64_t KS = GS != nullptr
+                            ? GS->Ord.load(std::memory_order_relaxed)
+                            : Src->IcdOrd.load(std::memory_order_relaxed);
+    const uint64_t KD = GD != nullptr
+                            ? GD->Ord.load(std::memory_order_relaxed)
+                            : Dst->IcdOrd.load(std::memory_order_relaxed);
+    if (Seq.readRetry(E)) {
+      SeqRetries.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
+    // The snapshot was stable at epoch E.
+    if (Same)
+      return; // Internal to a merged component: not recorded (see the
+              // slow path's rationale), and a later merge racing this
+              // conclusion can only have *added* the same-group fact.
+    if (Poisoned || KS >= KD)
+      break; // Needs absorption or a reorder: classify under Mu.
+    if (headIsDuplicate(Src, Dst)) {
+      // Consecutive duplicate (one transaction pair conflicting on many
+      // variables): the existing cell already carries the edge, so the
+      // order invariant is already upheld — nothing to publish.
+      LfFast.fetch_add(1, std::memory_order_relaxed);
       return;
     }
+    publishEdge(Src, Dst);
+    if (!Seq.readRetry(E)) {
+      // No reorder overlapped [snapshot, publication]: the edge was
+      // consistent when published and every later writer section will
+      // observe the cells (fence argument, DESIGN.md §12). Done — the
+      // hot path never touched Mu.
+      LfFast.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    // A reorder raced the publication. The cells are in the chains
+    // (possibly already seen by the writer's search); only the
+    // *classification* is stale. Reconcile under Mu without
+    // re-publishing.
+    SeqRetries.fetch_add(1, std::memory_order_relaxed);
+    addEdgeSlow(Src, Dst, Out, /*Publish=*/false);
+    return;
   }
   addEdgeSlow(Src, Dst, Out, /*Publish=*/true);
 }
@@ -252,8 +250,8 @@ void IncrementalCycleDetector::addEdgeSlow(Transaction *Src, Transaction *Dst,
     return;
   }
   if (ordOf(Src) < ordOf(Dst)) {
-    ++NumFastEdges; // Order already consistent (fast path disabled, raced,
-                    // or capped out): no traversal.
+    ++NumFastEdges; // Order already consistent (fast path raced or capped
+                    // out): no traversal.
     return;
   }
   SeqWriteGuard W(Seq);
@@ -514,8 +512,7 @@ void IncrementalCycleDetector::retire(Transaction *Tx, ClaimList &Out) {
   IcdGroup *G = groupOf(Tx);
   if (G != nullptr && !G->Claimed && G->Unretired > 0 &&
       --G->Unretired == 0)
-    claimGroup(G, Out); // Last member to finish claims the component —
-                        // the same instant a batched pass first could.
+    claimGroup(G, Out); // Last member to finish claims the component.
 }
 
 void IncrementalCycleDetector::removeNodes(

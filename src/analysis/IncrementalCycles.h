@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Incremental online cycle detection over the IDG (DESIGN.md §12). Instead
-/// of batching Tarjan passes that freeze every IDG stripe, the detector
+/// of stop-the-world SCC passes that freeze every IDG stripe, the detector
 /// maintains a topological order of the condensation of the live+finished
 /// transaction graph under edge insertion, Pearce–Kelly style:
 ///
@@ -14,9 +14,9 @@
 ///    creation (new nodes are maximal, so the intra-thread chain is free);
 ///  * a cross edge u→v with ord(u) < ord(v) is consistent — O(1), no
 ///    traversal, no stripe beyond the two the edge writer already holds,
-///    and since this PR no detector lock either: the keys are read under
-///    the reorder seqlock and the adjacency node publishes with a lock-free
-///    push (see "Locking" below);
+///    and no detector lock either: the keys are read under the reorder
+///    seqlock and the adjacency node publishes with a lock-free push (see
+///    "Locking" below);
 ///  * an inconsistent edge triggers a bounded two-way search of the
 ///    affected region (forward from v over keys ≤ ord(u), backward from u
 ///    over keys ≥ ord(v)). If the searches meet, the edge closed a cycle:
@@ -26,12 +26,11 @@
 ///    below, merged component in the middle, forward frontier on top — to
 ///    restore order consistency.
 ///
-/// Claiming mirrors the batched pass's exactly-once discipline: a confirmed
-/// component is handed to PCD by the *last member to finish* (retire()),
-/// which is the same instant a batched pass could first have claimed it, so
-/// the two modes blame identical method sets on identical schedules. The
-/// caller executes claims (pinning, degradation checks, PCD hand-off)
-/// outside the detector lock.
+/// Claiming is exactly-once: a confirmed component is handed to PCD by the
+/// *last member to finish* (retire()) — the first instant the cycle is
+/// complete over finished transactions (§3.2.3), since every edge targets
+/// an unfinished transaction. The caller executes claims (pinning,
+/// degradation checks, PCD hand-off) outside the detector lock.
 ///
 /// Soundness valve (the Bender-style dense-end bound): when an affected
 /// region exceeds Options::MaxRegion, the detector stops reordering that
@@ -124,21 +123,16 @@ public:
     /// is far beyond any region a bounded live graph can produce; tests
     /// shrink it to force the valve.
     uint32_t MaxRegion = 1u << 20;
-    /// Differential partner knob: force every cross edge through the Mu
-    /// slow path (the pre-seqlock behaviour). The dcfuzz matrix replays
-    /// schedules against this to pin method-set bit-equality.
-    bool LockedFastPath = false;
     /// Test/fault knob: make each fast-path attempt fail seqlock
     /// validation this many times before proceeding, deterministically
-    /// exercising the retry counter and the retry-cap fallback even under
-    /// serialized scheduling. 0 = off.
+    /// exercising the retry counter and — at or past the retry cap — the
+    /// Mu fallback even under serialized scheduling. 0 = off.
     uint32_t RetryStorm = 0;
   };
 
   /// One component the caller must hand to the PCD/refinement path. The
-  /// detector has already pinned every member (Transaction::Pins), exactly
-  /// like the batched pass pins before releasing the stripes; the caller
-  /// unpins with release order when it is done with the members' logs.
+  /// detector has already pinned every member (Transaction::Pins); the
+  /// caller unpins with release order when it is done with the members' logs.
   struct Claim {
     std::vector<Transaction *> Members;
     /// Poisoned-region absorption (only the newly absorbed transactions):
@@ -260,7 +254,7 @@ private:
   /// Caller must be in seqlock writer mode.
   void absorbInto(IcdGroup *G, const std::vector<Transaction *> &Seeds,
                   ClaimList &Out);
-  /// Mu slow path shared by fast-path fallback and LockedFastPath mode.
+  /// Mu slow path for inconsistent edges and fast-path fallbacks.
   /// \p Publish: the adjacency nodes are not in the chains yet and must be
   /// appended here (false when the fast path already published them and
   /// only the classification raced).
@@ -340,7 +334,7 @@ private:
   std::atomic<uint64_t> LockWaits{0};
   std::atomic<uint64_t> LockWaitNs{0};
   uint64_t NumFastEdges = 0;   ///< Consistent edges resolved under Mu
-                               ///< (slow-path fallback / LockedFastPath).
+                               ///< (slow-path fallback).
   uint64_t NumReorders = 0;    ///< Inconsistent edges that ran the search.
   uint64_t ReorderVisited = 0; ///< Total affected-region vertices.
   uint64_t RegionMax = 0;      ///< Largest single affected region.

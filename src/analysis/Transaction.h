@@ -32,10 +32,10 @@
 /// always lands on a record boundary.
 ///
 /// Field guards under the sharded IDG (DESIGN.md §7): mutable per-node
-/// state (Out, HasCrossOut, EndTime, the Log) is guarded by the owning
-/// thread's IDG stripe; a cross-edge writer holds both endpoints' stripes.
-/// Tarjan and the collector hold every stripe, which freezes the graph and
-/// licenses their use of the unsynchronized scratch fields. Once Finished
+/// state (Out, EndTime, the Log) is guarded by the owning thread's IDG
+/// stripe; a cross-edge writer holds both endpoints' stripes. The
+/// collector holds every stripe, which freezes the graph and licenses its
+/// use of the unsynchronized mark field. Once Finished
 /// is set (release, under the owner's stripe) the log and incoming-edge
 /// set are immutable, which is what lets PCD replay members without locks.
 ///
@@ -114,33 +114,16 @@ public:
   const ir::MethodId Site;
   const bool Regular;
 
-  /// Set once when the transaction ends; SCC detection only expands
-  /// finished transactions (§3.2.3).
+  /// Set once when the transaction ends; a cycle is claimed only once all
+  /// its members have finished (§3.2.3).
   std::atomic<bool> Finished{false};
 
   /// Stamp on ICD's global order clock when the transaction ended
   /// (~0 while running / for hand-built transactions with no stamp).
   /// Written under the owner's stripe just before Finished; unique per
-  /// transaction, so concurrent SCC detections that find the same
-  /// component agree on which member (the maximal EndTime) processes it.
+  /// transaction. A degraded SCC's report is stamped with its maximal
+  /// member EndTime, which keeps degradation reports schedule-determined.
   uint64_t EndTime = ~0ULL;
-
-  /// True once a cross-thread edge leaves this transaction. Only such
-  /// transactions are pended as SCC detection roots: a cycle is claimed by
-  /// its maximal-EndTime member, and that member always has an *outgoing*
-  /// cross edge by the time it ends — every cycle edge was created while
-  /// its target was unfinished, all other members end earlier, so the edge
-  /// leaving the claiming member predates its end (and it cannot be the
-  /// intra edge, whose target ends later). Incoming edges don't qualify:
-  /// the intra edge from the predecessor always provides a way in.
-  bool HasCrossOut = false; // Guarded by the owner's IDG stripe.
-
-  /// True once a cross-thread edge enters this transaction (frozen when it
-  /// finishes — edges only ever target unfinished transactions). A node
-  /// with neither flag has exactly one relevant edge in each direction
-  /// (the intra chain), so SCC walks skip straight across it; see
-  /// DoubleCheckerRuntime::sccPass.
-  bool HasCrossIn = false; // Guarded by the owner's IDG stripe.
 
   /// For unary transactions: a cross-thread edge interrupted the merge;
   /// the next non-transactional access starts a fresh unary transaction.
@@ -149,8 +132,8 @@ public:
   /// The owning thread shed logging while this transaction was live, so its
   /// log is incomplete and precise replay of any SCC containing it would be
   /// unsound — such SCCs are degraded to potential violations instead.
-  /// Written by the owner (relaxed, outside stripes); read during SCC
-  /// passes under all stripes.
+  /// Written by the owner (relaxed, outside stripes); read when a claimed
+  /// SCC is handed to PCD.
   std::atomic<bool> LogShed{false};
 
   /// Outgoing edges (guarded by the owner's IDG stripe).
@@ -176,15 +159,9 @@ public:
     LogLen.store(Log.size(), std::memory_order_release);
   }
 
-  // --- Scratch state for Tarjan SCC, epoch-stamped to avoid clearing ---
+  // --- DFS visit mark, epoch-stamped to avoid clearing (Velodrome's and
+  // the PCD-only analysis's cycle searches) ---
   uint64_t SccEpoch = 0;
-  uint32_t SccIndex = 0;
-  uint32_t SccLow = 0;
-  bool OnStack = false;
-  /// Pass stamp set (under all stripes) on the roots of the batched
-  /// detection pass currently running; a component is claimed exactly by
-  /// the pass whose root set contains its maximal-EndTime member.
-  uint64_t RootEpoch = 0;
 
   // --- Scratch state for the mark-sweep collector ---
   uint64_t MarkEpoch = 0;

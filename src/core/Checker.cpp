@@ -147,14 +147,9 @@ RunOutcome core::runChecker(const ir::Program &Source,
     DOpts.PcdWorkers = Cfg.PcdWorkers;
     if (Cfg.PcdQueueDepth != 0)
       DOpts.PcdQueueDepth = Cfg.PcdQueueDepth;
-    DOpts.SerializedIdg = Cfg.SerializedIdg;
-    DOpts.SerialRoundtrips = Cfg.SerialRoundtrips;
-    DOpts.BatchedScc = Cfg.BatchedScc;
     if (Cfg.IcdMaxRegion != 0)
       DOpts.IcdMaxRegion = Cfg.IcdMaxRegion;
-    DOpts.IcdLockedFastPath = Cfg.IcdLockedFastPath;
     DOpts.IcdSeqRetryStorm = Cfg.IcdSeqRetryStorm;
-    DOpts.EagerSccRoots = Cfg.EagerSccRoots;
     DOpts.ElideDuplicates = Cfg.ElideDuplicates;
     DOpts.TestOnlyUnsoundFilter = Cfg.TestOnlyUnsoundIcdFilter;
     DOpts.PcdOnly = Cfg.M == Mode::PcdOnly;

@@ -77,36 +77,14 @@ struct RunConfig {
   /// Bound on the parallel-PCD queue (0 = keep the DoubleCheckerOptions
   /// default). Tiny values exercise the timed-backpressure path.
   uint32_t PcdQueueDepth = 0;
-  /// Escape hatch: run the IDG behind one global lock with inline
-  /// collection (the pre-sharding behaviour) instead of the sharded hot
-  /// path. For old-vs-new comparisons; violations must be identical.
-  bool SerializedIdg = false;
-  /// Escape hatch: run Octet coordination with the seed's serial spin-only
-  /// protocol instead of the pipelined fan-out (DESIGN.md §11). For
-  /// old-vs-new comparisons; violations must be identical.
-  bool SerialRoundtrips = false;
-  /// Escape hatch: answer cycle queries with the batched stop-the-world
-  /// Tarjan passes instead of the default incremental order-maintenance
-  /// detector (DESIGN.md §12). Same claimed components at the same claim
-  /// points; violations must be identical.
-  bool BatchedScc = false;
   /// Incremental detector's affected-region cap (0 = keep the
   /// DoubleCheckerOptions default). Tiny values force the sound
   /// degradation valve: oversized regions report Potential instead of
   /// reordering.
   uint32_t IcdMaxRegion = 0;
-  /// Escape hatch: force every ICD cross edge through the detector's lock
-  /// instead of the default lock-free consistent-edge fast path. For
-  /// lockfree-vs-locked comparisons; violations must be identical.
-  bool IcdLockedFastPath = false;
   /// Force each ICD fast-path attempt to fail seqlock validation this many
   /// times (0 = off); exercises retry counting and the cap fallback.
   uint32_t IcdSeqRetryStorm = 0;
-  /// Escape hatch (BatchedScc only): pend every cross-touched transaction
-  /// as a Tarjan root and walk every chain node, instead of the out-cross
-  /// root filter with chain compression. Same detected components either
-  /// way; violations must be identical.
-  bool EagerSccRoots = false;
   /// Log duplicate elision (paper §4); off logs every access — a
   /// differential-testing mode that must not change violations.
   bool ElideDuplicates = true;

@@ -122,10 +122,9 @@ struct OctetManager::Request {
 
 OctetManager::OctetManager(rt::Heap &Heap, uint32_t NumThreads,
                            OctetListener *Listener, StatisticRegistry &Stats,
-                           const std::atomic<bool> *Abort,
-                           bool SerialRoundtrips)
+                           const std::atomic<bool> *Abort)
     : Heap(Heap), NumThreads(NumThreads), Listener(Listener), Stats(Stats),
-      Abort(Abort), SerialRoundtrips(SerialRoundtrips), Threads(NumThreads) {
+      Abort(Abort), Threads(NumThreads) {
   for (uint32_t T = 0; T < NumThreads; ++T) {
     Threads[T].Requests = std::make_unique<Request[]>(NumThreads);
     Threads[T].PostedScratch.reserve(NumThreads);
@@ -183,7 +182,7 @@ void OctetManager::unblocked(uint32_t Tid) {
       T.Status.store(StatusExecuting, std::memory_order_release);
       return;
     }
-    if (SerialRoundtrips || Spins < SpinsBeforePark) {
+    if (Spins < SpinsBeforePark) {
       ++Spins;
       ++counters(Tid).WaitSpins;
       BO.pause();
@@ -264,7 +263,7 @@ void OctetManager::slowRead(rt::ThreadContext &TC, rt::ObjectId Obj) {
       // deadlock on each other. After the spin bound, park until the
       // coordinator's final store (which wakes intermediate waiters).
       pollSafePoint(TC.Tid);
-      if (SerialRoundtrips || IntSpins < SpinsBeforePark) {
+      if (IntSpins < SpinsBeforePark) {
         ++IntSpins;
         ++counters(TC.Tid).WaitSpins;
         BO.pause();
@@ -338,7 +337,7 @@ void OctetManager::slowWrite(rt::ThreadContext &TC, rt::ObjectId Obj) {
     case StateKind::IntWrEx:
     case StateKind::IntRdEx:
       pollSafePoint(TC.Tid);
-      if (SerialRoundtrips || IntSpins < SpinsBeforePark) {
+      if (IntSpins < SpinsBeforePark) {
         ++IntSpins;
         ++counters(TC.Tid).WaitSpins;
         BO.pause();
@@ -360,30 +359,15 @@ void OctetManager::coordinate(rt::ThreadContext &TC, rt::ObjectId Obj,
   T.Old = decodeState(OldWord);
   T.New = decodeState(NewWord);
   ++counters(TC.Tid).Conflicting;
-  const unsigned Kind = kindIndex(T);
-
-  if (SerialRoundtrips) {
-    // The seed protocol: complete each roundtrip before starting the next.
-    if (T.Old.Kind == StateKind::RdSh) {
-      for (uint32_t Resp = 0; Resp < NumThreads; ++Resp)
-        if (Resp != TC.Tid)
-          serialRoundtrip(TC, Resp, T, Kind);
-    } else {
-      assert(T.Old.Owner != TC.Tid && "conflict with self");
-      serialRoundtrip(TC, T.Old.Owner, T, Kind);
-    }
-  } else {
-    fanOut(TC, T, Kind);
-  }
+  fanOut(TC, T, kindIndex(T));
 
   // The final store ends the intermediate state; seq_cst pairs with the
   // Parked flag of threads spinning-then-parking on this word in
   // slowRead/slowWrite.
   Heap.object(Obj).MetaWord.store(NewWord, std::memory_order_seq_cst);
-  if (!SerialRoundtrips)
-    for (uint32_t W = 0; W < NumThreads; ++W)
-      if (W != TC.Tid)
-        maybeWake(W);
+  for (uint32_t W = 0; W < NumThreads; ++W)
+    if (W != TC.Tid)
+      maybeWake(W);
   if (T.New.Kind == StateKind::RdEx && Listener)
     Listener->onBecameRdEx(TC.Tid);
 }
@@ -518,83 +502,6 @@ void OctetManager::waitForRequests(rt::ThreadContext &TC, unsigned Kind,
   C.ExplicitByKind[Kind] += Posted.size();
 }
 
-void OctetManager::serialRoundtrip(rt::ThreadContext &TC, uint32_t RespTid,
-                                   const Transition &T, unsigned Kind) {
-  PerThread &Resp = Threads[RespTid];
-  Request &Req = Threads[TC.Tid].Requests[RespTid];
-  bool Pushed = false;
-  YieldBackoff BO;
-  Counters &C = counters(TC.Tid);
-  for (;;) {
-    if (aborted()) {
-      // The request may still be linked in the responder's mailbox; retire
-      // it before the frame goes away (the slot itself is pooled, so even
-      // a late drain could not corrupt the stack, but leaving it armed
-      // would poison the next coordination's reuse).
-      if (Pushed)
-        cancelRequest(TC, RespTid);
-      return;
-    }
-    uint64_t St = Resp.Status.load(std::memory_order_acquire);
-    if (isBlocked(St)) {
-      if (!Resp.Status.compare_exchange_weak(St, St + HoldInc,
-                                             std::memory_order_acq_rel))
-        continue;
-      // Implicit protocol: the responder is blocked and held; act on its
-      // behalf. Draining its mailbox also answers requests from other
-      // requesters (and our own, if we already posted it).
-      drainMailbox(RespTid);
-      if (!Pushed) {
-        notifyConflicting(RespTid, T);
-      } else {
-        // Our posted request was either drained above or is being handled
-        // by a concurrent holder; wait for it to reach Done. On abort it
-        // may still be in that holder's detached list — cancelRequest
-        // retires it or waits out a Taken slot.
-        while (Req.St.load(std::memory_order_acquire) !=
-                   Request::State::Done &&
-               !aborted()) {
-          ++C.WaitSpins;
-          BO.pause();
-        }
-        if (Req.St.load(std::memory_order_acquire) != Request::State::Done)
-          cancelRequest(TC, RespTid);
-      }
-      releaseHold(RespTid);
-      ++C.ImplicitRoundtrips;
-      ++C.ImplicitByKind[Kind];
-      return;
-    }
-    // Responder is executing: explicit protocol. Post a request and wait
-    // for the responder's next safe point.
-    if (!Pushed) {
-      assert(Req.St.load(std::memory_order_relaxed) ==
-                 Request::State::Done &&
-             "request slot reused while still in flight");
-      Req.T = T;
-      Req.St.store(Request::State::Pending, std::memory_order_relaxed);
-      Request *Head = Resp.MailboxHead.load(std::memory_order_relaxed);
-      do {
-        Req.Next.store(Head, std::memory_order_relaxed);
-      } while (!Resp.MailboxHead.compare_exchange_weak(
-          Head, &Req, std::memory_order_seq_cst,
-          std::memory_order_relaxed));
-      maybeWake(RespTid);
-      Pushed = true;
-    }
-    if (Req.St.load(std::memory_order_acquire) == Request::State::Done) {
-      ++C.ExplicitRoundtrips;
-      ++C.ExplicitByKind[Kind];
-      return;
-    }
-    // While waiting we are at a safe point ourselves; answer requests so
-    // two simultaneous coordinations cannot deadlock.
-    pollSafePoint(TC.Tid);
-    ++C.WaitSpins;
-    BO.pause();
-  }
-}
-
 void OctetManager::rescueBlocked(rt::ThreadContext &TC, uint32_t RespTid) {
   PerThread &Resp = Threads[RespTid];
   for (;;) {
@@ -695,11 +602,11 @@ void OctetManager::drainMailbox(uint32_t Tid) {
 void OctetManager::notifyConflicting(uint32_t RespTid, const Transition &T) {
   // Reached from drainMailbox (the executing thread RespTid at its own safe
   // point or blocking point, or a requester draining on behalf of a
-  // blocked, held RespTid) and from the implicit paths of visitResponder/
-  // serialRoundtrip (RespTid blocked and held). In every case RespTid
-  // cannot concurrently begin or end a transaction, and the requester named
-  // in T is the executing thread or is waiting in its coordination. Several
-  // such callbacks may run concurrently for one responder — see the
+  // blocked, held RespTid) and from the implicit path of visitResponder
+  // (RespTid blocked and held). In every case RespTid cannot concurrently
+  // begin or end a transaction, and the requester named in T is the
+  // executing thread or is waiting in its coordination. Several such
+  // callbacks may run concurrently for one responder — see the
   // OctetListener contract in the header.
   if (Listener)
     Listener->onConflictingEdge(RespTid, T);

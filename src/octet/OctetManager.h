@@ -27,10 +27,7 @@
 /// request together. All coordination waits (outstanding requests, the
 /// IntWrEx/IntRdEx loops, hold release) spin a bounded number of times and
 /// then park on a per-thread futex word; wakers check a Dekker-paired
-/// Parked flag so the common uncontended case costs one load. The seed's
-/// serial one-roundtrip-at-a-time protocol remains available behind the
-/// SerialRoundtrips constructor flag so the fuzzer can differentially test
-/// the two on one schedule.
+/// Parked flag so the common uncontended case costs one load.
 ///
 /// An OctetListener observes the transitions; ICD implements it to build
 /// the imprecise dependence graph (Figure 4 of the paper).
@@ -124,12 +121,10 @@ class OctetManager {
 public:
   /// \p Listener may be null (barrier-cost experiments). \p Abort, when
   /// non-null, makes coordination waits bail out (posted requests are
-  /// cancelled, never abandoned). \p SerialRoundtrips selects the seed's
-  /// serial spin-only protocol instead of the pipelined fan-out.
+  /// cancelled, never abandoned).
   OctetManager(rt::Heap &Heap, uint32_t NumThreads, OctetListener *Listener,
                StatisticRegistry &Stats,
-               const std::atomic<bool> *Abort = nullptr,
-               bool SerialRoundtrips = false);
+               const std::atomic<bool> *Abort = nullptr);
   ~OctetManager();
 
   OctetManager(const OctetManager &) = delete;
@@ -273,10 +268,6 @@ private:
   void waitForRequests(rt::ThreadContext &TC, unsigned Kind,
                        const std::vector<uint32_t> &Posted);
 
-  /// The seed's serial protocol: one roundtrip with \p RespTid, spin-only.
-  void serialRoundtrip(rt::ThreadContext &TC, uint32_t RespTid,
-                       const Transition &T, unsigned Kind);
-
   /// A responder observed blocked after our request was pushed: hold it and
   /// drain on its behalf so the request is not stranded while it sleeps.
   void rescueBlocked(rt::ThreadContext &TC, uint32_t RespTid);
@@ -322,7 +313,6 @@ private:
   OctetListener *Listener;
   StatisticRegistry &Stats;
   const std::atomic<bool> *Abort;
-  const bool SerialRoundtrips;
   std::atomic<uint64_t> GRdShCnt{0};
   std::vector<PerThread> Threads;
 };

@@ -51,8 +51,9 @@ public:
     Stripe &S = Stripes[I];
     S.L.lock();
     bool Handoff = S.LastHolder != Holder && S.LastHolder != NoHolder;
-    if (Handoff)
-      ++S.Handoffs;
+    if (Handoff) // Single writer (we hold L); relaxed keeps readers race-free.
+      S.Handoffs.store(S.Handoffs.load(std::memory_order_relaxed) + 1,
+                       std::memory_order_relaxed);
     S.LastHolder = Holder;
     S.CurHolder.store(Holder, std::memory_order_relaxed);
     return Handoff;
@@ -81,12 +82,13 @@ public:
     return Count;
   }
 
-  /// Total cross-holder handoffs across all stripes. Racy if called while
-  /// stripes are contended; the analysis only reads it after the run.
+  /// Total cross-holder handoffs across all stripes. Exact once every
+  /// holder is quiescent; a read that races a late holder (a collector
+  /// still running after its drain timed out at endRun) sees a snapshot.
   uint64_t totalHandoffs() const {
     uint64_t Sum = 0;
     for (uint32_t I = 0; I < N; ++I)
-      Sum += Stripes[I].Handoffs;
+      Sum += Stripes[I].Handoffs.load(std::memory_order_relaxed);
     return Sum;
   }
 
@@ -94,7 +96,7 @@ private:
   struct alignas(64) Stripe {
     SpinLock L;
     uint32_t LastHolder = NoHolder; ///< Guarded by L.
-    uint64_t Handoffs = 0;          ///< Guarded by L.
+    std::atomic<uint64_t> Handoffs{0}; ///< Written under L.
     /// Current holder (NoHolder when free). Written while holding L;
     /// atomic so a holder can ask "do I hold this?" without taking locks.
     std::atomic<uint32_t> CurHolder{NoHolder};

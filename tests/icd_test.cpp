@@ -12,16 +12,16 @@
 ///     IncrementalCycleDetector — fast-path edges, reorders, cycle merges,
 ///     nested enlargement, the last-member-retires claim discipline, the
 ///     region-cap soundness valve, and collector unlinking.
-///  2. *Equivalence*: on identical deterministic schedules, the default
-///     incremental mode and the batched Tarjan escape hatch must produce
-///     identical blamed/potential method sets — on built-in workloads, on
-///     random programs, and under a delayed collector racing live order
-///     maintenance. Raw component *counts* may legitimately differ: a
-///     batched pass that lands between an inner cycle completing and an
-///     outer cycle enlarging it claims the inner SCC and later its
-///     superset, where the incremental detector coalesces both into one
-///     maximal claim (or vice versa, depending on pass timing). The
-///     method sets are the paper's unit of report and must be bit-equal.
+///  2. *Equivalence*: on recorded schedules, the incremental detector's
+///     verdicts must match a batched reference — the ground-truth oracle's
+///     single whole-trace SCC pass (src/support/Oracle.h) — and Velodrome's
+///     precise online graph: a violation is reported iff the oracle proves
+///     the trace non-serializable, every blamed method lies on one of the
+///     oracle's dependence cycles, and DoubleChecker and Velodrome blame
+///     identical method sets. Checked on built-in workloads, on random
+///     programs, with the lock-free fast path forced onto its locked
+///     fallback, and under a delayed collector racing live order
+///     maintenance. The method sets are the paper's unit of report.
 ///  3. *Concurrency*: real threads hammering shared objects while a
 ///     reorder hook asserts the reordering thread only ever holds the
 ///     stripes its edge-writer path already took — never the full stripe
@@ -42,6 +42,7 @@
 #include "core/Checker.h"
 #include "ir/Builder.h"
 #include "rt/Runtime.h"
+#include "support/Oracle.h"
 #include "support/Rng.h"
 #include "workloads/Workloads.h"
 
@@ -146,7 +147,7 @@ TEST(IcdDetectorTest, TwoCycleClaimedByLastRetiringMember) {
   ASSERT_EQ(Claims.size(), 1u);
   EXPECT_FALSE(Claims[0].Oversized);
   EXPECT_EQ(members(Claims[0]), (std::set<Transaction *>{A, B}));
-  // The detector pinned the members exactly like the batched pass does.
+  // The detector pinned the claimed members for the PCD hand-off.
   EXPECT_EQ(A->Pins.load(), 1u);
   EXPECT_EQ(B->Pins.load(), 1u);
   IncrementalCycleDetector::ClaimList Leftover;
@@ -284,22 +285,6 @@ TEST(IcdDetectorTest, ConsistentEdgesCompleteLockFree) {
   EXPECT_EQ(Stats.value("icd.lock_waits"), 0u);
 }
 
-TEST(IcdDetectorTest, LockedFastPathKeepsConsistentEdgesOnMu) {
-  IncrementalCycleDetector::Options O;
-  O.LockedFastPath = true;
-  DetectorHarness H(O);
-  Transaction *A = H.node(0), *B = H.node(1);
-  EXPECT_TRUE(H.edge(A, B).empty());
-  StatisticRegistry Stats;
-  H.D->flushStats(Stats);
-  // The differential partner never touches the seqlock machinery: the
-  // edge is classified (and counted consistent) under Mu.
-  EXPECT_EQ(Stats.value("icd.fastpath_lockfree"), 0u);
-  EXPECT_EQ(Stats.value("icd.seqlock_retries"), 0u);
-  EXPECT_EQ(Stats.value("icd.inc_edges"), 1u);
-  EXPECT_EQ(Stats.value("icd.inc_fast_edges"), 1u);
-}
-
 TEST(IcdDetectorTest, RetryStormCountsRetriesThenCompletesLockFree) {
   IncrementalCycleDetector::Options O;
   O.RetryStorm = 3; // Below the retry cap: the attempt still succeeds.
@@ -365,28 +350,76 @@ TEST(IcdDetectorTest, LockWaitAccountingChargesHeldWaits) {
 }
 
 //===----------------------------------------------------------------------===//
-// Equivalence: incremental vs. batched Tarjan on identical schedules
+// Equivalence: incremental detection vs. the oracle and Velodrome
 //===----------------------------------------------------------------------===//
 
 core::RunOutcome runWorkload(const ir::Program &P, uint64_t Seed,
-                             bool Batched,
                              core::RunConfig Cfg = core::RunConfig()) {
   Cfg.M = core::Mode::SingleRun;
   Cfg.RunOpts.Deterministic = true;
   Cfg.RunOpts.ScheduleSeed = Seed;
-  Cfg.BatchedScc = Batched;
   return core::runChecker(P, core::AtomicitySpec::initial(P), Cfg);
 }
 
-/// Acceptance criterion: a cycle-free run in the default mode performs
-/// *zero* SCC passes — cross edges ride the incremental order entirely.
+/// One schedule recorded by the oracle, with its offline verdict.
+struct RecordedRun {
+  oracle::RecordedTrace Trace;
+  oracle::OracleVerdict Truth;
+};
+
+RecordedRun record(const ir::Program &P, uint64_t Seed) {
+  rt::RunOptions RO;
+  RO.Deterministic = true;
+  RO.ScheduleSeed = Seed;
+  RecordedRun R;
+  R.Trace = oracle::recordTrace(P, core::AtomicitySpec::initial(P), RO);
+  EXPECT_FALSE(R.Trace.Result.Aborted);
+  R.Truth = oracle::decideSerializability(P, R.Trace);
+  return R;
+}
+
+/// Replays \p R's schedule exactly (every mode compiles to the same
+/// instruction stream, so exhaustion is itself a failure).
+core::RunOutcome replay(const ir::Program &P, const RecordedRun &R,
+                        core::Mode M = core::Mode::SingleRun,
+                        core::RunConfig Cfg = core::RunConfig()) {
+  Cfg.M = M;
+  Cfg.RunOpts.Deterministic = true;
+  Cfg.RunOpts.ExplicitSchedule = R.Trace.Schedule;
+  Cfg.RunOpts.OnScheduleExhausted = rt::ScheduleExhaustPolicy::HardError;
+  core::RunOutcome O =
+      core::runChecker(P, core::AtomicitySpec::initial(P), Cfg);
+  EXPECT_FALSE(O.Result.Aborted);
+  EXPECT_FALSE(O.Result.ScheduleDiverged);
+  return O;
+}
+
+/// The three-way agreement every equivalence test below asserts: \p Inc
+/// reports iff the oracle proves a violation, blames only methods on the
+/// oracle's dependence cycles, and blames exactly what Velodrome blames.
+void expectMatchesOracleAndVelodrome(const core::RunOutcome &Inc,
+                                     const core::RunOutcome &Velo,
+                                     const oracle::OracleVerdict &Truth,
+                                     const std::string &Tag) {
+  EXPECT_EQ(Inc.Violations.empty(), Truth.Serializable) << Tag;
+  for (const std::string &M : Inc.BlamedMethods)
+    EXPECT_TRUE(Truth.CycleMethods.count(M))
+        << Tag << ": blamed '" << M << "' outside the oracle's cycles";
+  EXPECT_EQ(Inc.BlamedMethods, Velo.BlamedMethods) << Tag;
+  EXPECT_TRUE(Inc.PotentialMethods.empty()) << Tag;
+  EXPECT_EQ(Inc.stat("icd.finalize_claims"), 0u) << Tag;
+  if (!Truth.Serializable) {
+    EXPECT_GT(Inc.stat("icd.cycles_incremental"), 0u) << Tag;
+  }
+}
+
+/// Acceptance criterion: a cycle-free run performs no stop-the-world SCC
+/// work — cross edges ride the incremental order entirely.
 TEST(IcdTest, CycleFreeRunNeedsNoSccPasses) {
   ir::Program P = workloads::build("sor", 0.4);
-  core::RunOutcome O = runWorkload(P, 1, /*Batched=*/false);
+  core::RunOutcome O = runWorkload(P, 1);
   EXPECT_GT(O.stat("icd.idg_cross_edges"), 0u);
   EXPECT_GT(O.stat("icd.inc_edges"), 0u);
-  EXPECT_EQ(O.stat("icd.scc_passes"), 0u);
-  EXPECT_EQ(O.stat("icd.scc_visited"), 0u);
   EXPECT_EQ(O.stat("icd.sccs"), 0u);
   EXPECT_EQ(O.stat("icd.finalize_claims"), 0u);
   EXPECT_TRUE(O.BlamedMethods.empty());
@@ -398,6 +431,7 @@ TEST(IcdTest, CycleFreeRunNeedsNoSccPasses) {
   EXPECT_EQ(O.stat("icd.lock_waits"), 0u);
 }
 
+/// The batched reference here is the oracle's offline whole-trace SCC pass.
 TEST(IcdTest, IncrementalMatchesBatchedOnWorkloads) {
   struct Case {
     const char *Workload;
@@ -408,22 +442,10 @@ TEST(IcdTest, IncrementalMatchesBatchedOnWorkloads) {
       {"xalan6", 0.3, 1}, {"hsqldb6", 0.3, 7}, {"elevator", 0.5, 3}};
   for (const Case &C : Cases) {
     ir::Program P = workloads::build(C.Workload, C.Scale);
-    core::RunOutcome Inc = runWorkload(P, C.Seed, false);
-    core::RunOutcome Bat = runWorkload(P, C.Seed, true);
-    EXPECT_EQ(Inc.BlamedMethods, Bat.BlamedMethods) << C.Workload;
-    EXPECT_EQ(Inc.PotentialMethods, Bat.PotentialMethods) << C.Workload;
-    // Raw component counts may differ either way (nested-SCC enlargement:
-    // see the file header), but cycles exist in one mode iff they exist in
-    // the other.
-    EXPECT_EQ(Inc.stat("icd.sccs") == 0, Bat.stat("icd.sccs") == 0)
-        << C.Workload;
-    EXPECT_EQ(Inc.stat("icd.scc_passes"), 0u) << C.Workload;
-    if (Bat.stat("icd.sccs") > 0) {
-      EXPECT_GT(Inc.stat("icd.cycles_incremental"), 0u) << C.Workload;
-      EXPECT_GT(Bat.stat("icd.scc_passes"), 0u) << C.Workload;
-    }
-    EXPECT_EQ(Bat.stat("icd.cycles_incremental"), 0u) << C.Workload;
-    EXPECT_EQ(Inc.stat("icd.finalize_claims"), 0u) << C.Workload;
+    RecordedRun R = record(P, C.Seed);
+    core::RunOutcome Inc = replay(P, R);
+    core::RunOutcome Velo = replay(P, R, core::Mode::Velodrome);
+    expectMatchesOracleAndVelodrome(Inc, Velo, R.Truth, C.Workload);
   }
 }
 
@@ -497,81 +519,77 @@ ir::Program randomProgram(uint64_t Seed) {
 
 class IcdEquivalenceProperty : public ::testing::TestWithParam<uint64_t> {};
 
-/// Property (the tentpole's contract): on any program and any replayed
-/// schedule, the incremental detector and the batched Tarjan pass blame
-/// the same method sets — the bit-equal unit of report. Component counts
-/// are deliberately *not* compared (nested-SCC enlargement, file header).
+/// Property: on any program and any recorded schedule, the incremental
+/// detector's verdicts match the batched reference — the oracle's offline
+/// whole-trace SCC pass — and Velodrome (expectMatchesOracleAndVelodrome).
 TEST_P(IcdEquivalenceProperty, IncrementalMatchesBatchedOnSameSchedule) {
   ir::Program P = randomProgram(GetParam());
   for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
-    core::RunOutcome Inc = runWorkload(P, Seed, false);
-    core::RunOutcome Bat = runWorkload(P, Seed, true);
-    ASSERT_FALSE(Inc.Result.Aborted);
-    ASSERT_FALSE(Bat.Result.Aborted);
-    EXPECT_EQ(Inc.BlamedMethods, Bat.BlamedMethods)
-        << "program " << GetParam() << " schedule " << Seed;
-    EXPECT_EQ(Inc.PotentialMethods, Bat.PotentialMethods)
-        << "program " << GetParam() << " schedule " << Seed;
-    EXPECT_EQ(Inc.stat("icd.sccs") == 0, Bat.stat("icd.sccs") == 0)
-        << "program " << GetParam() << " schedule " << Seed;
-    EXPECT_EQ(Inc.stat("icd.scc_passes"), 0u);
+    RecordedRun R = record(P, Seed);
+    core::RunOutcome Inc = replay(P, R);
+    core::RunOutcome Velo = replay(P, R, core::Mode::Velodrome);
+    expectMatchesOracleAndVelodrome(Inc, Velo, R.Truth,
+                                    "program " + std::to_string(GetParam()) +
+                                        " schedule " + std::to_string(Seed));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Programs, IcdEquivalenceProperty,
                          ::testing::Range<uint64_t>(1, 16));
 
-/// Differential contract for the lock-free fast path: on any replayed
-/// schedule, the default (lock-free), the `--icd-locked-fastpath` partner
-/// (every cross edge under Mu), a forced retry storm (every fast-path
-/// attempt re-validates), and the batched Tarjan escape hatch blame
-/// identical method sets.
+/// Contract for the lock-free fast path: on any recorded schedule, the
+/// default (lock-free), a retry storm below the cap (every fast-path
+/// attempt re-validates), and a retry storm past the cap (every consistent
+/// edge falls back to the detector lock) all match the oracle and
+/// Velodrome — and so blame identical method sets.
 TEST(IcdTest, LockFreeFastPathMatchesLockedAndBatchedOnReplayedSchedules) {
   for (uint64_t Prog : {2u, 5u, 9u}) {
     ir::Program P = randomProgram(Prog);
     for (uint64_t Seed = 1; Seed <= 2; ++Seed) {
-      core::RunOutcome Inc = runWorkload(P, Seed, false);
-      core::RunConfig LockedCfg;
-      LockedCfg.IcdLockedFastPath = true;
-      core::RunOutcome Locked = runWorkload(P, Seed, false, LockedCfg);
+      RecordedRun R = record(P, Seed);
+      core::RunOutcome Velo = replay(P, R, core::Mode::Velodrome);
+      core::RunOutcome Inc = replay(P, R);
       core::RunConfig StormCfg;
       StormCfg.IcdSeqRetryStorm = 3;
-      core::RunOutcome Storm = runWorkload(P, Seed, false, StormCfg);
-      core::RunOutcome Bat = runWorkload(P, Seed, true);
+      core::RunOutcome Storm = replay(P, R, core::Mode::SingleRun, StormCfg);
+      core::RunConfig LockedCfg;
+      LockedCfg.IcdSeqRetryStorm = 100;
+      core::RunOutcome Locked =
+          replay(P, R, core::Mode::SingleRun, LockedCfg);
       const std::string Tag =
           "program " + std::to_string(Prog) + " schedule " +
           std::to_string(Seed);
-      EXPECT_EQ(Inc.BlamedMethods, Locked.BlamedMethods) << Tag;
-      EXPECT_EQ(Inc.PotentialMethods, Locked.PotentialMethods) << Tag;
-      EXPECT_EQ(Inc.BlamedMethods, Storm.BlamedMethods) << Tag;
-      EXPECT_EQ(Inc.PotentialMethods, Storm.PotentialMethods) << Tag;
-      EXPECT_EQ(Inc.BlamedMethods, Bat.BlamedMethods) << Tag;
-      EXPECT_EQ(Inc.PotentialMethods, Bat.PotentialMethods) << Tag;
-      // The partner really stayed on Mu, and the storm really retried.
+      expectMatchesOracleAndVelodrome(Inc, Velo, R.Truth, Tag);
+      expectMatchesOracleAndVelodrome(Storm, Velo, R.Truth, Tag + " storm");
+      expectMatchesOracleAndVelodrome(Locked, Velo, R.Truth, Tag + " locked");
+      // The locked fallback really stayed on Mu, and the storm really
+      // retried.
       EXPECT_EQ(Locked.stat("icd.fastpath_lockfree"), 0u) << Tag;
-      EXPECT_EQ(Locked.stat("icd.seqlock_retries"), 0u) << Tag;
-      if (Storm.stat("icd.fastpath_lockfree") > 0)
+      if (Locked.stat("icd.inc_edges") > 0) {
+        EXPECT_GT(Locked.stat("icd.seqlock_retries"), 0u) << Tag;
+      }
+      if (Storm.stat("icd.fastpath_lockfree") > 0) {
         EXPECT_GT(Storm.stat("icd.seqlock_retries"), 0u) << Tag;
+      }
     }
   }
 }
 
 /// Regression: a delayed collector (CollectorDelayMs fault) racing live
 /// order maintenance under a tiny live-transaction budget — sweeps overlap
-/// reorders, and removeNodes must keep the maintained order valid.
+/// reorders, and removeNodes must keep the maintained order valid, so the
+/// verdicts stay equivalent to the oracle's and Velodrome's.
 TEST(IcdTest, CollectorRacingOrderMaintenanceStaysEquivalent) {
   ir::Program P = workloads::build("xalan6", 0.3);
+  RecordedRun R = record(P, 1);
   core::RunConfig Cfg;
   Cfg.Faults.CollectorDelayMs = 5;
   Cfg.MaxLiveTxs = 64; // Force eager, frequent collections.
-  core::RunOutcome Inc = runWorkload(P, 1, false, Cfg);
-  core::RunOutcome Bat = runWorkload(P, 1, true, Cfg);
-  ASSERT_FALSE(Inc.Result.Aborted);
+  core::RunOutcome Inc = replay(P, R, core::Mode::SingleRun, Cfg);
+  core::RunOutcome Velo = replay(P, R, core::Mode::Velodrome);
   EXPECT_GT(Inc.stat("icd.collector_runs"), 0u);
   EXPECT_GT(Inc.stat("icd.txs_swept"), 0u);
-  EXPECT_EQ(Inc.BlamedMethods, Bat.BlamedMethods);
-  EXPECT_EQ(Inc.PotentialMethods, Bat.PotentialMethods);
-  EXPECT_EQ(Inc.stat("icd.sccs") == 0, Bat.stat("icd.sccs") == 0);
+  expectMatchesOracleAndVelodrome(Inc, Velo, R.Truth, "xalan6");
 }
 
 /// The region-cap valve on a real workload: precision degrades (cycles
@@ -579,10 +597,10 @@ TEST(IcdTest, CollectorRacingOrderMaintenanceStaysEquivalent) {
 /// blames is still reported somewhere).
 TEST(IcdTest, RegionCapDegradesSoundly) {
   ir::Program P = workloads::build("xalan6", 0.3);
-  core::RunOutcome Healthy = runWorkload(P, 1, false);
+  core::RunOutcome Healthy = runWorkload(P, 1);
   core::RunConfig Cfg;
   Cfg.IcdMaxRegion = 1;
-  core::RunOutcome Capped = runWorkload(P, 1, false, Cfg);
+  core::RunOutcome Capped = runWorkload(P, 1, Cfg);
   ASSERT_FALSE(Capped.Result.Aborted);
   EXPECT_GT(Capped.stat("icd.region_cap_degrades"), 0u);
   std::set<std::string> Reported = Capped.BlamedMethods;
@@ -705,8 +723,7 @@ TEST(IcdStressTest, ReorderNeverHoldsAllStripes) {
   // takes up to four (stripe 0 + three endpoint threads) — never all.
   EXPECT_LE(MaxStripesHeld.load(), 4u);
   EXPECT_LT(MaxStripesHeld.load(), NumStripes);
-  // The batched machinery stayed cold.
-  EXPECT_EQ(Stats.value("icd.scc_passes"), 0u);
+  // Every claim happened at a retire, none deferred to finalize.
   EXPECT_EQ(Stats.value("icd.finalize_claims"), 0u);
 }
 

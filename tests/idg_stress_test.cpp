@@ -10,8 +10,8 @@
 /// edges via both Octet protocols), trigger background collection, and
 /// feed the multi-worker PCD pool — all simultaneously. Checks liveness,
 /// pipeline accounting (every detected SCC is queued and replayed), and —
-/// deterministically — that the sharded path reports exactly the same
-/// violations as the SerializedIdg escape hatch.
+/// on replayed schedules — that the sharded path is deterministic and
+/// agrees with the ground-truth oracle.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +23,7 @@
 #include "analysis/DoubleChecker.h"
 #include "core/Checker.h"
 #include "ir/Builder.h"
+#include "support/Oracle.h"
 #include "rt/Runtime.h"
 #include "support/Rng.h"
 #include "workloads/Workloads.h"
@@ -136,10 +137,11 @@ TEST(IdgStressTest, ConcurrentTransactionsEdgesCollectionAndPcdPool) {
   }
 }
 
-/// Sharded vs. SerializedIdg on deterministic schedules: the admitted
-/// schedule is identical, so the IDG, the SCCs, and the precise violations
-/// must be identical — with PCD inline or on the worker pool.
-TEST(IdgStressTest, ShardedMatchesSerializedPathDeterministically) {
+/// The sharded path on replayed schedules: the same schedule must yield the
+/// same IDG, the same SCCs, and the same precise violations — with PCD
+/// inline or on the worker pool — and the verdict must match the
+/// ground-truth oracle's offline decision on the recorded trace.
+TEST(IdgStressTest, ShardedPathIsDeterministicAndMatchesOracle) {
   struct Case {
     const char *Workload;
     double Scale;
@@ -147,54 +149,59 @@ TEST(IdgStressTest, ShardedMatchesSerializedPathDeterministically) {
   };
   const Case Cases[] = {{"xalan6", 0.2, 1}, {"hsqldb6", 0.2, 7}};
 
+  bool AnyViolating = false;
   for (const Case &C : Cases) {
     ir::Program P = workloads::build(C.Workload, C.Scale);
     core::AtomicitySpec Spec = core::AtomicitySpec::initial(P);
+    rt::RunOptions RO;
+    RO.Deterministic = true;
+    RO.ScheduleSeed = C.Seed;
+    oracle::RecordedTrace Trace = oracle::recordTrace(P, Spec, RO);
+    ASSERT_FALSE(Trace.Result.Aborted) << C.Workload;
+    oracle::OracleVerdict Truth = oracle::decideSerializability(P, Trace);
 
-    auto Run = [&](bool Serialized, bool ParallelPcd) {
+    auto Run = [&](bool ParallelPcd) {
       core::RunConfig Cfg;
       Cfg.M = core::Mode::SingleRun;
       Cfg.RunOpts.Deterministic = true;
-      Cfg.RunOpts.ScheduleSeed = C.Seed;
-      Cfg.SerializedIdg = Serialized;
+      Cfg.RunOpts.ExplicitSchedule = Trace.Schedule;
+      Cfg.RunOpts.OnScheduleExhausted = rt::ScheduleExhaustPolicy::HardError;
       Cfg.ParallelPcd = ParallelPcd;
       Cfg.PcdWorkers = 3;
-      return core::runChecker(P, Spec, Cfg);
+      core::RunOutcome O = core::runChecker(P, Spec, Cfg);
+      EXPECT_FALSE(O.Result.ScheduleDiverged) << C.Workload;
+      return O;
     };
 
-    core::RunOutcome Serial = Run(true, false);
-    core::RunOutcome Sharded = Run(false, false);
-    core::RunOutcome ShardedPool = Run(false, true);
+    core::RunOutcome First = Run(false);
+    core::RunOutcome Second = Run(false);
+    core::RunOutcome Pool = Run(true);
 
-    EXPECT_EQ(Serial.stat("icd.idg_cross_edges"),
-              Sharded.stat("icd.idg_cross_edges"))
+    EXPECT_EQ(First.stat("icd.idg_cross_edges"),
+              Second.stat("icd.idg_cross_edges"))
         << C.Workload;
-    EXPECT_EQ(Serial.stat("icd.sccs"), Sharded.stat("icd.sccs"))
+    EXPECT_EQ(First.stat("icd.sccs"), Second.stat("icd.sccs"))
         << C.Workload;
-    EXPECT_EQ(Serial.Violations.size(), Sharded.Violations.size())
+    EXPECT_EQ(First.Violations.size(), Second.Violations.size())
         << C.Workload;
-    EXPECT_EQ(Serial.BlamedMethods, Sharded.BlamedMethods) << C.Workload;
-    EXPECT_EQ(Serial.Violations.size(), ShardedPool.Violations.size())
+    EXPECT_EQ(First.BlamedMethods, Second.BlamedMethods) << C.Workload;
+    EXPECT_EQ(First.Violations.size(), Pool.Violations.size())
         << C.Workload << " (pool)";
-    EXPECT_EQ(Serial.BlamedMethods, ShardedPool.BlamedMethods)
+    EXPECT_EQ(First.BlamedMethods, Pool.BlamedMethods)
         << C.Workload << " (pool)";
+
+    EXPECT_EQ(First.Violations.empty(), Truth.Serializable) << C.Workload;
+    if (!Truth.Serializable) {
+      // The whole pipeline (cross edges, SCC claims, PCD) ran.
+      AnyViolating = true;
+      EXPECT_GT(First.stat("icd.sccs"), 0u) << C.Workload;
+    }
+    for (const std::string &M : First.BlamedMethods)
+      EXPECT_TRUE(Truth.CycleMethods.count(M))
+          << C.Workload << ": blamed '" << M
+          << "' outside the oracle's dependence cycles";
   }
-}
-
-/// The SerializedIdg escape hatch still runs the whole pipeline (sanity
-/// for the bench's baseline side).
-TEST(IdgStressTest, SerializedEscapeHatchStillDetects) {
-  ir::Program P = workloads::build("xalan6", 0.2);
-  core::RunConfig Cfg;
-  Cfg.M = core::Mode::SingleRun;
-  Cfg.RunOpts.Deterministic = true;
-  Cfg.RunOpts.ScheduleSeed = 1;
-  Cfg.SerializedIdg = true;
-  core::RunOutcome O =
-      core::runChecker(P, core::AtomicitySpec::initial(P), Cfg);
-  EXPECT_GT(O.stat("icd.sccs"), 0u);
-  EXPECT_FALSE(O.BlamedMethods.empty());
-  EXPECT_EQ(O.stat("icd.idg_shards"), 1u);
+  EXPECT_TRUE(AnyViolating) << "no case exercised a violating schedule";
 }
 
 } // namespace

@@ -8,11 +8,11 @@
 /// Coverage for the pipelined fan-out coordination protocol (DESIGN.md
 /// §11): overlapping RdSh->WrEx and WrEx->WrEx coordinations against mixed
 /// responder sets (executing, blocked, exited) with exactly-once listener
-/// accounting, bit-equal listener edges serial vs. pipelined on a fixed
-/// schedule, the spin-then-park path, and the abort-mid-coordination
-/// regression (the seed returned from its roundtrip while a stack-allocated
-/// request was still linked in the responder's mailbox; a late drain then
-/// wrote into a dead frame — run this under ASan/TSan).
+/// accounting, listener edges equal to a serial reference model of Table 1
+/// on a fixed schedule, the spin-then-park path, and the
+/// abort-mid-coordination regression (an aborted roundtrip must retire its
+/// posted request before returning, or a late drain writes into a retired
+/// slot — run this under ASan/TSan).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +24,6 @@
 #include <mutex>
 #include <thread>
 
-#include "core/Checker.h"
 #include "ir/Builder.h"
 #include "octet/OctetManager.h"
 #include "rt/Runtime.h"
@@ -208,89 +207,79 @@ TEST(OctetCoordTest, ConcurrentFanOutsAgainstMixedResponders) {
   EXPECT_EQ(Stats.value("octet.cancelled_requests"), 0u);
 }
 
-// On a fixed schedule the pipelined fan-out and the seed's serial protocol
-// must produce bit-identical listener edges — same responders, same
-// transitions, same order. Drives four logical threads deterministically
-// from one OS thread (all stay formally blocked, so every coordination is
-// synchronous), replaying one pseudo-random op tape against both modes.
+// On a fixed schedule the pipelined fan-out must produce exactly the
+// listener edges of a serial reference model of the paper's Table 1 — one
+// roundtrip per responder, RdSh -> WrEx visiting every other thread in tid
+// order — and leave every object in the model's state. Drives four logical
+// threads deterministically from one OS thread (all stay formally blocked,
+// so every coordination is synchronous) through a pseudo-random op tape.
 TEST(OctetCoordTest, FanOutMatchesSerialOnFixedSchedule) {
   constexpr uint32_t NumThreads = 4;
   constexpr uint32_t Objects = 6;
   constexpr int Ops = 5000;
 
-  auto record = [&](bool Serial) {
-    ir::Program P = heapProgram(Objects, NumThreads);
-    rt::Runtime RT(P, nullptr);
-    StatisticRegistry Stats;
-    RecordingListener Listener;
-    OctetManager Manager(RT.heap(), NumThreads, &Listener, Stats, nullptr,
-                         Serial);
-    SplitMix64 Rng(42);
-    for (int Op = 0; Op < Ops; ++Op) {
-      uint32_t Tid = static_cast<uint32_t>(Rng.nextBelow(NumThreads));
-      rt::ThreadContext TC = makeTC(RT, Tid);
-      rt::ObjectId Obj = static_cast<rt::ObjectId>(Rng.nextBelow(Objects));
-      if (Rng.chancePercent(35))
-        Manager.writeBarrier(TC, Obj);
-      else
-        Manager.readBarrier(TC, Obj);
-    }
-    return Listener.edges();
+  ir::Program P = heapProgram(Objects, NumThreads);
+  rt::Runtime RT(P, nullptr);
+  StatisticRegistry Stats;
+  RecordingListener Listener;
+  OctetManager Manager(RT.heap(), NumThreads, &Listener, Stats);
+
+  auto Owned = [](StateKind K, uint32_t Tid) {
+    OctetState S;
+    S.Kind = K;
+    S.Owner = Tid;
+    return S;
   };
-
-  const std::vector<Edge> Fanout = record(/*Serial=*/false);
-  const std::vector<Edge> Serial = record(/*Serial=*/true);
-  ASSERT_FALSE(Fanout.empty());
-  ASSERT_EQ(Fanout.size(), Serial.size());
-  for (size_t I = 0; I < Fanout.size(); ++I)
-    EXPECT_TRUE(Fanout[I] == Serial[I]) << "edge " << I << " differs";
-}
-
-// Checker-level version of the same property: on one deterministic gate
-// schedule, SerialRoundtrips must blame exactly the same methods as the
-// pipelined default (the IDG the listener builds is the same).
-TEST(OctetCoordTest, SerialRoundtripsBlamesIdentically) {
-  using namespace dc::ir;
-  ProgramBuilder B("coordprog", 9);
-  PoolId Shared = B.addPool("shared", 2, 1);
-  MethodId Inc = B.beginMethod("inc", true)
-                     .read(Shared, idxParam(1, 0, 2), 0u)
-                     .work(3)
-                     .write(Shared, idxParam(1, 0, 2), 0u)
-                     .endMethod();
-  auto &Worker = B.beginMethod("worker", false).beginLoop(idxConst(15));
-  Worker.call(Inc, idxRandom(2));
-  Worker.endLoop();
-  MethodId WorkerId = Worker.endMethod();
-  auto &Main = B.beginMethod("main", false);
-  for (uint32_t W = 1; W <= 2; ++W)
-    Main.forkThread(idxConst(W));
-  for (uint32_t W = 1; W <= 2; ++W)
-    Main.joinThread(idxConst(W));
-  MethodId MainId = Main.endMethod();
-  B.addThread(MainId);
-  B.addThread(WorkerId);
-  B.addThread(WorkerId);
-  Program P = B.build();
-  core::AtomicitySpec Spec = core::AtomicitySpec::initial(P);
-
-  for (uint64_t Seed = 0; Seed < 3; ++Seed) {
-    auto cfg = [&](bool Serial) {
-      core::RunConfig Cfg;
-      Cfg.M = core::Mode::SingleRun;
-      Cfg.RunOpts.Deterministic = true;
-      Cfg.RunOpts.ScheduleSeed = Seed;
-      Cfg.SerialRoundtrips = Serial;
-      return Cfg;
-    };
-    core::RunOutcome Fanout = core::runChecker(P, Spec, cfg(false));
-    core::RunOutcome Serial = core::runChecker(P, Spec, cfg(true));
-    ASSERT_FALSE(Fanout.Result.Aborted);
-    ASSERT_FALSE(Serial.Result.Aborted);
-    EXPECT_EQ(Fanout.BlamedMethods, Serial.BlamedMethods)
-        << "schedule seed " << Seed;
-    EXPECT_EQ(Fanout.Violations.empty(), Serial.Violations.empty());
+  std::vector<OctetState> Model(Objects);
+  std::vector<Edge> Expected;
+  uint64_t LastRdSh = 0;
+  SplitMix64 Rng(42);
+  for (int Op = 0; Op < Ops; ++Op) {
+    uint32_t Tid = static_cast<uint32_t>(Rng.nextBelow(NumThreads));
+    rt::ThreadContext TC = makeTC(RT, Tid);
+    rt::ObjectId Obj = static_cast<rt::ObjectId>(Rng.nextBelow(Objects));
+    const OctetState Old = Model[Obj];
+    OctetState New = Old;
+    std::vector<uint32_t> Responders;
+    if (Rng.chancePercent(35)) {
+      Manager.writeBarrier(TC, Obj);
+      if (Old.Kind == StateKind::RdSh) {
+        for (uint32_t U = 0; U < NumThreads; ++U)
+          if (U != Tid)
+            Responders.push_back(U);
+      } else if (Old.Kind != StateKind::Untouched && Old.Owner != Tid) {
+        Responders.push_back(Old.Owner);
+      }
+      New = Owned(StateKind::WrEx, Tid);
+    } else {
+      Manager.readBarrier(TC, Obj);
+      if (Old.Kind == StateKind::Untouched) {
+        New = Owned(StateKind::RdEx, Tid);
+      } else if (Old.Kind == StateKind::WrEx && Old.Owner != Tid) {
+        Responders.push_back(Old.Owner);
+        New = Owned(StateKind::RdEx, Tid);
+      } else if (Old.Kind == StateKind::RdEx && Old.Owner != Tid) {
+        // Upgrading transition: no roundtrip, a fresh global counter.
+        New = Manager.stateOf(Obj);
+        ASSERT_EQ(New.Kind, StateKind::RdSh) << "op " << Op;
+        ASSERT_GT(New.Counter, LastRdSh) << "op " << Op;
+        LastRdSh = New.Counter;
+      }
+    }
+    for (uint32_t U : Responders)
+      Expected.push_back({U, Tid, Obj, Old, New});
+    Model[Obj] = New;
+    ASSERT_TRUE(Manager.stateOf(Obj) == New)
+        << "op " << Op << ": object " << Obj << " is "
+        << toString(Manager.stateOf(Obj)) << ", model says "
+        << toString(New);
   }
+
+  const std::vector<Edge> Edges = Listener.edges();
+  ASSERT_FALSE(Edges.empty());
+  ASSERT_EQ(Edges.size(), Expected.size());
+  for (size_t I = 0; I < Edges.size(); ++I)
+    EXPECT_TRUE(Edges[I] == Expected[I]) << "edge " << I << " differs";
 }
 
 // A responder that stays away from safe points longer than the spin bound
@@ -343,22 +332,19 @@ TEST(OctetCoordTest, RequesterParksWhenResponderIsSlow) {
   EXPECT_EQ(Edges[0].Requester, 0u);
 }
 
-// Abort-mid-coordination regression (ISSUE 5 satellite): the requester
-// posts to an executing responder that never reaches a safe point, the
-// run aborts, and the requester must retire the posted request before
-// returning — the responder's eventual drain may only skip it. The seed
-// left the stack-allocated request linked in the mailbox; under ASan the
-// late drain then wrote Done into a dead frame.
-class OctetCoordAbortTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(OctetCoordAbortTest, AbortMidCoordinationRetiresRequest) {
-  const bool Serial = GetParam();
+// Abort-mid-coordination regression: the requester posts to an executing
+// responder that never reaches a safe point, the run aborts, and the
+// requester must retire the posted request before returning — the
+// responder's eventual drain may only skip it. A request left linked in
+// the mailbox would have the late drain write Done into a slot its
+// requester already abandoned.
+TEST(OctetCoordAbortTest, AbortMidCoordinationRetiresRequest) {
   ir::Program P = heapProgram(2, 2);
   rt::Runtime RT(P, nullptr);
   StatisticRegistry Stats;
   RecordingListener Listener;
   std::atomic<bool> Abort{false};
-  OctetManager Manager(RT.heap(), 2, &Listener, Stats, &Abort, Serial);
+  OctetManager Manager(RT.heap(), 2, &Listener, Stats, &Abort);
 
   std::atomic<bool> Owned{false};
   std::atomic<bool> Release{false};
@@ -401,11 +387,5 @@ TEST_P(OctetCoordAbortTest, AbortMidCoordinationRetiresRequest) {
   // The cancelled roundtrip must not have produced a callback.
   EXPECT_TRUE(Listener.edges().empty());
 }
-
-INSTANTIATE_TEST_SUITE_P(BothProtocols, OctetCoordAbortTest,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool> &I) {
-                           return I.param ? "Serial" : "Fanout";
-                         });
 
 } // namespace

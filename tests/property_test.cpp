@@ -261,12 +261,12 @@ class DegradationProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DegradationProperty, ShardedAndSerializedDegradeIdentically) {
   // Degradation determinism (DESIGN.md §10): the ladder's triggers are
-  // keyed to schedule-determined counters (chunk-refill requests, SCC
-  // batch flushes on the detecting thread, transaction boundaries), so on
-  // one recorded schedule the sharded hot path and the SerializedIdg
-  // escape hatch must produce the *same structured degradation report*
-  // and the same violation sets — and both must still cover everything
-  // the fault-free run blames.
+  // keyed to schedule-determined counters (chunk-refill requests, claim
+  // order on the detecting thread, transaction boundaries), so replaying
+  // one recorded schedule twice through the sharded IDG — each replay
+  // serialized by the deterministic gate — must produce the *same
+  // structured degradation report* and the same violation sets, and both
+  // must still cover everything the fault-free run blames.
   Program P = randomProgram(GetParam(), /*SerializableOnly=*/false);
   AtomicitySpec Spec = AtomicitySpec::initial(P);
   for (uint64_t Schedule = 0; Schedule < 2; ++Schedule) {
@@ -276,27 +276,22 @@ TEST_P(DegradationProperty, ShardedAndSerializedDegradeIdentically) {
     RunOutcome Baseline = runChecker(P, Spec, RecCfg);
     ASSERT_FALSE(Baseline.Result.Aborted);
 
-    auto degradedCfg = [&](bool Serialized) {
-      RunConfig Cfg = detCfg(Mode::SingleRun, Schedule);
-      Cfg.RunOpts.ExplicitSchedule = Recorded;
-      Cfg.RunOpts.OnScheduleExhausted =
-          rt::ScheduleExhaustPolicy::HardError;
-      Cfg.SerializedIdg = Serialized;
-      Cfg.Faults.AllocFailAt = 1 + GetParam() % 3;
-      Cfg.MaxSccTxs = 2;
-      return Cfg;
-    };
-    RunOutcome Sharded = runChecker(P, Spec, degradedCfg(false));
-    RunOutcome Serialized = runChecker(P, Spec, degradedCfg(true));
-    ASSERT_FALSE(Sharded.Result.ScheduleDiverged);
-    ASSERT_FALSE(Serialized.Result.ScheduleDiverged);
-    EXPECT_EQ(Sharded.Result.Degradation, Serialized.Result.Degradation)
+    RunConfig Cfg = detCfg(Mode::SingleRun, Schedule);
+    Cfg.RunOpts.ExplicitSchedule = Recorded;
+    Cfg.RunOpts.OnScheduleExhausted = rt::ScheduleExhaustPolicy::HardError;
+    Cfg.Faults.AllocFailAt = 1 + GetParam() % 3;
+    Cfg.MaxSccTxs = 2;
+    RunOutcome First = runChecker(P, Spec, Cfg);
+    RunOutcome Second = runChecker(P, Spec, Cfg);
+    ASSERT_FALSE(First.Result.ScheduleDiverged);
+    ASSERT_FALSE(Second.Result.ScheduleDiverged);
+    EXPECT_EQ(First.Result.Degradation, Second.Result.Degradation)
         << "program seed " << GetParam() << ", schedule " << Schedule;
-    EXPECT_EQ(Sharded.BlamedMethods, Serialized.BlamedMethods);
-    EXPECT_EQ(Sharded.PotentialMethods, Serialized.PotentialMethods);
+    EXPECT_EQ(First.BlamedMethods, Second.BlamedMethods);
+    EXPECT_EQ(First.PotentialMethods, Second.PotentialMethods);
     for (const std::string &M : Baseline.BlamedMethods)
-      EXPECT_TRUE(Sharded.BlamedMethods.count(M) != 0 ||
-                  Sharded.PotentialMethods.count(M) != 0)
+      EXPECT_TRUE(First.BlamedMethods.count(M) != 0 ||
+                  First.PotentialMethods.count(M) != 0)
           << "degraded run lost '" << M << "', program seed " << GetParam()
           << ", schedule " << Schedule;
   }

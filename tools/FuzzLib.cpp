@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "analysis/DoubleChecker.h"
 #include "core/Checker.h"
 #include "ir/Builder.h"
 #include "ir/Parser.h"
@@ -215,54 +216,19 @@ PairResult fuzz::checkPair(const ir::Program &Source,
     return true;
   };
 
-  auto BaseCfg = [&](core::Mode M, bool SerIdg, bool SerialOctet) {
+  auto BaseCfg = [&](core::Mode M) {
     core::RunConfig Cfg;
     Cfg.M = M;
     Cfg.RunOpts = replayOpts(Trace.Schedule);
-    Cfg.SerializedIdg = SerIdg;
-    Cfg.SerialRoundtrips = SerialOctet;
     Cfg.TestOnlyUnsoundIcdFilter = InjectIcdBug;
     return Cfg;
   };
-  auto KnobName = [](bool SerIdg, bool SerialOctet) {
-    return std::string(SerIdg ? "serialized-idg" : "sharded-idg") + "/" +
-           (SerialOctet ? "serial-octet" : "fanout-octet");
-  };
 
-  // Single-run DoubleChecker across the 2×2 knob grid (IDG sharding ×
-  // Octet coordination protocol, DESIGN.md §7/§11) — both must blame
-  // identically on one schedule.
-  for (bool SerIdg : {false, true})
-    for (bool SerialOctet : {false, true}) {
-      core::RunOutcome O = core::runChecker(
-          Source, Spec, BaseCfg(core::Mode::SingleRun, SerIdg, SerialOctet));
-      if (!Admit("single/" + KnobName(SerIdg, SerialOctet), O))
-        return R;
-    }
-
-  // Cycle-detection axis, collapsed to extra configs (orthogonal to the
-  // other knobs). The 2×2 grid above runs the default *incremental*
-  // order-maintenance detector (DESIGN.md §12); these replay the same
-  // schedule through the batched stop-the-world Tarjan passes — the
-  // differential partner that claims the same components at the same claim
-  // points, so violations must be identical.
+  // Single-run DoubleChecker: the reference the other configs must match.
   {
-    core::RunConfig Cfg = BaseCfg(core::Mode::SingleRun, false, false);
-    Cfg.BatchedScc = true;
-    core::RunOutcome O = core::runChecker(Source, Spec, Cfg);
-    if (!Admit("single/batched-scc", O))
-      return R;
-  }
-  // Batched-mode root scheduling: eager roots pend every cross-touched
-  // transaction and walk every chain node, instead of the out-cross root
-  // filter with chain compression. Detected components — and therefore
-  // violations — must be identical.
-  {
-    core::RunConfig Cfg = BaseCfg(core::Mode::SingleRun, false, false);
-    Cfg.BatchedScc = true;
-    Cfg.EagerSccRoots = true;
-    core::RunOutcome O = core::runChecker(Source, Spec, Cfg);
-    if (!Admit("single/batched-scc-eager-roots", O))
+    core::RunOutcome O =
+        core::runChecker(Source, Spec, BaseCfg(core::Mode::SingleRun));
+    if (!Admit("single", O))
       return R;
   }
   // Incremental detector with a region cap of 1: every inconsistent edge
@@ -271,7 +237,7 @@ PairResult fuzz::checkPair(const ir::Program &Source,
   // intentionally trades blame precision for bounded reorder cost, so the
   // blamed set legitimately differs from the precise configs).
   {
-    core::RunConfig Cfg = BaseCfg(core::Mode::SingleRun, false, false);
+    core::RunConfig Cfg = BaseCfg(core::Mode::SingleRun);
     Cfg.IcdMaxRegion = 1;
     core::RunOutcome O = core::runChecker(Source, Spec, Cfg);
     if (O.Result.ScheduleDiverged || O.Result.Aborted) {
@@ -285,25 +251,12 @@ PairResult fuzz::checkPair(const ir::Program &Source,
            "proves non-serializable");
       return R;
     }
-    // The degraded report must stay inside the oracle's cycles ∪ the
-    // methods the valve pessimistically flags; precise blame (if any) must
-    // stay a subset of the reference config's.
+    // Precise blame (if any) must stay inside the oracle's cycles.
     if (!isSubset(O.BlamedMethods, V.CycleMethods)) {
       Fail("single/icd-region-cap-1: blames methods outside the oracle's "
            "dependence cycles");
       return R;
     }
-  }
-  // Incremental detector with the lock-free consistent-edge fast path
-  // disabled: every cross edge takes the detector lock (the pre-seqlock
-  // behaviour). The fast path must be a pure performance change — blamed
-  // and potential sets stay bit-equal to the default config's.
-  {
-    core::RunConfig Cfg = BaseCfg(core::Mode::SingleRun, false, false);
-    Cfg.IcdLockedFastPath = true;
-    core::RunOutcome O = core::runChecker(Source, Spec, Cfg);
-    if (!Admit("single/icd-locked-fastpath", O))
-      return R;
   }
 
   // Velodrome baseline (its own instrumentation; no DC knobs, no injected
@@ -366,28 +319,19 @@ PairResult fuzz::checkPair(const ir::Program &Source,
   // Multi-run DoubleChecker: first run (ICD only, same schedule) feeding
   // the second run's selective instrumentation, replayed on the same
   // schedule again.
-  // The Octet axis collapses to one extra multi-run config (sharded/
-  // serial-octet): multi-run doubles the executions per config, and the
-  // coordination protocol is orthogonal to the first-run/second-run split
-  // the other knobs interact with.
-  for (bool SerIdg : {false, true})
-    for (bool SerialOctet : {false, true}) {
-      if (SerialOctet && SerIdg)
-        continue;
-      core::RunOutcome First = core::runChecker(
-          Source, Spec, BaseCfg(core::Mode::FirstRun, SerIdg, SerialOctet));
-      if (First.Result.ScheduleDiverged || First.Result.Aborted) {
-        Fail("multi(first)/" + KnobName(SerIdg, SerialOctet) +
-             ": recorded schedule did not replay");
-        return R;
-      }
-      core::RunConfig Cfg =
-          BaseCfg(core::Mode::SecondRun, SerIdg, SerialOctet);
-      Cfg.StaticInfo = &First.StaticInfo;
-      core::RunOutcome Second = core::runChecker(Source, Spec, Cfg);
-      if (!Admit("multi/" + KnobName(SerIdg, SerialOctet), Second))
-        return R;
+  {
+    core::RunOutcome First =
+        core::runChecker(Source, Spec, BaseCfg(core::Mode::FirstRun));
+    if (First.Result.ScheduleDiverged || First.Result.Aborted) {
+      Fail("multi(first): recorded schedule did not replay");
+      return R;
     }
+    core::RunConfig Cfg = BaseCfg(core::Mode::SecondRun);
+    Cfg.StaticInfo = &First.StaticInfo;
+    core::RunOutcome Second = core::runChecker(Source, Spec, Cfg);
+    if (!Admit("multi", Second))
+      return R;
+  }
 
   return R;
 }
@@ -406,12 +350,8 @@ std::string FaultCase::name() const {
     N += " max-scc-txs=" + std::to_string(MaxSccTxs);
   if (PcdTimeoutMs != 0)
     N += " timeout-ms=" + std::to_string(PcdTimeoutMs);
-  if (BatchedScc)
-    N += " batched-scc";
   if (IcdMaxRegion != 0)
     N += " icd-max-region=" + std::to_string(IcdMaxRegion);
-  if (IcdLockedFastPath)
-    N += " icd-locked-fastpath";
   if (IcdSeqRetryStorm != 0)
     N += " icd-retry-storm=" + std::to_string(IcdSeqRetryStorm);
   if (WindowTxs != 0)
@@ -484,14 +424,6 @@ std::vector<FaultCase> fuzz::faultSweepCases() {
     C.ParallelPcd = true;
     Cases.push_back(C);
   }
-  // Shedding under the batched Tarjan escape hatch: the degradation ladder
-  // must stay sound in both cycle-detection paths.
-  {
-    FaultCase C;
-    C.Plan.AllocFailAt = 1;
-    C.BatchedScc = true;
-    Cases.push_back(C);
-  }
   // Delayed collector against the *incremental* detector: the collector's
   // removeNodes unlink races against live order maintenance, and claimed
   // components must survive the sweep unchanged.
@@ -508,13 +440,13 @@ std::vector<FaultCase> fuzz::faultSweepCases() {
     C.IcdMaxRegion = 1;
     Cases.push_back(C);
   }
-  // Shedding with the consistent-edge fast path forced onto the detector
-  // lock: degradation must be identical on the locked and lock-free edge
-  // insertion paths.
+  // Shedding with every consistent edge driven onto the detector lock (a
+  // retry storm past the cap): degradation must stay sound on the locked
+  // fallback as well as on the lock-free edge insertion path.
   {
     FaultCase C;
     C.Plan.AllocFailAt = 1;
-    C.IcdLockedFastPath = true;
+    C.IcdSeqRetryStorm = 100;
     Cases.push_back(C);
   }
   // Seqlock retry storm: every fast-path attempt fails validation three
@@ -599,9 +531,7 @@ fuzz::checkFaultCase(const ir::Program &Source,
     Cfg.PcdQueueDepth = Case.PcdQueueDepth;
     Cfg.MaxSccTxs = Case.MaxSccTxs;
     Cfg.PcdTimeoutMs = Case.PcdTimeoutMs;
-    Cfg.BatchedScc = Case.BatchedScc;
     Cfg.IcdMaxRegion = Case.IcdMaxRegion;
-    Cfg.IcdLockedFastPath = Case.IcdLockedFastPath;
     Cfg.IcdSeqRetryStorm = Case.IcdSeqRetryStorm;
   }
   core::RunOutcome O = core::runChecker(Source, Spec, Cfg);
@@ -858,8 +788,10 @@ bool fuzz::writeWitness(const std::string &Path, const Divergence &D,
   std::string Line;
   while (std::getline(Desc, Line))
     Out << "# " << Line << "\n";
-  Out << "# spec-seed: " << D.Spec.Seed << "\n";
-  Out << "# data-accesses: " << D.DataAccesses << "\n";
+  if (!D.Program) {
+    Out << "# spec-seed: " << D.Spec.Seed << "\n";
+    Out << "# data-accesses: " << D.DataAccesses << "\n";
+  }
   Out << "# inject-icd-bug: " << (InjectIcdBug ? 1 : 0) << "\n";
   if (D.Fault.any()) {
     Out << "# fault-plan: " << D.Fault.Plan.spec() << "\n";
@@ -871,12 +803,8 @@ bool fuzz::writeWitness(const std::string &Path, const Divergence &D,
       Out << "# fault-max-scc-txs: " << D.Fault.MaxSccTxs << "\n";
     if (D.Fault.PcdTimeoutMs != 0)
       Out << "# fault-timeout-ms: " << D.Fault.PcdTimeoutMs << "\n";
-    if (D.Fault.BatchedScc)
-      Out << "# fault-batched-scc: 1\n";
     if (D.Fault.IcdMaxRegion != 0)
       Out << "# fault-icd-max-region: " << D.Fault.IcdMaxRegion << "\n";
-    if (D.Fault.IcdLockedFastPath)
-      Out << "# fault-icd-lockfree: locked\n";
     if (D.Fault.IcdSeqRetryStorm != 0)
       Out << "# fault-icd-lockfree: storm=" << D.Fault.IcdSeqRetryStorm
           << "\n";
@@ -889,7 +817,7 @@ bool fuzz::writeWitness(const std::string &Path, const Divergence &D,
   for (uint32_t T : D.Schedule)
     Out << ' ' << T;
   Out << "\n";
-  Out << ir::toString(D.Spec.build());
+  Out << ir::toString(D.Program ? *D.Program : D.Spec.build());
   return static_cast<bool>(Out);
 }
 
@@ -943,18 +871,12 @@ bool fuzz::readWitness(const std::string &Path, Witness &W,
       LS >> W.Fault.MaxSccTxs;
     } else if (Tag == "fault-timeout-ms:") {
       LS >> W.Fault.PcdTimeoutMs;
-    } else if (Tag == "fault-batched-scc:") {
-      int V = 0;
-      LS >> V;
-      W.Fault.BatchedScc = V != 0;
     } else if (Tag == "fault-icd-max-region:") {
       LS >> W.Fault.IcdMaxRegion;
     } else if (Tag == "fault-icd-lockfree:") {
       std::string V;
       LS >> V;
-      if (V == "locked") {
-        W.Fault.IcdLockedFastPath = true;
-      } else if (V.rfind("storm=", 0) == 0) {
+      if (V.rfind("storm=", 0) == 0) {
         W.Fault.IcdSeqRetryStorm =
             static_cast<uint32_t>(std::strtoul(V.c_str() + 6, nullptr, 10));
         if (W.Fault.IcdSeqRetryStorm == 0) {
@@ -1014,6 +936,86 @@ std::optional<std::string> fuzz::replayWitness(const Witness &W) {
 }
 
 //===----------------------------------------------------------------------===//
+// Per-pair wall timeout
+//===----------------------------------------------------------------------===//
+
+double fuzz::defaultPairTimeoutSeconds() {
+  constexpr unsigned StallBudgets = 4;
+  return StallBudgets * analysis::DoubleCheckerOptions().PcdStallTimeoutMs /
+         1000.0;
+}
+
+PairWatch::PairWatch(double TimeoutSeconds, std::string WitnessPath)
+    : TimeoutSeconds(TimeoutSeconds), WitnessPath(std::move(WitnessPath)) {
+  Worker = std::thread([this] { run(); });
+}
+
+PairWatch::~PairWatch() {
+  {
+    std::lock_guard<std::mutex> L(M);
+    Stop = true;
+  }
+  CV.notify_all();
+  Worker.join();
+}
+
+void PairWatch::arm(Divergence P, bool Inject) {
+  {
+    std::lock_guard<std::mutex> L(M);
+    Pair = std::move(P);
+    InjectIcdBug = Inject;
+    Armed = true;
+    ++Generation;
+    Deadline = std::chrono::steady_clock::now() +
+               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                   std::chrono::duration<double>(TimeoutSeconds));
+  }
+  CV.notify_all();
+}
+
+void PairWatch::setFault(const FaultCase &Case) {
+  std::lock_guard<std::mutex> L(M);
+  Pair.Fault = Case;
+}
+
+void PairWatch::disarm() {
+  std::lock_guard<std::mutex> L(M);
+  Armed = false;
+}
+
+void PairWatch::run() {
+  std::unique_lock<std::mutex> L(M);
+  for (;;) {
+    CV.wait(L, [this] { return Stop || Armed; });
+    if (Stop)
+      return;
+    const uint64_t Gen = Generation;
+    if (CV.wait_until(L, Deadline, [&] {
+          return Stop || !Armed || Generation != Gen;
+        }))
+      continue;
+    // Still the same armed pair past its deadline: the replay is wedged.
+    // Dump it and terminate — the wedged threads cannot be unwound.
+    Pair.Description = "pair timeout: the pair ran longer than " +
+                       std::to_string(TimeoutSeconds) +
+                       " s (wedged or livelocked replay)" +
+                       (Pair.Fault.any() ? " under " + Pair.Fault.name() : "");
+    const bool Written = writeWitness(WitnessPath, Pair, InjectIcdBug);
+    std::fflush(stdout);
+    std::fprintf(stderr, "dcfuzz: %s\n", Pair.Description.c_str());
+    if (Written)
+      std::fprintf(stderr,
+                   "dcfuzz: witness written to %s (replay with: dcfuzz "
+                   "--replay %s)\n",
+                   WitnessPath.c_str(), WitnessPath.c_str());
+    else
+      std::fprintf(stderr, "dcfuzz: cannot write %s\n", WitnessPath.c_str());
+    std::fflush(stderr);
+    std::_Exit(ExitPairTimeout);
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Campaign driver
 //===----------------------------------------------------------------------===//
 
@@ -1050,6 +1052,13 @@ FuzzReport fuzz::runFuzz(const FuzzOptions &O) {
     auto TryTrace = [&](const oracle::RecordedTrace &T, uint64_t &Counter) {
       if (T.Result.Aborted)
         return;
+      if (O.Watch) {
+        Divergence Pending;
+        Pending.Spec = Spec;
+        Pending.Schedule = T.Schedule;
+        Pending.DataAccesses = T.dataAccesses();
+        O.Watch->arm(std::move(Pending), O.InjectIcdBug);
+      }
       PairResult PR = checkPair(P, T, O.InjectIcdBug);
       ++Report.Pairs;
       ++Counter;
@@ -1066,6 +1075,8 @@ FuzzReport fuzz::runFuzz(const FuzzOptions &O) {
         // checking that degradation stays sound under every injection.
         for (const FaultCase &Case : faultSweepCases()) {
           ++Report.FaultPlansRun;
+          if (O.Watch)
+            O.Watch->setFault(Case);
           std::optional<std::string> FD = checkFaultCase(P, T, Case);
           if (!FD)
             continue;
@@ -1079,6 +1090,8 @@ FuzzReport fuzz::runFuzz(const FuzzOptions &O) {
           break;
         }
       }
+      if (O.Watch)
+        O.Watch->disarm();
       Progress();
     };
 

@@ -8,15 +8,15 @@
 /// The schedule fuzzer behind tools/dcfuzz.cpp and tests/schedule_fuzz_test:
 /// generate a tiny program, drive it through an adversarial schedule (PCT,
 /// bounded-exhaustive, or uniform random), record the trace, and run the
-/// same (program, schedule) pair through the full checker config matrix —
+/// same (program, schedule) pair through the checker config matrix —
 ///
-///   single-run: {ShardedIdg, SerializedIdg} × {FanoutOctet, SerialRoundtrips}
-///   multi-run:  {ShardedIdg, SerializedIdg} + sharded/SerialRoundtrips
-///   + batched-Tarjan and ICD extras + Velodrome + the vector-clock engine
+///   single-run DoubleChecker, single-run with an ICD region cap of 1,
+///   Velodrome, the vector-clock engine, and multi-run DoubleChecker
 ///
-/// — asserting that all thirteen agree with each other and with the
-/// ground-truth serializability oracle (src/support/Oracle.h). The
-/// vector-clock engine is held to verdict equality plus oracle-subset
+/// — asserting that they agree with each other and with the ground-truth
+/// serializability oracle (src/support/Oracle.h). The region-capped config
+/// is held to oracle soundness only (its valve trades blame precision for
+/// bounded reorder cost). The vector-clock engine is held to verdict equality plus oracle-subset
 /// blame (its closing-edge blame is legitimately coarser than the graph
 /// engines' cycle scan — DESIGN.md §14). On divergence, the
 /// (program, schedule) witness is delta-debugged down: drop workers, calls,
@@ -31,9 +31,13 @@
 #ifndef DC_TOOLS_FUZZLIB_H
 #define DC_TOOLS_FUZZLIB_H
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ir/Ir.h"
@@ -111,16 +115,9 @@ struct FaultCase {
   uint32_t PcdQueueDepth = 0;
   uint32_t MaxSccTxs = 0;
   uint32_t PcdTimeoutMs = 0;
-  /// Run the case under the batched Tarjan escape hatch instead of the
-  /// default incremental detector, so faults are swept through both cycle
-  /// detection paths.
-  bool BatchedScc = false;
   /// Incremental detector's affected-region cap (0 = default): tiny values
   /// force the oversized-region sound-degradation valve.
   uint32_t IcdMaxRegion = 0;
-  /// Force every ICD cross edge through the detector lock instead of the
-  /// lock-free consistent-edge fast path (the pre-seqlock behaviour).
-  bool IcdLockedFastPath = false;
   /// Force each ICD fast-path attempt to fail seqlock validation this many
   /// times (0 = off): a deterministic retry storm that exercises the retry
   /// accounting and — past the retry cap — the Mu fallback.
@@ -134,9 +131,9 @@ struct FaultCase {
 
   bool any() const {
     return Plan.any() || ParallelPcd || PcdQueueDepth != 0 ||
-           MaxSccTxs != 0 || PcdTimeoutMs != 0 || BatchedScc ||
-           IcdMaxRegion != 0 || IcdLockedFastPath || IcdSeqRetryStorm != 0 ||
-           WindowTxs != 0 || Eng != Engine::DoubleChecker;
+           MaxSccTxs != 0 || PcdTimeoutMs != 0 || IcdMaxRegion != 0 ||
+           IcdSeqRetryStorm != 0 || WindowTxs != 0 ||
+           Eng != Engine::DoubleChecker;
   }
   /// Human-readable label, also used in witness headers.
   std::string name() const;
@@ -178,6 +175,9 @@ struct Divergence {
   /// Set when the divergence is a fault-sweep soundness violation (the
   /// witness then replays checkFaultCase instead of the config matrix).
   FaultCase Fault;
+  /// The program to write instead of Spec.build(): a replayed witness
+  /// carries a parsed program but no generator spec.
+  std::optional<ir::Program> Program;
 };
 
 /// Delta-debugs \p Seed: applies program reductions, re-searching divergent
@@ -210,6 +210,52 @@ bool readWitness(const std::string &Path, Witness &W, std::string &Error);
 /// longer reproduces).
 std::optional<std::string> replayWitness(const Witness &W);
 
+/// dcfuzz's exit code when one pair outlives its wall timeout: the pair's
+/// witness was written and the process terminated, because a wedged replay
+/// cannot be unwound.
+constexpr int ExitPairTimeout = 3;
+
+/// The default per-pair wall timeout: a fixed multiple of the checker's
+/// stall budget (DoubleCheckerOptions::PcdStallTimeoutMs). Every timed wait
+/// a healthy or degrading run performs is bounded by a small multiple of
+/// that budget, so a pair that outlives this is wedged, not slow.
+double defaultPairTimeoutSeconds();
+
+/// Per-pair wall-clock guard. A background thread watches the armed pair;
+/// if it is still armed when its timeout expires, the watch writes the
+/// pair's witness (program, recorded schedule, fault case) and terminates
+/// the process with ExitPairTimeout.
+class PairWatch {
+public:
+  PairWatch(double TimeoutSeconds, std::string WitnessPath);
+  ~PairWatch();
+  PairWatch(const PairWatch &) = delete;
+  PairWatch &operator=(const PairWatch &) = delete;
+
+  /// Starts the clock for \p Pair (its Description is replaced by the
+  /// timeout diagnosis if it expires).
+  void arm(Divergence Pair, bool InjectIcdBug);
+  /// Records which fault case the armed pair is running now, without
+  /// restarting its clock.
+  void setFault(const FaultCase &Case);
+  void disarm();
+
+private:
+  void run();
+
+  const double TimeoutSeconds;
+  const std::string WitnessPath;
+  std::mutex M;
+  std::condition_variable CV;
+  bool Stop = false;
+  bool Armed = false;
+  uint64_t Generation = 0;
+  std::chrono::steady_clock::time_point Deadline;
+  Divergence Pair;
+  bool InjectIcdBug = false;
+  std::thread Worker;
+};
+
 /// Campaign driver.
 struct FuzzOptions {
   uint64_t Seed = 1;
@@ -228,6 +274,8 @@ struct FuzzOptions {
   bool FaultSweep = false;
   /// Progress lines on stderr every this many pairs (0 = quiet).
   uint64_t ProgressEvery = 0;
+  /// Armed around every pair's checks when set.
+  PairWatch *Watch = nullptr;
 };
 
 struct FuzzReport {

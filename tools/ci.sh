@@ -49,16 +49,16 @@ DC_BENCH_SCALE=0.02 DC_BENCH_TRIALS=1 \
   build-ci/bench/logging_throughput build-ci/bench_logging_smoke.json
 DC_BENCH_SCALE=0.02 DC_BENCH_TRIALS=1 \
   build-ci/bench/schedule_coverage build-ci/bench_schedule_smoke.json
-# Coordination ping-pong: real OS threads through both Octet protocols
-# (pipelined fan-out and the SerialRoundtrips escape hatch) — catches
-# wakeup/parking regressions that only bite with preemptive scheduling.
+# Coordination ping-pong: real OS threads through the pipelined Octet
+# fan-out — catches wakeup/parking regressions that only bite with
+# preemptive scheduling.
 DC_BENCH_SCALE=0.02 DC_BENCH_TRIALS=1 \
   build-ci/bench/octet_coordination build-ci/bench_octet_smoke.json
 
 echo "== Incremental cycle detection (bounded) =="
-# Incremental-vs-batched microbench at smoke scale: catches detector hot
-# path regressions (cross-edge latency, order maintenance) and asserts
-# nothing crashed across both modes and both workload shapes.
+# Detector microbench at smoke scale: catches hot path regressions
+# (cross-edge latency, order maintenance) and asserts nothing crashed on
+# either workload shape or in the real-thread contention rows.
 DC_BENCH_SCALE=0.02 DC_BENCH_TRIALS=1 \
   build-ci/bench/cycle_detection build-ci/bench_icd_smoke.json
 
@@ -132,22 +132,27 @@ done
 
 echo "== Differential schedule fuzz (bounded) =="
 # Fixed seed set, wall-clock bounded: PCT + bounded-exhaustive schedules on
-# tiny generated programs, every pair swept through the full config matrix
-# against the ground-truth oracle. The matrix includes the IDG sharding
-# axis, the Octet protocol axis (pipelined fan-out vs. SerialRoundtrips),
-# and the engine axis (DoubleChecker configs + Velodrome + the
-# vector-clock engine), so every pair also differential-tests the
-# coordination path and all three checking algorithms.
+# tiny generated programs, every pair swept through the config matrix
+# against the ground-truth oracle. The matrix is the engine axis
+# (single-run and multi-run DoubleChecker, a region-capped ICD config,
+# Velodrome, and the vector-clock engine), so every pair differential-tests
+# all three checking algorithms. Every fuzz invocation below runs under a
+# per-pair wall timeout: a wedged pair is written as a witness and dcfuzz
+# exits 3, failing the gate instead of hanging it.
 # DC_FUZZ_BUDGET_SECONDS=600 (or more) is the nightly setting; the default
 # keeps the gate fast.
 FUZZ_BUDGET="${DC_FUZZ_BUDGET_SECONDS:-30}"
+PAIR_TIMEOUT=60
 build-ci/tools/dcfuzz --seed 1 --budget-seconds "$FUZZ_BUDGET" \
-  --pairs 1000000 --strategy mixed --progress 5000
+  --pairs 1000000 --strategy mixed --progress 5000 \
+  --pair-timeout-seconds "$PAIR_TIMEOUT" \
+  --witness-out build-ci/fuzz_timeout_witness.dcw
 # The gate must also prove the harness *can* catch an unsound checker:
 # the injected ICD-filter bug has to be found, minimized, and replayed
 # (both commands are expected to exit 1 = divergence).
 set +e
 build-ci/tools/dcfuzz --seed 1 --inject-icd-bug --pairs 20000 \
+  --pair-timeout-seconds "$PAIR_TIMEOUT" \
   --witness-out build-ci/injected_witness.dcw >/dev/null
 RC=$?
 set -e
@@ -155,7 +160,8 @@ if [ "$RC" -ne 1 ]; then
   echo "error: injected ICD bug was NOT detected (exit $RC)"; exit 1
 fi
 set +e
-build-ci/tools/dcfuzz --replay build-ci/injected_witness.dcw >/dev/null
+build-ci/tools/dcfuzz --replay build-ci/injected_witness.dcw \
+  --pair-timeout-seconds "$PAIR_TIMEOUT" >/dev/null
 RC=$?
 set -e
 if [ "$RC" -ne 1 ]; then
@@ -171,7 +177,9 @@ echo "== Fault-injection sweep (bounded) =="
 # the nightly setting; the default keeps the gate fast.
 FAULT_BUDGET="${DC_FAULT_BUDGET_SECONDS:-20}"
 build-ci/tools/dcfuzz --seed 3 --budget-seconds "$FAULT_BUDGET" \
-  --pairs 1000000 --fault-sweep --progress 2000
+  --pairs 1000000 --fault-sweep --progress 2000 \
+  --pair-timeout-seconds "$PAIR_TIMEOUT" \
+  --witness-out build-ci/fault_timeout_witness.dcw
 
 echo "== Streaming service-mode soak (bounded) =="
 # Service mode end to end (DESIGN.md §15): churn generated programs
@@ -201,8 +209,14 @@ echo "== Differential schedule fuzz under TSan (smoke) =="
 # catch data races in the scheduler/gate/oracle plumbing itself. The
 # fault-sweep slice covers the degradation/watchdog/teardown machinery
 # (shed flags, queue backpressure, join-or-detach destruction).
-build-ci-tsan/tools/dcfuzz --seed 7 --pairs 40 --strategy mixed
-build-ci-tsan/tools/dcfuzz --seed 7 --pairs 10 --fault-sweep
+# TSan's slowdown gets a proportionally longer pair timeout.
+TSAN_PAIR_TIMEOUT=$((PAIR_TIMEOUT * 10))
+build-ci-tsan/tools/dcfuzz --seed 7 --pairs 40 --strategy mixed \
+  --pair-timeout-seconds "$TSAN_PAIR_TIMEOUT" \
+  --witness-out build-ci-tsan/fuzz_timeout_witness.dcw
+build-ci-tsan/tools/dcfuzz --seed 7 --pairs 10 --fault-sweep \
+  --pair-timeout-seconds "$TSAN_PAIR_TIMEOUT" \
+  --witness-out build-ci-tsan/fault_timeout_witness.dcw
 # The seqlock fast path's memory-ordering argument (DESIGN.md §12) is
 # exactly the kind of claim TSan falsifies: hammer concurrent consistent
 # edges from real OS threads against a chaos thread forcing reorders, with
@@ -239,17 +253,19 @@ build-ci-tsan/tools/dcsoak --iterations 60 --seconds 0 --seed 13 \
 ctest --test-dir build-ci-tsan --output-on-failure \
   -R "Idg|Octet|ElisionFilter|LogDifferential|SrcPosSampling|FaultInjection|Icd|Vc|EngineAgreement|Streaming"
 
-echo "== AddressSanitizer build + abort-mid-coordination regression =="
-# The seed's serial protocol could return from an aborted roundtrip while a
-# stack-allocated request was still linked in the responder's mailbox; the
-# responder's eventual drain then wrote into a dead frame. The pipelined
-# protocol pools request blocks and cancels them on abort —
-# OctetCoordAbortTest drives both protocols through that window under ASan.
+echo "== AddressSanitizer build + abort-mid-coordination + log-pool teardown =="
+# An aborted roundtrip must retire its posted request before returning, or
+# the responder's eventual drain writes into a slot its requester already
+# abandoned — OctetCoordAbortTest drives the protocol through that window
+# under ASan. The logging tests tear down checkers whose per-thread chunk
+# caches recycle into the shared chunk pool on destruction; ASan's leak
+# check fails them if the pool dies first and strands those chunks.
 cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DDC_SANITIZE=address >/dev/null
 cmake --build build-ci-asan -j "$JOBS" --target octet_coord_test \
-  octet_stress_test
-ctest --test-dir build-ci-asan --output-on-failure -R "Octet"
+  octet_stress_test log_elision_test
+ctest --test-dir build-ci-asan --output-on-failure \
+  -R "Octet|ElisionFilter|ChunkedLog|ChunkPool|LogDifferential"
 
 echo "== UndefinedBehaviorSanitizer build + fault-injection tests =="
 # UBSan (fail-fast: -fno-sanitize-recover=all) over the paths the fault

@@ -11,13 +11,15 @@
 ///   dcfuzz --replay witness.dcw                           # re-run a witness
 ///
 /// Exit codes: 0 = clean (or witness no longer reproduces), 1 = divergence
-/// found (or witness reproduces), 2 = usage/IO error.
+/// found (or witness reproduces), 2 = usage/IO error, 3 = one pair outlived
+/// --pair-timeout-seconds (its witness was written; see fuzz::PairWatch).
 ///
 //===----------------------------------------------------------------------===//
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "tools/FuzzLib.h"
@@ -50,9 +52,16 @@ void usage(FILE *Out) {
       "soundness)\n"
       "  --minimize / --no-minimize delta-debug divergences (default on)\n"
       "  --witness-out <file>       where to write a minimized witness\n"
+      "                             (and a timed-out pair's witness)\n"
+      "  --pair-timeout-seconds <s> wall timeout per pair (also per\n"
+      "                             --replay); a pair past it is written\n"
+      "                             as a witness and dcfuzz exits 3\n"
+      "                             (default %.0f: 4x the checker's stall\n"
+      "                             timeout; 0 = off)\n"
       "  --json-out <file>          write the campaign report as JSON\n"
       "  --progress <n>             progress line every n pairs (default "
-      "1000)\n");
+      "1000)\n",
+      fuzz::defaultPairTimeoutSeconds());
 }
 
 bool parseU64(const char *S, uint64_t &Out) {
@@ -72,6 +81,7 @@ int main(int argc, char **argv) {
   std::string WitnessOut;
   std::string JsonOut;
   std::string ReplayPath;
+  double PairTimeout = fuzz::defaultPairTimeoutSeconds();
 
   for (int I = 1; I < argc; ++I) {
     std::string A = argv[I];
@@ -136,6 +146,12 @@ int main(int argc, char **argv) {
       O.Minimize = false;
     } else if (A == "--witness-out") {
       WitnessOut = Next();
+    } else if (A == "--pair-timeout-seconds") {
+      char *End = nullptr;
+      const char *S = Next();
+      PairTimeout = std::strtod(S, &End);
+      if (End == S || *End || PairTimeout < 0)
+        return usage(stderr), 2;
     } else if (A == "--json-out") {
       JsonOut = Next();
     } else if (A == "--progress") {
@@ -148,6 +164,13 @@ int main(int argc, char **argv) {
     }
   }
 
+  std::unique_ptr<fuzz::PairWatch> Watch;
+  if (PairTimeout > 0)
+    Watch = std::make_unique<fuzz::PairWatch>(
+        PairTimeout,
+        WitnessOut.empty() ? "dcfuzz_pair_timeout.dcw" : WitnessOut);
+  O.Watch = Watch.get();
+
   if (!ReplayPath.empty()) {
     fuzz::Witness W;
     std::string Error;
@@ -155,7 +178,16 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "dcfuzz: %s\n", Error.c_str());
       return 2;
     }
+    if (Watch) {
+      fuzz::Divergence Pending;
+      Pending.Schedule = W.Schedule;
+      Pending.Fault = W.Fault;
+      Pending.Program = W.P;
+      Watch->arm(std::move(Pending), W.InjectIcdBug);
+    }
     std::optional<std::string> Div = fuzz::replayWitness(W);
+    if (Watch)
+      Watch->disarm();
     if (Div) {
       std::printf("witness reproduces:\n%s\n", Div->c_str());
       return 1;

@@ -76,10 +76,6 @@ struct CliOptions {
   uint64_t MemBudgetMB = 0;
   unsigned PcdTimeoutMs = 0;
   std::string FaultPlanSpec;
-  bool SerializedIdg = false;
-  bool SerialRoundtrips = false;
-  bool BatchedScc = false;
-  bool IcdLockedFastPath = false;
   bool Serve = false;
   unsigned WindowTxs = 0;
   unsigned HealthEvery = 1;
@@ -140,14 +136,6 @@ void printUsage() {
       "                        components (0 = default 10000)\n"
       "  --fault-plan <spec>   inject deterministic checker faults, e.g.\n"
       "                        alloc-fail@1,worker-stall@2 (see dcfuzz)\n"
-      "  --serialized-idg      pre-sharding escape hatch: one global IDG\n"
-      "                        lock, inline collection (for comparisons)\n"
-      "  --serial-roundtrips   pre-pipelining escape hatch: serial spin-\n"
-      "                        only Octet coordination (for comparisons)\n"
-      "  --batched-scc         pre-incremental escape hatch: batched\n"
-      "                        stop-the-world Tarjan cycle passes\n"
-      "  --icd-locked-fastpath pre-seqlock escape hatch: every ICD cross\n"
-      "                        edge takes the detector lock\n"
       "  --static-info <path>  second-run input (from --emit-static)\n"
       "  --emit-static <path>  write first-run static transaction info\n"
       "\n"
@@ -225,14 +213,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       Opts.PcdTimeoutMs = static_cast<unsigned>(std::atoi(V.c_str()));
     else if (Arg == "--fault-plan" && Value(V))
       Opts.FaultPlanSpec = V;
-    else if (Arg == "--serialized-idg")
-      Opts.SerializedIdg = true;
-    else if (Arg == "--serial-roundtrips")
-      Opts.SerialRoundtrips = true;
-    else if (Arg == "--batched-scc")
-      Opts.BatchedScc = true;
-    else if (Arg == "--icd-locked-fastpath")
-      Opts.IcdLockedFastPath = true;
     else if (Arg == "--serve")
       Opts.Serve = true;
     else if (Arg == "--window-txs" && Value(V))
@@ -451,10 +431,6 @@ int main(int Argc, char **Argv) {
   }
   Cfg.ParallelPcd = Opts.ParallelPcd;
   Cfg.PcdWorkers = Opts.PcdWorkers;
-  Cfg.SerializedIdg = Opts.SerializedIdg;
-  Cfg.SerialRoundtrips = Opts.SerialRoundtrips;
-  Cfg.BatchedScc = Opts.BatchedScc;
-  Cfg.IcdLockedFastPath = Opts.IcdLockedFastPath;
   Cfg.MemBudgetMB = Opts.MemBudgetMB;
   Cfg.PcdTimeoutMs = Opts.PcdTimeoutMs;
   if (!Opts.FaultPlanSpec.empty()) {
