@@ -30,15 +30,19 @@ VectorClockRuntime::~VectorClockRuntime() {
 void VectorClockRuntime::beginRun(rt::Runtime &RT) {
   NumThreads = RT.numThreads();
   Threads = std::make_unique<PerThread[]>(NumThreads);
-  FieldLocks = std::vector<SpinLock>(RT.heap().numFieldAddrs());
   Fields = std::vector<FieldMeta>(RT.heap().numFieldAddrs());
+  ReaderSlots = std::make_unique<std::atomic<VcTxn *>[]>(
+      Fields.size() * NumThreads);
 }
 
 void VectorClockRuntime::endRun(rt::Runtime &RT) {
-  uint64_t Acc = 0;
-  for (uint32_t T = 0; T < NumThreads; ++T)
+  uint64_t Acc = 0, Locked = 0;
+  for (uint32_t T = 0; T < NumThreads; ++T) {
     Acc += Threads[T].Accesses;
+    Locked += Threads[T].EngineLockAccesses;
+  }
   Stats.get("vc.accesses").add(Acc);
+  Stats.get("vc.engine_lock_accesses").add(Locked);
   SpinLockGuard Guard(EngineLock);
   Stats.get("vc.txs").add(NextTxId);
   Stats.get("vc.cross_edges").add(CrossEdges);
@@ -109,11 +113,13 @@ void VectorClockRuntime::instrumentedAccess(rt::ThreadContext &TC,
   ++PT.Accesses;
   VcTxn *Cur = currentForAccess(TC);
   FieldMeta &Meta = Fields[Info.Addr];
+  std::atomic<VcTxn *> *Readers =
+      &ReaderSlots[static_cast<size_t>(Info.Addr) * NumThreads];
+  std::atomic<VcTxn *> &Own = Readers[TC.Tid];
 
-  // Lock order: field lock, then EngineLock. Metadata is mutated only while
-  // both are held, so the collector (under EngineLock) can scan field
-  // metadata as roots without racing vector mutations.
-  SpinLockGuard FieldGuard(FieldLocks[Info.Addr]);
+  // Metadata stores need only the field lock (see FieldMeta); EngineLock is
+  // taken only to add cross edges. Lock order: field lock, then EngineLock.
+  SpinLockGuard FieldGuard(Meta.Lock);
   if (Opts.RemoteMissPenalty != 0) {
     // Same coherence-miss simulation as Velodrome: this engine also updates
     // per-field metadata inside the access's critical section, so contended
@@ -131,37 +137,45 @@ void VectorClockRuntime::instrumentedAccess(rt::ThreadContext &TC,
     }
   }
   VcTxn *W = Meta.LastWrite.load(std::memory_order_relaxed);
+  VcTxn *OwnRead = Own.load(std::memory_order_relaxed);
+  // Reads W->Tid only when the rule needs it: W is hot in other threads'
+  // caches, and a repeated access by Cur needs no edge.
+  auto ForeignWriter = [&] {
+    return W != nullptr && W != Cur && W->Tid != TC.Tid;
+  };
   if (!Info.IsWrite) {
     // READ rule (Velodrome Fig. 5): write-read edge, then record the reader.
-    VcTxn **Slot = nullptr;
-    for (auto &R : Meta.Readers)
-      if (R.first == TC.Tid)
-        Slot = &R.second;
-    bool AlreadyRecorded = Slot != nullptr && *Slot == Cur;
-    if (!AlreadyRecorded) {
-      SpinLockGuard EngineGuard(EngineLock);
-      Cur = edgeTargetLocked(TC.Tid, Cur);
-      if (W != nullptr && W->Tid != TC.Tid)
+    if (OwnRead != Cur) {
+      if (ForeignWriter()) {
+        ++PT.EngineLockAccesses;
+        SpinLockGuard EngineGuard(EngineLock);
+        Cur = edgeTargetLocked(TC.Tid, Cur);
         addEdgeLocked(W, Cur);
-      if (Slot != nullptr)
-        *Slot = Cur;
-      else
-        Meta.Readers.emplace_back(TC.Tid, Cur);
+      }
+      if (OwnRead == nullptr)
+        ++Meta.NumReaders;
+      Own.store(Cur, std::memory_order_release);
     }
   } else {
     // WRITE rule: write-write and read-write edges, then update.
-    bool NeedsChange = W != Cur || !Meta.Readers.empty();
-    if (NeedsChange) {
+    const bool Foreign = ForeignWriter();
+    if (Foreign || Meta.NumReaders > (OwnRead != nullptr ? 1u : 0u)) {
+      ++PT.EngineLockAccesses;
       SpinLockGuard EngineGuard(EngineLock);
       Cur = edgeTargetLocked(TC.Tid, Cur);
-      if (W != nullptr && W->Tid != TC.Tid)
+      if (Foreign)
         addEdgeLocked(W, Cur);
-      for (const auto &R : Meta.Readers)
-        if (R.first != TC.Tid)
-          addEdgeLocked(R.second, Cur);
-      Meta.LastWrite.store(Cur, std::memory_order_relaxed);
-      Meta.Readers.clear();
+      for (uint32_t T = 0; T < NumThreads; ++T)
+        if (T != TC.Tid)
+          addEdgeLocked(Readers[T].load(std::memory_order_relaxed), Cur);
     }
+    for (uint32_t T = 0; T < NumThreads && Meta.NumReaders != 0; ++T)
+      if (Readers[T].load(std::memory_order_relaxed) != nullptr) {
+        Readers[T].store(nullptr, std::memory_order_release);
+        --Meta.NumReaders;
+      }
+    if (W != Cur)
+      Meta.LastWrite.store(Cur, std::memory_order_release);
   }
   Access();
 }
@@ -352,6 +366,10 @@ void VectorClockRuntime::collectLocked() {
   // a future edge, so it keeps its (now final) clock, Pred and identity —
   // but nothing can push to it any more, so it is sealed and its Subs go.
   // Marking stops here: what only a sealed transaction subscribes is free.
+  // Field metadata is read without its lock: a store that races this scan
+  // records its thread's current transaction, already retained above, and
+  // the acquire loads order every read of a displaced value before the
+  // sweep that frees it.
   auto Retain = [&](VcTxn *Tx) {
     if (!Mark(Tx))
       return;
@@ -364,11 +382,10 @@ void VectorClockRuntime::collectLocked() {
   };
   for (uint32_t T = 0; T < NumThreads; ++T)
     Retain(Threads[T].CurrTx.load(std::memory_order_relaxed));
-  for (FieldMeta &Meta : Fields) {
-    Retain(Meta.LastWrite.load(std::memory_order_relaxed));
-    for (const auto &R : Meta.Readers)
-      Retain(R.second);
-  }
+  for (FieldMeta &Meta : Fields)
+    Retain(Meta.LastWrite.load(std::memory_order_acquire));
+  for (size_t I = 0, N = Fields.size() * NumThreads; I < N; ++I)
+    Retain(ReaderSlots[I].load(std::memory_order_acquire));
   // A survivor's Pred entries (and LastSub) can point at transactions about
   // to be swept. Null them before deleting anything: the blame walk then
   // stops at the truncation instead of chasing freed memory (it only ever

@@ -15,7 +15,7 @@
 /// Per transaction T the engine keeps a clock `T.Known` with
 /// `Known[t] = s` meaning thread t's transaction with sequence number ≤ s
 /// is known to reach T (including T itself: `Known[T.Tid] = T.Seq`).
-/// Velodrome's per-field metadata (last writer + readers-since) produces
+/// Velodrome's per-field conflict rules (last writer + readers-since) produce
 /// exactly the same conflict edges as the graph engines; instead of
 /// inserting an edge S→C into a graph, the engine
 ///
@@ -161,17 +161,27 @@ private:
     /// means "no transaction of that thread known".
     uint64_t NextSeq = 1;
     uint64_t Accesses = 0;
+    /// Accesses whose metadata update took EngineLock (cross edges).
+    uint64_t EngineLockAccesses = 0;
     std::vector<VcTxn *> Owned;
     SpinLock OwnedLock;
   };
 
-  /// Per-field metadata, same shape (and same remote-miss accounting) as
-  /// Velodrome's: last writer plus last reader per thread since that write.
-  struct FieldMeta {
-    std::atomic<VcTxn *> LastWrite{nullptr};
-    std::vector<std::pair<uint32_t, VcTxn *>> Readers;
-    uint32_t LastToucher = ~0u;
+  /// Per-field metadata: the last writer plus, in the field's row of
+  /// ReaderSlots, each thread's last reader since that write. Every field
+  /// owns its lock and a cache line, so threads locking different fields
+  /// never share a line. All stores happen under Lock alone and write null
+  /// or the accessing thread's current transaction; EngineLock is taken
+  /// only to add cross edges. The stores are release stores so the
+  /// collector, which holds EngineLock but not Lock, can scan LastWrite and
+  /// the reader slots with acquire loads (DESIGN.md §14, "Collection").
+  struct alignas(64) FieldMeta {
+    SpinLock Lock;
     bool Contended = false;
+    uint32_t LastToucher = ~0u;
+    /// Non-null slots in this field's reader row.
+    uint32_t NumReaders = 0;
+    std::atomic<VcTxn *> LastWrite{nullptr};
   };
 
   VcTxn *newTransactionLocked(uint32_t Tid, ir::MethodId Site, bool Regular);
@@ -206,12 +216,16 @@ private:
   std::unique_ptr<PerThread[]> Threads;
   uint32_t NumThreads = 0;
 
-  std::vector<SpinLock> FieldLocks;
   std::vector<FieldMeta> Fields;
+  /// Reader slots, one row of NumThreads per field: slot
+  /// `Addr * NumThreads + Tid` holds thread Tid's last reader of field Addr
+  /// since the field's last write.
+  std::unique_ptr<std::atomic<VcTxn *>[]> ReaderSlots;
   std::atomic<uint64_t> PenaltySink{0};
 
-  /// Guards transaction lifecycle, clocks, subscriptions, collection.
-  /// Lock order: field lock, then EngineLock (same as Velodrome).
+  /// Guards transaction lifecycle, clocks, subscriptions and collection; an
+  /// access takes it only to add cross edges.
+  /// Lock order: field lock, then EngineLock.
   SpinLock EngineLock;
   uint64_t NextTxId = 0;
   uint64_t CrossEdges = 0;

@@ -272,6 +272,44 @@ TEST_F(VcScenario, RepeatedAccessSkipsMetadataUpdate) {
   EXPECT_EQ(Stats.value("vc.cross_edges"), 0u);
 }
 
+TEST_F(VcScenario, EngineLockOnlyForCrossEdges) {
+  // Thread-private fields, re-read and re-written across transactions:
+  // every metadata update records the thread's own transaction, so none
+  // takes the engine lock.
+  start();
+  for (int I = 0; I < 4; ++I)
+    for (uint32_t T = 0; T < 3; ++T) {
+      begin(T, "m1");
+      access(T, T, 0, false);
+      access(T, T, 0, true);
+      access(T, T, 1, true);
+      access(T, T, 1, false);
+      end(T, "m1");
+      access(T, T, 0, false); // Unary span between transactions.
+    }
+  finish();
+  EXPECT_EQ(Stats.value("vc.accesses"), 4u * 3 * 5);
+  EXPECT_EQ(Stats.value("vc.engine_lock_accesses"), 0u);
+  EXPECT_EQ(Stats.value("vc.cross_edges"), 0u);
+
+  // A conflicting program: a write-read and a read-write edge each take it.
+  VcHarness Conflict;
+  Conflict.start();
+  Conflict.begin(0, "m1");
+  Conflict.access(0, 0, 0, true);
+  Conflict.end(0, "m1");
+  Conflict.begin(1, "m2");
+  Conflict.access(1, 0, 0, false); // Foreign last writer.
+  Conflict.end(1, "m2");
+  Conflict.begin(2, "m3");
+  Conflict.access(2, 0, 0, true); // Foreign reader.
+  Conflict.end(2, "m3");
+  Conflict.finish();
+  EXPECT_EQ(Conflict.Stats.value("vc.engine_lock_accesses"), 2u);
+  EXPECT_GE(Conflict.Stats.value("vc.cross_edges"), 2u);
+  EXPECT_EQ(Conflict.Violations.count(), 0u);
+}
+
 TEST_F(VcScenario, LateEdgeCycleNeedsPropagation) {
   // The schedule that separates push-based propagation from naive eager
   // joins: the edge C->A arrives after A->B already exists, so B only
@@ -637,6 +675,67 @@ void runConcurrentStress(bool Windowed) {
     EXPECT_GT(Stats.value("vc.txs_sealed"), 0u);
     EXPECT_GT(Stats.value("vc.txs_swept"), Stats.value("vc.txs") / 2);
   }
+}
+
+TEST(VcStress, UnlockedMetadataRacesCollection) {
+  // Workers re-read shared fields that nothing ever writes, each read from
+  // a fresh transaction, and re-write a thread-private field. No access
+  // adds an edge, so every metadata store skips the engine lock, while a
+  // window flush after every finished transaction scans the same metadata
+  // and sweeps the transactions the stores displaced. A private write reads
+  // the displaced last writer's thread just before its store; TSan checks
+  // that read against the sweep that frees it (release stores, acquire
+  // scan), and ASan checks it is never a read of freed memory.
+  const uint32_t Workers = 4;
+  const int TxPerThread = 1000;
+  const int ReadsPerTx = 4;
+  ir::Program P = scenarioProgram(Workers);
+  StatisticRegistry Stats;
+  analysis::ViolationLog Violations;
+  VectorClockOptions Opts;
+  Opts.RemoteMissPenalty = 0;
+  Opts.WindowTxs = 1;
+  auto VC = std::make_unique<VectorClockRuntime>(P, Opts, Violations, Stats);
+  rt::Runtime RT(P, VC.get());
+  VC->beginRun(RT);
+
+  std::vector<rt::ThreadContext> Tc(Workers);
+  auto Access = [&](uint32_t T, rt::ObjectId Obj, uint32_t Field,
+                    bool IsWrite) {
+    rt::AccessInfo Info;
+    Info.Obj = Obj;
+    Info.Addr = RT.heap().fieldAddr(Obj, Field);
+    Info.IsWrite = IsWrite;
+    Info.Flags = ir::IF_VelodromeBarrier;
+    VC->instrumentedAccess(Tc[T], Info, [] {});
+  };
+  const ir::Method &M1 = P.Methods[P.findMethod("m1")];
+  std::vector<std::thread> Threads;
+  for (uint32_t T = 0; T < Workers; ++T) {
+    Tc[T].Tid = T;
+    Tc[T].RT = &RT;
+    Tc[T].Checker = VC.get();
+    Threads.emplace_back([&, T] {
+      VC->threadStarted(Tc[T]);
+      for (int I = 0; I < TxPerThread; ++I) {
+        VC->txBegin(Tc[T], M1);
+        for (int A = 0; A < ReadsPerTx; ++A)
+          Access(T, A % 2, A / 2, /*IsWrite=*/false);
+        Access(T, 4 + T, 0, /*IsWrite=*/true);
+        VC->txEnd(Tc[T], M1);
+      }
+      VC->threadExiting(Tc[T]);
+    });
+  }
+  for (std::thread &W : Threads)
+    W.join();
+  VC->endRun(RT);
+
+  EXPECT_EQ(Stats.value("vc.accesses"),
+            static_cast<uint64_t>(Workers) * TxPerThread * (ReadsPerTx + 1));
+  EXPECT_EQ(Stats.value("vc.engine_lock_accesses"), 0u);
+  EXPECT_GT(Stats.value("vc.txs_swept"), 0u);
+  EXPECT_EQ(Violations.count(), 0u);
 }
 
 TEST(VcStress, ConcurrentHookDrivingIsRaceFree) {

@@ -227,8 +227,10 @@ build-ci-tsan/tests/icd_test \
   --gtest_filter='IcdStressTest.LockFreeFastPathSurvivesForcedReorders'
 # The vc engine's stress tests: window flushes every two transactions seal
 # a parked thread's interrupted unary transaction and the workers' unary
-# spans, racing the access path's rotate-on-sealed recheck, and one access
-# stalled in the remote-miss penalty has its transaction sealed mid-access.
+# spans, racing the access path's rotate-on-sealed recheck; one access
+# stalled in the remote-miss penalty has its transaction sealed mid-access;
+# and reader-slot stores made without the engine lock race a sweep after
+# every finished transaction.
 build-ci-tsan/tests/vc_test --gtest_filter='VcStress.*'
 # A TSan slice of the service-mode soak: window flushes synchronize the
 # mutator, the PCD pool, and the collector — exactly the cross-thread
@@ -246,8 +248,10 @@ build-ci-tsan/tools/dcsoak --iterations 60 --seconds 0 --seed 13 \
 # destruction-under-saturated-queue teardown. Icd covers the detector's
 # lock-free hot path (atomic order keys, program-order chain pointers)
 # plus the stripe-locality stress test. The Vc suites drive the
-# vector-clock engine's hooks from free-running OS threads (per-field spin
-# locks racing the engine lock and the mark-sweep collector), and the
+# vector-clock engine's hooks from free-running OS threads: accesses that
+# add no cross edge store field metadata under the field lock alone, racing
+# the mark-sweep collector's acquire-load scan of the same slots under the
+# engine lock (DESIGN.md §14, "Collection"), and the
 # three-way EngineAgreement property replays one recorded schedule through
 # all engines under TSan.
 ctest --test-dir build-ci-tsan --output-on-failure \
@@ -259,13 +263,15 @@ echo "== AddressSanitizer build + abort-mid-coordination + log-pool teardown =="
 # abandoned — OctetCoordAbortTest drives the protocol through that window
 # under ASan. The logging tests tear down checkers whose per-thread chunk
 # caches recycle into the shared chunk pool on destruction; ASan's leak
-# check fails them if the pool dies first and strands those chunks.
+# check fails them if the pool dies first and strands those chunks. The
+# Vc suites read field metadata that a concurrent window sweep may have
+# displaced: a transaction read after its sweep is a use-after-free here.
 cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DDC_SANITIZE=address >/dev/null
 cmake --build build-ci-asan -j "$JOBS" --target octet_coord_test \
-  octet_stress_test log_elision_test
+  octet_stress_test log_elision_test vc_test
 ctest --test-dir build-ci-asan --output-on-failure \
-  -R "Octet|ElisionFilter|ChunkedLog|ChunkPool|LogDifferential"
+  -R "Octet|ElisionFilter|ChunkedLog|ChunkPool|LogDifferential|Vc"
 
 echo "== UndefinedBehaviorSanitizer build + fault-injection tests =="
 # UBSan (fail-fast: -fno-sanitize-recover=all) over the paths the fault
