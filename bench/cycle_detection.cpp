@@ -86,8 +86,6 @@ SweepPoint runOnce(const ir::Program &P, uint32_t Threads,
   StatisticRegistry Stats;
   analysis::ViolationLog Violations;
   analysis::DoubleCheckerOptions Opts;
-  Opts.ParallelPcd = true;
-  Opts.PcdWorkers = 2;
   Opts.CollectEveryTx = 1024;
   Opts.MaxLiveTxs = 8192; // Same bounded-live-graph regime for every row.
   // The calibrated remote-miss penalties stay at their defaults (as in
@@ -179,7 +177,7 @@ SweepPoint runOnce(const ir::Program &P, uint32_t Threads,
     DC->unblocked(Tc[T]);
     DC->threadExiting(Tc[T]);
   }
-  DC->endRun(RT); // Drain the PCD pool inside the timed region.
+  DC->endRun(RT); // Drain the collector inside the timed region.
   auto End = Clock::now();
 
   SweepPoint Pt;

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The sharded IDG hot path (multi-worker PCD pool, background collector)
-/// as thread count grows, next to the vector-clock engine on the same
+/// The sharded IDG hot path (inline PCD replay, background collector) as
+/// thread count grows, next to the vector-clock engine on the same
 /// workload.
 ///
 /// The harness drives DoubleCheckerRuntime's hooks directly from one OS
@@ -93,8 +93,6 @@ SweepPoint runOnce(const ir::Program &P, uint32_t Threads,
   StatisticRegistry Stats;
   analysis::ViolationLog Violations;
   analysis::DoubleCheckerOptions Opts;
-  Opts.ParallelPcd = true;
-  Opts.PcdWorkers = 2;
   Opts.CollectEveryTx = 1024; // Keep the live graph small.
   // Bound the live graph (governor backpressure at tx boundaries). The
   // round-robin mutator never blocks, so on a host with fewer cores than
@@ -151,8 +149,8 @@ SweepPoint runOnce(const ir::Program &P, uint32_t Threads,
     DC->unblocked(Tc[T]);
     DC->threadExiting(Tc[T]);
   }
-  DC->endRun(RT); // Drains the PCD pool and the collector: deferred work
-                  // stays inside the timed region.
+  DC->endRun(RT); // Drains the collector: deferred work stays inside the
+                  // timed region.
   auto End = std::chrono::steady_clock::now();
 
   SweepPoint Pt;

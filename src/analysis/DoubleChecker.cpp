@@ -12,9 +12,7 @@
 #include <cassert>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <mutex>
-#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -45,326 +43,6 @@ uint64_t composeId(uint32_t Tid, uint64_t Seq) {
 }
 
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// Parallel-PCD worker pool
-//===----------------------------------------------------------------------===//
-
-/// Bounded multi-worker pool for PCD replays (parallel-PCD extension, §5.3
-/// future work). SCCs are independent once detected: members are finished
-/// (immutable logs) and pinned by the detecting thread before enqueue; the
-/// worker that replays an SCC releases its members' pins. processScc keeps
-/// no state across calls, so workers replay distinct SCCs concurrently.
-///
-/// Overload/fault behaviour (DESIGN.md §10): enqueue and drain are *timed*
-/// — a detecting thread blocked past the stall timeout degrades its SCCs
-/// to potential violations instead of waiting forever; workers heartbeat a
-/// watchdog slot and survive exceptions by degrading the SCC they held.
-/// Teardown is bounded: workers that do not exit within the timeout are
-/// detached (they share ownership of State, so a straggler never touches
-/// freed pool memory), and on Stop leftover queue items are degraded, not
-/// replayed.
-class DoubleCheckerRuntime::PcdPool {
-public:
-  PcdPool(DoubleCheckerRuntime &DC, PreciseCycleDetector &Pcd,
-          StatisticRegistry &Stats, uint32_t NumWorkers, uint32_t MaxDepth)
-      : DC(DC), Pcd(Pcd), MaxDepth(std::max(1u, MaxDepth)),
-        StallTimeoutMs(std::max(1u, DC.Opts.PcdStallTimeoutMs)),
-        SccsQueued(Stats.get("pcd.sccs_queued")),
-        QueueWaitNs(Stats.get("pcd.queue_wait_ns")),
-        MaxQueueDepth(Stats.get("pcd.max_queue_depth")),
-        WorkerExceptions(Stats.get("pcd.worker_exceptions")),
-        WorkersDetached(Stats.get("pcd.workers_detached")),
-        EnqueueTimeouts(Stats.get("pcd.enqueue_timeouts")),
-        S(std::make_shared<State>()) {
-    const uint32_t N = std::max(1u, NumWorkers);
-    S->HoldUntil = DC.Opts.Faults.QueueHoldUntil;
-    S->ExitedFlags = std::make_unique<std::atomic<bool>[]>(N);
-    Workers.reserve(N);
-    Slots.reserve(N);
-    for (uint32_t I = 0; I < N; ++I)
-      Slots.push_back(DC.Dog ? DC.Dog->addComponent("pcd-worker-" +
-                                                    std::to_string(I))
-                             : 0u);
-    // Threads start only after every watchdog slot exists (addComponent
-    // must not race Watchdog::start, which the caller invokes after us).
-    for (uint32_t I = 0; I < N; ++I)
-      Workers.emplace_back([this, I] { run(I); });
-  }
-
-  ~PcdPool() {
-    {
-      std::lock_guard<std::mutex> L(S->M);
-      S->Stop.store(true, std::memory_order_release);
-    }
-    S->HasWork.notify_all();
-    S->NotFull.notify_all();
-    // Bounded teardown: wait up to the stall timeout for workers to exit
-    // (they degrade — never replay — whatever is still queued), then
-    // detach stragglers. A detached worker only ever touches State, which
-    // it co-owns, so this cannot use-after-free even if it outlives the
-    // checker.
-    {
-      std::unique_lock<std::mutex> L(S->M);
-      S->ExitCv.wait_for(L, std::chrono::milliseconds(StallTimeoutMs),
-                         [this] { return S->Exited == Workers.size(); });
-    }
-    for (size_t I = 0; I < Workers.size(); ++I) {
-      // Workers that signalled exit finish immediately; the rest are
-      // stragglers (a genuinely wedged replay) and get detached.
-      if (S->ExitedFlags[I].load(std::memory_order_acquire)) {
-        Workers[I].join();
-      } else {
-        WorkersDetached.add(1);
-        Workers[I].detach();
-      }
-    }
-  }
-
-  /// Hands one claimed SCC to the workers (members already pinned by the
-  /// caller; whoever replays or degrades the SCC releases its pins).
-  /// Backpressure is *timed*: an SCC that cannot be queued within the
-  /// stall timeout is degraded to potential violations and a PcdQueueStall
-  /// fault is recorded — the detecting thread is never blocked forever.
-  /// Safe to wait here: callers hold no IDG stripe and workers never take
-  /// one.
-  void enqueue(std::vector<Transaction *> Members) {
-    const auto Now = std::chrono::steady_clock::now();
-    bool ReleasedHold = false;
-    bool Admitted = true;
-    {
-      std::unique_lock<std::mutex> L(S->M);
-      // The enqueue-attempt counter keys the injected faults: attempts
-      // happen in detection order, which a fixed schedule reproduces
-      // bit-exactly (dequeue order would not).
-      const uint64_t Seq = ++S->EnqueueAttempts;
-      if (S->HoldUntil != 0 && Seq >= S->HoldUntil && !S->HoldReleased) {
-        S->HoldReleased = true;
-        ReleasedHold = true;
-      }
-      uint8_t Inject = 0;
-      if (Seq == DC.Opts.Faults.WorkerStallAt)
-        Inject = InjectStall;
-      else if (Seq == DC.Opts.Faults.WorkerDieAt)
-        Inject = InjectDie;
-      const auto Deadline = std::chrono::steady_clock::now() +
-                            std::chrono::milliseconds(StallTimeoutMs);
-      while (S->Queue.size() >= MaxDepth &&
-             !S->Stop.load(std::memory_order_relaxed)) {
-        if (std::chrono::steady_clock::now() >= Deadline) {
-          Admitted = false;
-          break;
-        }
-        S->NotFull.wait_for(L, std::chrono::milliseconds(5));
-        // The caller is the gate-admitted program thread: while it waits
-        // here no instruction retires, so beat the gate slot to keep the
-        // watchdog pointed at the real culprit (the queue), not the gate.
-        if (DC.Dog)
-          DC.Dog->heartbeat(DC.DogGateSlot);
-      }
-      if (Admitted) {
-        S->Queue.push_back(Item{std::move(Members), Now, Inject});
-        SccsQueued.add(1);
-        MaxQueueDepth.updateMax(S->Queue.size());
-        DC.Governor.queueDepth(+1);
-      }
-    }
-    if (ReleasedHold)
-      S->HasWork.notify_all();
-    else if (Admitted)
-      S->HasWork.notify_one();
-    if (!Admitted) {
-      EnqueueTimeouts.add(1);
-      DC.recordFault(rt::CheckerFault::PcdQueueStall,
-                     "pcd enqueue found the queue saturated for " +
-                         std::to_string(StallTimeoutMs) +
-                         " ms with no worker progress");
-      degradeAndUnpin(Members);
-    }
-  }
-
-  /// Waits until every queued SCC has been replayed or degraded, bounded
-  /// by the stall timeout: if workers make no progress, the remaining
-  /// queue is stolen and degraded on the calling thread so endRun always
-  /// terminates (the watchdog supplies the fault diagnosis).
-  void drain() {
-    std::unique_lock<std::mutex> L(S->M);
-    const auto Deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(StallTimeoutMs);
-    for (;;) {
-      if (S->Queue.empty() && S->Active == 0)
-        return;
-      if (std::chrono::steady_clock::now() >= Deadline)
-        break;
-      S->Idle.wait_for(L, std::chrono::milliseconds(5));
-      // Mid-run callers (window flushes) are gate-admitted program
-      // threads; beat the gate so a slow-but-healthy drain is not
-      // misdiagnosed as a wedged scheduler.
-      if (DC.Dog)
-        DC.Dog->heartbeat(DC.DogGateSlot);
-    }
-    std::deque<Item> Stolen;
-    Stolen.swap(S->Queue);
-    L.unlock();
-    for (Item &It : Stolen) {
-      DC.Governor.queueDepth(-1);
-      degradeAndUnpin(It.Members);
-    }
-    L.lock();
-    // Give in-flight replays one more timeout, then give up — the fault
-    // is (or will be) recorded; correctness does not depend on them.
-    const auto Final = std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(StallTimeoutMs);
-    while (S->Active != 0 && std::chrono::steady_clock::now() < Final) {
-      S->Idle.wait_for(L, std::chrono::milliseconds(5));
-      if (DC.Dog)
-        DC.Dog->heartbeat(DC.DogGateSlot);
-    }
-  }
-
-  /// True once an injected worker stall has actually parked a worker
-  /// (endRun then waits for the watchdog to convert it into a fault).
-  bool stallParked() const {
-    return S->StallParked.load(std::memory_order_acquire);
-  }
-
-private:
-  enum : uint8_t { InjectNone = 0, InjectStall = 1, InjectDie = 2 };
-
-  struct Item {
-    std::vector<Transaction *> Members;
-    std::chrono::steady_clock::time_point Enqueued;
-    uint8_t Inject = InjectNone;
-  };
-
-  /// Everything a worker may touch after Stop — co-owned via shared_ptr so
-  /// a detached straggler can never use freed pool memory.
-  struct State {
-    std::mutex M;
-    std::condition_variable HasWork;
-    std::condition_variable NotFull;
-    std::condition_variable Idle;
-    std::condition_variable ExitCv;
-    std::deque<Item> Queue;
-    uint32_t Active = 0;
-    size_t Exited = 0;
-    std::unique_ptr<std::atomic<bool>[]> ExitedFlags;
-    std::atomic<bool> Stop{false};
-    std::atomic<bool> StallParked{false};
-    /// Injected queue saturation: workers refuse to dequeue until this
-    /// many enqueue attempts happened (0 = off).
-    uint64_t HoldUntil = 0;
-    bool HoldReleased = false;
-    uint64_t EnqueueAttempts = 0;
-  };
-
-  /// Sound fallback shared by every fault path: the SCC's members' static
-  /// sites become a Potential violation record, then the pins drop.
-  void degradeAndUnpin(std::vector<Transaction *> &Members) {
-    uint64_t Stamp = 0;
-    for (const Transaction *Tx : Members)
-      Stamp = std::max(Stamp, Tx->EndTime);
-    DC.degradeScc(Members, Stamp);
-    for (Transaction *Tx : Members)
-      Tx->Pins.fetch_sub(1, std::memory_order_release);
-  }
-
-  void run(uint32_t WorkerIdx) {
-    // Keep State alive even if the pool detaches this thread.
-    std::shared_ptr<State> St = S;
-    std::unique_lock<std::mutex> L(St->M);
-    for (;;) {
-      St->HasWork.wait(L, [&] {
-        return St->Stop.load(std::memory_order_relaxed) ||
-               (!St->Queue.empty() &&
-                (St->HoldUntil == 0 || St->HoldReleased));
-      });
-      if (St->Stop.load(std::memory_order_relaxed)) {
-        // Teardown: degrade — never replay — what is left, so shutdown
-        // latency is bounded and still sound.
-        while (!St->Queue.empty()) {
-          Item It = std::move(St->Queue.front());
-          St->Queue.pop_front();
-          L.unlock();
-          DC.Governor.queueDepth(-1);
-          degradeAndUnpin(It.Members);
-          L.lock();
-        }
-        St->ExitedFlags[WorkerIdx].store(true, std::memory_order_release);
-        ++St->Exited;
-        St->ExitCv.notify_all();
-        return;
-      }
-      Item It = std::move(St->Queue.front());
-      St->Queue.pop_front();
-      ++St->Active;
-      L.unlock();
-      DC.Governor.queueDepth(-1);
-      St->NotFull.notify_one();
-      QueueWaitNs.add(static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - It.Enqueued)
-              .count()));
-      if (DC.Dog)
-        DC.Dog->beginWork(Slots[WorkerIdx]);
-      if (It.Inject == InjectStall) {
-        // Injected permanent stall. Degrade the SCC *first* (soundness
-        // does not depend on this worker ever waking), then park busy and
-        // silent: the watchdog sees a beating-less busy slot and converts
-        // the hang into CheckerFault::PcdWorkerStall. Active is released
-        // so drain() does not wait on a worker that will never finish.
-        degradeAndUnpin(It.Members);
-        L.lock();
-        --St->Active;
-        if (St->Queue.empty() && St->Active == 0)
-          St->Idle.notify_all();
-        L.unlock();
-        St->StallParked.store(true, std::memory_order_release);
-        while (!St->Stop.load(std::memory_order_acquire))
-          std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        std::lock_guard<std::mutex> G(St->M);
-        ++St->Exited;
-        St->ExitCv.notify_all();
-        return;
-      }
-      try {
-        if (It.Inject == InjectDie)
-          throw std::runtime_error("injected pcd worker death");
-        Pcd.processScc(It.Members);
-      } catch (...) {
-        // A dying replay degrades its SCC and the worker lives on.
-        WorkerExceptions.add(1);
-        uint64_t Stamp = 0;
-        for (const Transaction *Tx : It.Members)
-          Stamp = std::max(Stamp, Tx->EndTime);
-        DC.degradeScc(It.Members, Stamp);
-      }
-      for (Transaction *Tx : It.Members)
-        Tx->Pins.fetch_sub(1, std::memory_order_release);
-      if (DC.Dog)
-        DC.Dog->endWork(Slots[WorkerIdx]);
-      L.lock();
-      --St->Active;
-      if (St->Queue.empty() && St->Active == 0)
-        St->Idle.notify_all();
-    }
-  }
-
-  DoubleCheckerRuntime &DC;
-  PreciseCycleDetector &Pcd;
-  const uint32_t MaxDepth;
-  const uint32_t StallTimeoutMs;
-  Statistic &SccsQueued;
-  Statistic &QueueWaitNs;
-  Statistic &MaxQueueDepth;
-  Statistic &WorkerExceptions;
-  Statistic &WorkersDetached;
-  Statistic &EnqueueTimeouts;
-
-  std::shared_ptr<State> S;
-  std::vector<uint32_t> Slots;
-  std::vector<std::thread> Workers;
-};
 
 //===----------------------------------------------------------------------===//
 // Background transaction collector
@@ -475,10 +153,8 @@ DoubleCheckerRuntime::DoubleCheckerRuntime(const ir::Program &P,
 }
 
 DoubleCheckerRuntime::~DoubleCheckerRuntime() {
-  // Stop the PCD pool before freeing the transactions it may still be
-  // replaying, the collector before tearing down the stripes it locks, and
-  // the watchdog last (both components beat slots it owns until they stop).
-  AsyncPcd.reset();
+  // Stop the collector before tearing down the stripes it locks, and the
+  // watchdog last (the collector beats a slot it owns until it stops).
   Collector.reset();
   Dog.reset();
   for (uint32_t T = 0; T < NumThreads; ++T)
@@ -515,13 +191,12 @@ void DoubleCheckerRuntime::beginRun(rt::Runtime &RT) {
   // The watchdog only exists when there are background components to
   // monitor. CollectEveryTx == ~0u (PcdOnly) never triggers, so the
   // collector thread would sit idle.
-  const bool WantPool = Opts.ParallelPcd && Pcd != nullptr;
   const bool WantCollector = Opts.CollectEveryTx != ~0u;
   // Streaming mode always arms the watchdog: the window slot is what turns
   // a wedged flush into a structured WindowFlushStall instead of a stuck
   // server.
   const bool WantWindow = Opts.WindowTxs != 0;
-  if (WantPool || WantCollector || WantWindow) {
+  if (WantCollector || WantWindow) {
     rt::Watchdog::Options WOpts;
     WOpts.TimeoutMs = std::max(1u, Opts.PcdStallTimeoutMs);
     WOpts.PollMs = std::max(1u, Opts.WatchdogPollMs);
@@ -535,9 +210,6 @@ void DoubleCheckerRuntime::beginRun(rt::Runtime &RT) {
     if (WantWindow)
       DogWindowSlot = Dog->addComponent("window-flush");
   }
-  if (WantPool)
-    AsyncPcd = std::make_unique<PcdPool>(*this, *Pcd, Stats, Opts.PcdWorkers,
-                                         Opts.PcdQueueDepth);
   if (WantCollector)
     Collector = std::make_unique<TxCollector>(*this);
   if (Dog) {
@@ -556,38 +228,16 @@ void DoubleCheckerRuntime::endRun(rt::Runtime &RT) {
   // retire it before the (possibly long) drains below can trip GateStall.
   if (Dog)
     Dog->endWork(DogGateSlot);
-  // Flush the tail of detection, then drain the deferred machinery it may
-  // have fed. Every cycle was claimed at its last member's retire, so
-  // finalize only claims defensively (icd.finalize_claims, expected 0).
+  // Flush the tail of detection, then drain the collector. Every cycle
+  // was claimed at its last member's retire, so finalize only claims
+  // defensively (icd.finalize_claims, expected 0).
   if (Icd) {
     IncrementalCycleDetector::ClaimList Claims;
     Icd->finalize(Claims);
     executeIcdClaims(Claims);
   }
-  if (AsyncPcd)
-    AsyncPcd->drain();
   if (Collector)
     Collector->drain();
-  // An injected worker stall parks a worker busy-and-silent; give the
-  // watchdog time to convert it into a structured fault before disarming,
-  // so the fault reliably lands in this run's RunResult.
-  if (Dog && AsyncPcd && AsyncPcd->stallParked()) {
-    const auto Deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(Opts.PcdStallTimeoutMs +
-                                  50u * std::max(1u, Opts.WatchdogPollMs) +
-                                  200u);
-    for (;;) {
-      {
-        SpinLockGuard Guard(HealthLock);
-        if (Fault != rt::CheckerFault::None)
-          break;
-      }
-      if (std::chrono::steady_clock::now() >= Deadline)
-        break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-  }
   if (Dog)
     Dog->disarm();
   Octet->flushStatistics();
@@ -1189,14 +839,8 @@ void DoubleCheckerRuntime::executeIcdClaims(
       Unpin();
       continue;
     }
-    if (AsyncPcd) {
-      // Ownership of the pins moves to the pool (a worker or the
-      // degrade-on-timeout path unpins after the replay).
-      AsyncPcd->enqueue(std::move(Members));
-    } else {
-      Pcd->processScc(Members);
-      Unpin();
-    }
+    Pcd->processScc(Members);
+    Unpin();
   }
   Claims.clear();
 }
@@ -1397,9 +1041,8 @@ void DoubleCheckerRuntime::beginShed(PerThread &PT, uint32_t Tid,
 
 void DoubleCheckerRuntime::degradeScc(
     const std::vector<Transaction *> &Members, uint64_t Stamp) {
-  // Pcd always exists on these paths: degradation is only reachable from
-  // claim execution (guarded by Pcd) and the pool (which holds a Pcd
-  // reference).
+  // Pcd always exists here: degradation is only reachable from claim
+  // execution, which guards it by Pcd.
   Pcd->reportPotential(Members);
   recordDegradation(
       {rt::DegradationEvent::Action::PotentialOnly, 0, Stamp});
@@ -1413,18 +1056,17 @@ void DoubleCheckerRuntime::degradeScc(
 void DoubleCheckerRuntime::onComponentStall(const std::string &Component,
                                             uint64_t SilentMs) {
   rt::CheckerFault F = rt::CheckerFault::GateStall;
-  if (Component.rfind("pcd-worker", 0) == 0)
-    F = rt::CheckerFault::PcdWorkerStall;
-  else if (Component == "collector")
+  if (Component == "collector")
     F = rt::CheckerFault::CollectorStall;
   else if (Component == "window-flush")
     F = rt::CheckerFault::WindowFlushStall;
   recordFault(F, Component + " made no progress for " +
                      std::to_string(SilentMs) + " ms");
-  // A stalled PCD worker, collector, or window flush only delays analysis
-  // — the run can finish and the drains are timed. A stalled gate means no
-  // program thread is retiring instructions: the run itself is wedged, so
-  // convert the hang into a structured abort.
+  // A stalled collector or window flush only delays analysis — the run
+  // can finish, since the collector drain and the flush's stall wait are
+  // both bounded. A stalled gate means no program thread is retiring
+  // instructions: the run itself is wedged, so convert the hang into a
+  // structured abort.
   if (F == rt::CheckerFault::GateStall && TheRT != nullptr)
     TheRT->requestAbort();
 }
@@ -1520,19 +1162,14 @@ bool DoubleCheckerRuntime::windowFlushNow(uint32_t Holder) {
   // Detection needs no flush: cycles are claimed at their last member's
   // retire, so mid-run there is no deferred detection state (and
   // Icd->finalize must NOT run here, it assumes end-of-run quiescence).
-  // Stage 1 — complete in-flight precise replays for cycles wholly inside
-  // the retiring window. A healthy pool drains without degrading anything
-  // (the replays happen either way — only their completion moves inside
-  // the boundary), which is what keeps the streamed verdict set equal to
-  // batch mode's. Only a wedged pool times out, and then the steal-and-
-  // degrade path turns the hang into Potential records + a fault.
-  if (AsyncPcd)
-    AsyncPcd->drain();
+  // Precise replay needs no flush either: the claiming thread replays
+  // its SCC inline before it retires, and a replay still running on
+  // another thread pins its members, so the sweep below keeps them.
   if (Dog) {
     Dog->heartbeat(DogWindowSlot);
     Dog->heartbeat(DogGateSlot);
   }
-  // Stage 2 — sound retirement: mark-sweep over {current txs, pins}.
+  // Sound retirement: mark-sweep over {current txs, pins}.
   // Everything the sweep keeps is exactly the cross-window state that cannot yet be proven
   // cycle-free (still running, strongly reachable from a runner, or pinned
   // by a replay) — those transactions are carried into the next window;

@@ -31,7 +31,7 @@
 /// quiesces the whole graph. Cycle detection is incremental
 /// (IncrementalCycles.h): each edge insert answers "cycle?" under the
 /// stripes its writer already holds. Collection runs on a background
-/// thread; PCD SCCs go to a bounded multi-worker pool.
+/// thread; PCD replays each SCC inline on the thread that claims it.
 ///
 /// Configure with LogAccesses=false, RunPcd=false for the first run of
 /// multi-run mode ("ICD w/o logging"); defaults give single-run mode.
@@ -75,21 +75,6 @@ struct DoubleCheckerOptions {
   bool LogAccesses = true;
   /// Run PCD on each ICD SCC. First run: false.
   bool RunPcd = true;
-  /// Future-work extension the paper suggests for the xalan6 bottleneck
-  /// ("ICD detects SCCs serially, and PCD detects cycles serially; making
-  /// them parallel could alleviate this bottleneck", §5.3): offload PCD to
-  /// a pool of background worker threads. SCC members are finished
-  /// (immutable logs) and pinned against collection while queued, so the
-  /// replay needs no locks. Violations may be reported slightly later but
-  /// identically.
-  bool ParallelPcd = false;
-  /// Worker threads in the parallel-PCD pool (ParallelPcd only; min 1).
-  /// SCCs are independent after enqueue, so workers replay them
-  /// concurrently; processScc is stateless per call.
-  uint32_t PcdWorkers = 2;
-  /// Bound on the parallel-PCD queue. Enqueueing past the bound blocks the
-  /// detecting thread (backpressure; visible in pcd.max_queue_depth).
-  uint32_t PcdQueueDepth = 1024;
   /// Disable ICD SCC detection entirely (§5.4 array-instrumentation
   /// ablation, where conflated metadata makes cycles meaningless).
   bool DetectIcdCycles = true;
@@ -147,9 +132,9 @@ struct DoubleCheckerOptions {
   uint64_t MaxLiveTxs = 0;
   /// ResourceGovernor budget: bytes of log chunks out of the pool. 0 = off.
   uint64_t MaxLogBytes = 0;
-  /// Watchdog/stall timeout: a busy component (PCD worker, collector,
-  /// scheduler gate) silent for longer trips a CheckerFault; a PCD enqueue
-  /// or drain blocked for longer degrades its SCCs to potential violations
+  /// Watchdog/stall timeout: a busy component (collector, window flush,
+  /// scheduler gate) silent for longer trips a CheckerFault; a collector
+  /// drain blocked for longer records CollectorStall and skips the sweep
   /// instead of waiting forever.
   uint32_t PcdStallTimeoutMs = 10000;
   /// Watchdog poll interval.
@@ -162,9 +147,9 @@ struct DoubleCheckerOptions {
   // --- Streaming service mode (DESIGN.md §15) -----------------------------
 
   /// Retirement-window size: every this many finished transactions, the
-  /// thread that crossed the boundary runs one window flush — a PCD-pool
-  /// drain, then a synchronous collection — so everything decidable as of
-  /// the boundary is decided and swept.
+  /// thread that crossed the boundary runs one window flush — a
+  /// synchronous collection — so everything decidable as of the boundary
+  /// is decided and swept.
   /// Transactions the flush cannot retire (still running, strongly
   /// reachable, or pinned by an in-flight replay) are carried — "pinned" —
   /// into the next window; nothing is dropped. 0 disables windowing (plain
@@ -272,7 +257,6 @@ private:
     LogChunkCache ChunkCache;
   };
 
-  class PcdPool;
   class TxCollector;
 
   // -- IDG stripes ---------------------------------------------------------
@@ -306,9 +290,9 @@ private:
   void addCrossEdgeLocked(Transaction *Src, Transaction *Dst, uint32_t Phys);
   /// Executes component claims the incremental detector produced: site
   /// accumulation, the injected unsound filter, the degradation checks,
-  /// the PCD hand-off, unpinning.
+  /// the inline PCD replay, unpinning.
   /// Precise claims only arise on the retire()/finalize paths (no stripes
-  /// held — the hand-off may block on queue backpressure); Oversized
+  /// held — the replay may take a while); Oversized
   /// claims also arise under ≤ 2 stripes from edge insertion, where they
   /// touch only innermost locks.
   void executeIcdClaims(IncrementalCycleDetector::ClaimList &Claims);
@@ -365,10 +349,9 @@ private:
   /// Incremental online cycle detection; null in PcdOnly /
   /// DetectIcdCycles=false modes.
   std::unique_ptr<IncrementalCycleDetector> Icd;
-  /// Declared before the pool/collector: workers beat its slots, so it is
-  /// destroyed after them (the dtor also resets explicitly in that order).
+  /// Declared before the collector: it beats a slot, so it is destroyed
+  /// after it (the dtor also resets explicitly in that order).
   std::unique_ptr<rt::Watchdog> Dog;
-  std::unique_ptr<PcdPool> AsyncPcd;
   std::unique_ptr<OnlinePcd> PcdOnlyAnalysis;
   std::unique_ptr<TxCollector> Collector;
   /// Global free list backing every thread's chunk cache; the collector
@@ -410,7 +393,7 @@ private:
   SpinLock PcdOnlyLock;
 
   // -- Overload / fault tolerance (DESIGN.md §10) --------------------------
-  /// Unified resource accounting (live txs, log bytes, PCD queue depth).
+  /// Unified resource accounting (live txs, log bytes).
   ResourceGovernor Governor;
   /// The runtime of the current run (gate-stall aborts); beginRun..endRun.
   rt::Runtime *TheRT = nullptr;

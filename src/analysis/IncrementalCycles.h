@@ -174,7 +174,7 @@ public:
 
   /// Observes a transaction's end. Must be called with *no* stripes held:
   /// a produced precise Claim is executed by the caller right after, and
-  /// that execution may block (PCD queue backpressure).
+  /// that execution replays the SCC inline (PCD).
   void retire(Transaction *Tx, ClaimList &Out);
 
   /// Unlinks doomed transactions before the collector frees them. Must be

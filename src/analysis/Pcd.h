@@ -59,7 +59,8 @@ public:
   /// Thread-safe for concurrent calls on distinct SCCs: the detector keeps
   /// no state across calls, the replay only reads members' immutable
   /// state, and both sinks (ViolationLog, StatisticRegistry counters) are
-  /// internally synchronized. The parallel-PCD pool relies on this; SCCs
+  /// internally synchronized. Program threads that claim SCCs at the same
+  /// time replay them inline concurrently and rely on this; SCCs
   /// from overlapping detections may even share members, which is still
   /// safe because the replay never writes to a Transaction.
   void processScc(const std::vector<Transaction *> &Members);
@@ -67,7 +68,8 @@ public:
   /// Reports \p Members' static sites as one Potential ViolationRecord
   /// (multi-run run 1 semantics) — the sound fallback when an SCC cannot
   /// be replayed precisely: oversized, incomplete logs after shedding, or
-  /// a PCD-side fault. Thread-safe like processScc.
+  /// absorbed into an oversized incremental region. Thread-safe like
+  /// processScc.
   void reportPotential(const std::vector<Transaction *> &Members);
 
 private:

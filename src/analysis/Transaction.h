@@ -211,10 +211,10 @@ public:
   bool IcdRetired = false;
 
   /// Pin count held across PCD replays: the detecting thread pins every
-  /// member (under all stripes) before releasing them, and the replaying
-  /// side — an inline call or a pool worker — unpins with release order
-  /// after the replay; the collector's acquire read of a zero pin count
-  /// therefore happens-after the last access to the member's log.
+  /// member (under all stripes) before releasing them, and unpins with
+  /// release order after its inline replay; the collector's acquire read
+  /// of a zero pin count therefore happens-after the last access to the
+  /// member's log.
   std::atomic<uint32_t> Pins{0};
 };
 

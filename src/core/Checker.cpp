@@ -143,10 +143,6 @@ RunOutcome core::runChecker(const ir::Program &Source,
         (Cfg.M == Mode::SingleRun || Cfg.M == Mode::SecondRun) &&
         Cfg.DetectCycles;
     DOpts.DetectIcdCycles = Cfg.DetectCycles;
-    DOpts.ParallelPcd = Cfg.ParallelPcd;
-    DOpts.PcdWorkers = Cfg.PcdWorkers;
-    if (Cfg.PcdQueueDepth != 0)
-      DOpts.PcdQueueDepth = Cfg.PcdQueueDepth;
     if (Cfg.IcdMaxRegion != 0)
       DOpts.IcdMaxRegion = Cfg.IcdMaxRegion;
     DOpts.IcdSeqRetryStorm = Cfg.IcdSeqRetryStorm;

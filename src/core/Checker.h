@@ -69,14 +69,6 @@ struct RunConfig {
   /// §5.3 ablation: second run instruments non-transactional accesses
   /// regardless of the first run's unary boolean.
   bool ForceInstrumentUnary = false;
-  /// Extension (§5.3 future work): run PCD on a pool of background worker
-  /// threads instead of inline on the detecting thread.
-  bool ParallelPcd = false;
-  /// Workers in the parallel-PCD pool (ParallelPcd only).
-  uint32_t PcdWorkers = 2;
-  /// Bound on the parallel-PCD queue (0 = keep the DoubleCheckerOptions
-  /// default). Tiny values exercise the timed-backpressure path.
-  uint32_t PcdQueueDepth = 0;
   /// Incremental detector's affected-region cap (0 = keep the
   /// DoubleCheckerOptions default). Tiny values force the sound
   /// degradation valve: oversized regions report Potential instead of

@@ -16,10 +16,6 @@ const char *dc::rt::toString(CheckerFault F) {
   switch (F) {
   case CheckerFault::None:
     return "none";
-  case CheckerFault::PcdWorkerStall:
-    return "pcd-worker-stall";
-  case CheckerFault::PcdQueueStall:
-    return "pcd-queue-stall";
   case CheckerFault::CollectorStall:
     return "collector-stall";
   case CheckerFault::GateStall:

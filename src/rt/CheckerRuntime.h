@@ -44,9 +44,6 @@ struct RunResult;
 /// RunResult::Fault plus a human-readable diagnosis string.
 enum class CheckerFault : uint8_t {
   None = 0,
-  PcdWorkerStall,  ///< A PCD worker stopped heartbeating mid-replay.
-  PcdQueueStall,   ///< enqueue() could not hand off an SCC within the
-                   ///< timeout (queue saturated and no worker progress).
   CollectorStall,  ///< The transaction collector stopped heartbeating.
   GateStall,       ///< The scheduler gate made no progress (wedged run).
   WindowFlushStall, ///< A streaming window flush could not quiesce within
@@ -63,7 +60,7 @@ struct DegradationEvent {
   enum class Action : uint8_t {
     PotentialOnly, ///< An SCC was reported as potential violations instead
                    ///< of being precisely replayed (oversized, shed member,
-                   ///< queue timeout, or worker fault).
+                   ///< or oversized incremental region).
     ShedLogging,   ///< A thread dropped from single-run to ICD-only.
     Rearm,         ///< The thread resumed full logging.
   };

@@ -129,9 +129,13 @@ private:
   }
 
   /// Flags the explicit schedule as failing to describe this execution and
-  /// aborts the run (HardError policy only). Caller holds M.
+  /// aborts the run (HardError policy only). Caller holds M. A run that
+  /// was already aborted (step budget, gate-stall watchdog) stops short of
+  /// its schedule by design, so the unconsumed tail is not a divergence:
+  /// it is reported as the abort it is.
   void divergeSchedule() {
-    Diverged.store(true, std::memory_order_relaxed);
+    if (!RT.abortFlag().load(std::memory_order_relaxed))
+      Diverged.store(true, std::memory_order_relaxed);
     RT.requestAbort();
     CV.notify_all();
   }

@@ -82,7 +82,9 @@ struct RunResult {
   uint64_t Steps = 0;
   bool Aborted = false;
   /// ExplicitSchedule failed to cover the execution under
-  /// ScheduleExhaustPolicy::HardError (implies Aborted).
+  /// ScheduleExhaustPolicy::HardError (implies Aborted). Never set when the
+  /// run had already aborted for another reason: an abort is reported as
+  /// an abort, not as a divergence.
   bool ScheduleDiverged = false;
   /// First checker-internal fault (watchdog diagnosis); None on a healthy
   /// run. Filled by CheckerRuntime::reportHealth.

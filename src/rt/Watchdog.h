@@ -6,13 +6,14 @@
 ///
 /// \file
 /// A small heartbeat monitor that converts "component silently wedged" into
-/// a structured CheckerFault (DESIGN.md §10). Components — PCD workers, the
-/// transaction collector, the scheduler gate — register a named slot, mark
-/// themselves busy while holding work, and beat their slot as they make
-/// progress. The monitor thread polls; a slot that is busy and has not
-/// beaten for longer than the timeout fires the handler exactly once (first
-/// fault wins at the handler's discretion). Idle slots never fire, so a
-/// quiescent run costs one mostly-sleeping thread and nothing else.
+/// a structured CheckerFault (DESIGN.md §10). Components — the transaction
+/// collector, the window flush, the scheduler gate — register a named
+/// slot, mark themselves busy while holding work, and beat their slot as
+/// they make progress. The monitor thread polls; a slot that is busy and
+/// has not beaten for longer than the timeout fires the handler exactly
+/// once (first fault wins at the handler's discretion). Idle slots never
+/// fire, so a quiescent run costs one mostly-sleeping thread and nothing
+/// else.
 ///
 /// The handler runs on the monitor thread and must not block on the stalled
 /// component; recording a fault and requesting a cooperative abort are the

@@ -22,9 +22,6 @@ std::string FaultPlan::spec() const {
     Out += std::to_string(V);
   };
   Add("alloc-fail", AllocFailAt);
-  Add("worker-stall", WorkerStallAt);
-  Add("worker-die", WorkerDieAt);
-  Add("queue-hold", QueueHoldUntil);
   Add("collect-delay-ms", CollectorDelayMs);
   Add("window-stall", WindowStallAt);
   return Out.empty() ? "none" : Out;
@@ -64,20 +61,14 @@ bool FaultPlan::parse(const std::string &Spec, FaultPlan &Out,
     }
     if (Key == "alloc-fail")
       Out.AllocFailAt = V;
-    else if (Key == "worker-stall")
-      Out.WorkerStallAt = V;
-    else if (Key == "worker-die")
-      Out.WorkerDieAt = V;
-    else if (Key == "queue-hold")
-      Out.QueueHoldUntil = V;
     else if (Key == "collect-delay-ms")
       Out.CollectorDelayMs = static_cast<uint32_t>(V);
     else if (Key == "window-stall")
       Out.WindowStallAt = V;
     else {
       Error = "unknown fault key '" + Key +
-              "' (expected alloc-fail, worker-stall, worker-die, "
-              "queue-hold, collect-delay-ms, or window-stall)";
+              "' (expected alloc-fail, collect-delay-ms, or "
+              "window-stall)";
       return false;
     }
   }

@@ -7,7 +7,7 @@
 /// \file
 /// A counter-keyed plan of checker-internal faults to inject during one run.
 /// Every trigger is keyed to a deterministic event counter — "the Nth chunk
-/// refill request", "the Nth SCC enqueued to the PCD pool" — rather than to
+/// refill request", "the Nth retirement-window flush" — rather than to
 /// wall-clock time, so the same (program, schedule, plan) triple injects the
 /// same faults at the same points on every replay. That bit-exactness is
 /// what lets the schedule fuzzer sweep fault plans as one more config axis
@@ -15,11 +15,11 @@
 /// that reproduces the degraded run.
 ///
 /// The injected faults mirror the overload failure modes DESIGN.md §10
-/// catalogues: allocation failure in the log-chunk arena, a PCD worker that
-/// stalls or dies mid-replay, PCD queue saturation, and a delayed
-/// collector. The checker must degrade *soundly* under every one of them:
-/// the reported violation set (precise + potential) stays a superset of the
-/// true violations, and the run terminates with a structured RunResult.
+/// catalogues: allocation failure in the log-chunk arena, a delayed
+/// collector, and a wedged retirement-window flush. The checker must
+/// degrade *soundly* under every one of them: the reported violation set
+/// (precise + potential) stays a superset of the true violations, and the
+/// run terminates with a structured RunResult.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,20 +40,6 @@ struct FaultPlan {
   /// ICD-only degradation) instead of crashing or silently dropping the
   /// entry.
   uint64_t AllocFailAt = 0;
-  /// The worker that dequeues the Nth SCC *enqueued* to the PCD pool
-  /// degrades it to potential violations and then stalls permanently
-  /// (heartbeats stop; the watchdog converts this into
-  /// CheckerFault::PcdWorkerStall). Keying on the enqueue counter keeps
-  /// the trigger deterministic even though dequeue order is racy.
-  uint64_t WorkerStallAt = 0;
-  /// The worker that dequeues the Nth enqueued SCC throws mid-replay. The
-  /// pool catches, degrades the SCC to potential violations, and keeps the
-  /// worker alive (counted in pcd.worker_exceptions).
-  uint64_t WorkerDieAt = 0;
-  /// PCD workers refuse to dequeue until the Nth SCC has been enqueued,
-  /// saturating the bounded queue so the timed-enqueue/backoff/degrade
-  /// path is exercised.
-  uint64_t QueueHoldUntil = 0;
   /// Every collector pass sleeps this long (without heartbeating) before
   /// collecting; above the watchdog timeout this trips
   /// CheckerFault::CollectorStall.
@@ -66,13 +52,11 @@ struct FaultPlan {
 
   /// True iff any fault is armed.
   bool any() const {
-    return AllocFailAt != 0 || WorkerStallAt != 0 || WorkerDieAt != 0 ||
-           QueueHoldUntil != 0 || CollectorDelayMs != 0 || WindowStallAt != 0;
+    return AllocFailAt != 0 || CollectorDelayMs != 0 || WindowStallAt != 0;
   }
 
   bool operator==(const FaultPlan &O) const {
-    return AllocFailAt == O.AllocFailAt && WorkerStallAt == O.WorkerStallAt &&
-           WorkerDieAt == O.WorkerDieAt && QueueHoldUntil == O.QueueHoldUntil &&
+    return AllocFailAt == O.AllocFailAt &&
            CollectorDelayMs == O.CollectorDelayMs &&
            WindowStallAt == O.WindowStallAt;
   }
@@ -82,8 +66,7 @@ struct FaultPlan {
   std::string spec() const;
 
   /// Parses a spec string: "none" / "" → empty plan; otherwise tokens
-  ///   alloc-fail@N, worker-stall@N, worker-die@N, queue-hold@N,
-  ///   collect-delay-ms@N, window-stall@N
+  ///   alloc-fail@N, collect-delay-ms@N, window-stall@N
   /// separated by commas. Returns false with \p Error set on bad input.
   static bool parse(const std::string &Spec, FaultPlan &Out,
                     std::string &Error);

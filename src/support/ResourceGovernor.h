@@ -5,16 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One accounting point for the three resources the checker can exhaust
-/// under load: live (uncollected) transactions, bytes held by the log-chunk
-/// arena, and the PCD queue depth. Producers update gauges with relaxed
-/// atomics; the degradation ladder (DESIGN.md §10) polls overBudget() at
-/// coarse points — chunk refills and transaction boundaries, never the
-/// per-access hot path — and sheds work soundly when a budget is breached.
+/// One accounting point for the two resources the checker can exhaust
+/// under load: live (uncollected) transactions and bytes held by the
+/// log-chunk arena. Producers update gauges with relaxed atomics; the
+/// degradation ladder (DESIGN.md §10) polls overBudget() at coarse points
+/// — chunk refills and transaction boundaries, never the per-access hot
+/// path — and sheds work soundly when a budget is breached.
 ///
 /// Budgets of 0 mean unlimited (the default): a run with no budgets pays
-/// only the gauge updates, which happen at most once per transaction, per
-/// 8-chunk refill batch, and per PCD enqueue/dequeue.
+/// only the gauge updates, which happen at most once per transaction and
+/// per 8-chunk refill batch.
 ///
 /// Hysteresis: pressure "subsides" only once every breached gauge is back
 /// under half its budget (underLowWater), so the ladder does not flap
@@ -36,19 +36,14 @@ namespace dc {
 struct ResourceBudgets {
   uint64_t MaxLiveTxs = 0;  ///< Live (allocated, uncollected) transactions.
   uint64_t MaxLogBytes = 0; ///< Bytes of log chunks out of the pool.
-  uint64_t MaxQueueDepth = 0; ///< PCD queue entries (informational; the
-                              ///< pool's own bound provides backpressure).
 
-  bool any() const {
-    return MaxLiveTxs != 0 || MaxLogBytes != 0 || MaxQueueDepth != 0;
-  }
+  bool any() const { return MaxLiveTxs != 0 || MaxLogBytes != 0; }
 };
 
 /// Pressure sources, as a bitmask (pressure() return value).
 enum : uint8_t {
   PressureLiveTxs = 1,
   PressureLogBytes = 2,
-  PressureQueueDepth = 4,
 };
 
 /// Thread-safe gauge set with budgets and high-water marks.
@@ -73,22 +68,12 @@ public:
       bumpMax(LogBytesMax, static_cast<uint64_t>(Now < 0 ? 0 : Now));
   }
 
-  void queueDepth(int64_t Delta) {
-    int64_t Now = Queue.fetch_add(Delta, std::memory_order_relaxed) + Delta;
-    if (Delta > 0)
-      bumpMax(QueueMax, static_cast<uint64_t>(Now < 0 ? 0 : Now));
-  }
-
   uint64_t liveTxs() const {
     int64_t V = LiveTxs.load(std::memory_order_relaxed);
     return V < 0 ? 0 : static_cast<uint64_t>(V);
   }
   uint64_t logBytesHeld() const {
     int64_t V = LogBytesHeld.load(std::memory_order_relaxed);
-    return V < 0 ? 0 : static_cast<uint64_t>(V);
-  }
-  uint64_t queueDepthNow() const {
-    int64_t V = Queue.load(std::memory_order_relaxed);
     return V < 0 ? 0 : static_cast<uint64_t>(V);
   }
 
@@ -99,8 +84,6 @@ public:
       P |= PressureLiveTxs;
     if (B.MaxLogBytes != 0 && logBytesHeld() > B.MaxLogBytes)
       P |= PressureLogBytes;
-    if (B.MaxQueueDepth != 0 && queueDepthNow() > B.MaxQueueDepth)
-      P |= PressureQueueDepth;
     return P;
   }
   bool overBudget() const { return pressure() != 0; }
@@ -111,8 +94,6 @@ public:
     if (B.MaxLiveTxs != 0 && liveTxs() > B.MaxLiveTxs / 2)
       return false;
     if (B.MaxLogBytes != 0 && logBytesHeld() > B.MaxLogBytes / 2)
-      return false;
-    if (B.MaxQueueDepth != 0 && queueDepthNow() > B.MaxQueueDepth / 2)
       return false;
     return true;
   }
@@ -142,8 +123,6 @@ public:
         .updateMax(LiveTxsMax.load(std::memory_order_relaxed));
     Stats.get("governor.log_bytes_peak")
         .updateMax(LogBytesMax.load(std::memory_order_relaxed));
-    Stats.get("governor.queue_depth_peak")
-        .updateMax(QueueMax.load(std::memory_order_relaxed));
     Stats.get("governor.budget_breaches")
         .add(Breaches.load(std::memory_order_relaxed));
     if (WindowsFlushed.load(std::memory_order_relaxed) != 0) {
@@ -165,10 +144,8 @@ private:
   ResourceBudgets B;
   std::atomic<int64_t> LiveTxs{0};
   std::atomic<int64_t> LogBytesHeld{0};
-  std::atomic<int64_t> Queue{0};
   std::atomic<uint64_t> LiveTxsMax{0};
   std::atomic<uint64_t> LogBytesMax{0};
-  std::atomic<uint64_t> QueueMax{0};
   std::atomic<uint64_t> Breaches{0};
   std::atomic<uint64_t> WindowsFlushed{0};
   std::atomic<uint64_t> WindowPinnedLast{0};

@@ -130,23 +130,6 @@ TEST(RunCheckerTest, StatsSurfaceOctetCounters) {
   EXPECT_GT(O.stat("icd.log_entries"), 0u);
 }
 
-TEST(RunCheckerTest, ParallelPcdFindsTheSameViolations) {
-  ir::Program P = testprogs::racyBank(3, 400, 2);
-  AtomicitySpec Spec = AtomicitySpec::initial(P);
-  for (uint64_t Seed = 0; Seed < 4; ++Seed) {
-    RunConfig Inline;
-    Inline.M = Mode::SingleRun;
-    Inline.RunOpts.Deterministic = true;
-    Inline.RunOpts.ScheduleSeed = Seed;
-    RunConfig Parallel = Inline;
-    Parallel.ParallelPcd = true;
-    RunOutcome A = runChecker(P, Spec, Inline);
-    RunOutcome B = runChecker(P, Spec, Parallel);
-    EXPECT_EQ(A.BlamedMethods, B.BlamedMethods) << "seed " << Seed;
-    EXPECT_EQ(A.stat("pcd.sccs_processed"), B.stat("pcd.sccs_processed"));
-  }
-}
-
 TEST(RefinementTest, RemovesExactlyTheBuggyMethod) {
   ir::Program P = testprogs::racyBank(3, 400, 2);
   RefinementOptions Opts;

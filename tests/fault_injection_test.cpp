@@ -7,10 +7,10 @@
 /// \file
 /// End-to-end tests for the overload/fault tolerance machinery (DESIGN.md
 /// §10): deterministic FaultPlan injections must convert every modelled
-/// failure — allocation failure, a stalled or dying PCD worker, a
-/// saturated PCD queue, an oversized SCC, a breached resource budget —
-/// into *sound degradation* (potential violations + structured
-/// RunResult), never a hang, crash, or silently missed violation.
+/// failure — allocation failure, a stalled collector, an oversized SCC, a
+/// breached resource budget — into *sound degradation* (potential
+/// violations + structured RunResult), never a hang, crash, or silently
+/// missed violation.
 ///
 /// Soundness is checked against a fault-free baseline on the same
 /// deterministic schedule: whatever the healthy run blames, the degraded
@@ -100,77 +100,6 @@ TEST(FaultInjection, OversizedSccDegradesToPotential) {
   EXPECT_TRUE(hasAction(O.Result.Degradation,
                         rt::DegradationEvent::Action::PotentialOnly));
   EXPECT_FALSE(O.PotentialMethods.empty());
-  EXPECT_TRUE(covers(O, Baseline));
-}
-
-TEST(FaultInjection, WorkerStallConvertsToFaultWithinTimeout) {
-  // Acceptance criterion: a permanently stalled PCD worker becomes a
-  // structured CheckerFault within the configured timeout — the run
-  // terminates, it does not hang or abort.
-  ir::Program P = racy();
-  AtomicitySpec Spec = AtomicitySpec::initial(P);
-  RunOutcome Baseline = runChecker(P, Spec, detCfg(3));
-  ASSERT_FALSE(Baseline.BlamedMethods.empty());
-
-  RunConfig Cfg = detCfg(3);
-  Cfg.ParallelPcd = true;
-  Cfg.Faults.WorkerStallAt = 1; // Whoever dequeues SCC #1 parks forever.
-  Cfg.PcdTimeoutMs = 100;
-  RunOutcome O = runChecker(P, Spec, Cfg);
-  ASSERT_FALSE(O.Result.Aborted);
-  EXPECT_EQ(O.Result.Fault, rt::CheckerFault::PcdWorkerStall)
-      << "diagnosis: " << O.Result.FaultDiagnosis;
-  EXPECT_FALSE(O.Result.FaultDiagnosis.empty());
-  EXPECT_GE(O.stat("faults.detected"), 1u);
-  // The stalled SCC was degraded before the park, so coverage holds.
-  EXPECT_TRUE(covers(O, Baseline));
-}
-
-TEST(FaultInjection, WorkerDeathIsContainedAndSound) {
-  ir::Program P = racy();
-  AtomicitySpec Spec = AtomicitySpec::initial(P);
-  RunOutcome Baseline = runChecker(P, Spec, detCfg(9));
-  ASSERT_FALSE(Baseline.BlamedMethods.empty());
-
-  RunConfig Cfg = detCfg(9);
-  Cfg.ParallelPcd = true;
-  Cfg.Faults.WorkerDieAt = 1; // Whoever dequeues SCC #1 throws mid-replay.
-  RunOutcome O = runChecker(P, Spec, Cfg);
-  ASSERT_FALSE(O.Result.Aborted);
-  EXPECT_EQ(O.Result.Fault, rt::CheckerFault::None);
-  EXPECT_GE(O.stat("pcd.worker_exceptions"), 1u);
-  // The poisoned SCC degrades; the worker survives and later SCCs still
-  // replay precisely, so the blamed set is usually untouched — but the
-  // guarantee we test is coverage.
-  EXPECT_TRUE(covers(O, Baseline));
-}
-
-TEST(FaultInjection, DestructionUnderSaturatedQueueTerminates) {
-  // Satellite: tearing down the PcdPool while its bounded queue is
-  // saturated (workers held, queue depth 1) must terminate within the
-  // stall timeout with every undelivered SCC degraded — run this under
-  // TSan to check the join-or-detach teardown. The enqueue-side timeout
-  // records PcdQueueStall.
-  ir::Program P = testprogs::racyBank(2, 60, 2);
-  AtomicitySpec Spec = AtomicitySpec::initial(P);
-  RunOutcome Baseline = runChecker(P, Spec, detCfg(11));
-  ASSERT_FALSE(Baseline.BlamedMethods.empty());
-
-  RunConfig Cfg = detCfg(11);
-  Cfg.ParallelPcd = true;
-  Cfg.PcdQueueDepth = 1;
-  // Generous enough that sanitizer slowdown cannot starve the gate slot
-  // into a spurious GateStall, small enough to keep the test quick.
-  Cfg.PcdTimeoutMs = 100;
-  Cfg.Faults.QueueHoldUntil = ~0ull; // Workers never dequeue.
-  RunOutcome O = runChecker(P, Spec, Cfg);
-  ASSERT_FALSE(O.Result.Aborted);
-  // At least one SCC beyond the first cannot be handed off, so the timed
-  // enqueue path must have fired (and everything must still be reported).
-  if (O.stat("pcd.sccs_queued") + O.stat("pcd.enqueue_timeouts") > 1) {
-    EXPECT_GE(O.stat("pcd.enqueue_timeouts"), 1u);
-    EXPECT_EQ(O.Result.Fault, rt::CheckerFault::PcdQueueStall);
-  }
   EXPECT_TRUE(covers(O, Baseline));
 }
 

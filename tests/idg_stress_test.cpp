@@ -8,10 +8,10 @@
 /// Exercises the sharded IDG hot path with real concurrent threads: many
 /// threads begin/end transactions, hammer shared objects (cross-thread
 /// edges via both Octet protocols), trigger background collection, and
-/// feed the multi-worker PCD pool — all simultaneously. Checks liveness,
-/// pipeline accounting (every detected SCC is queued and replayed), and —
-/// on replayed schedules — that the sharded path is deterministic and
-/// agrees with the ground-truth oracle.
+/// replay claimed SCCs inline — all simultaneously. Checks liveness,
+/// pipeline accounting (every detected SCC is replayed), and — on replayed
+/// schedules — that the sharded path is deterministic and agrees with the
+/// ground-truth oracle.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,10 +45,11 @@ ir::Program hammerProgram(uint32_t Threads, uint32_t Objects) {
 }
 
 /// Many real threads: transactions + shared-object conflicts + collection
-/// + the parallel-PCD pool, all concurrent. The interesting assertions are
-/// "finishes at all" (no deadlock among stripes / collector / pool) and
-/// the queue accounting; violation content is schedule-dependent here.
-TEST(IdgStressTest, ConcurrentTransactionsEdgesCollectionAndPcdPool) {
+/// + inline PCD replays racing the background collector, all concurrent.
+/// The interesting assertions are "finishes at all" (no deadlock among
+/// stripes / collector / replay pins) and the SCC accounting; violation
+/// content is schedule-dependent here.
+TEST(IdgStressTest, ConcurrentTransactionsEdgesCollectionAndInlinePcd) {
   constexpr uint32_t Threads = 4;
   constexpr uint32_t SharedObjects = 8;
   constexpr uint64_t OpsPerThread = 8000;
@@ -57,8 +58,6 @@ TEST(IdgStressTest, ConcurrentTransactionsEdgesCollectionAndPcdPool) {
   StatisticRegistry Stats;
   ViolationLog Violations;
   DoubleCheckerOptions Opts;
-  Opts.ParallelPcd = true;
-  Opts.PcdWorkers = 3;
   Opts.CollectEveryTx = 64;      // Hammer the background collector.
   Opts.IdgRemoteMissPenalty = 0; // Pure-concurrency stress; no spins.
   auto DC = std::make_unique<DoubleCheckerRuntime>(P, Opts, Violations,
@@ -126,21 +125,17 @@ TEST(IdgStressTest, ConcurrentTransactionsEdgesCollectionAndPcdPool) {
   EXPECT_GT(Stats.value("icd.collector_runs"), 0u);
   EXPECT_GT(Stats.value("icd.txs_swept"), 0u);
 
-  // Pool accounting: every detected SCC was enqueued exactly once, and
-  // endRun's drain means every queued SCC was replayed (or counted as
-  // skipped for size — impossible at this scale, but keep the identity).
-  EXPECT_EQ(Stats.value("pcd.sccs_queued"), Stats.value("icd.sccs"));
+  // SCC accounting: the claiming thread replays every detected SCC
+  // before it retires (or counts it as skipped for size — impossible at
+  // this scale, but keep the identity).
   EXPECT_EQ(Stats.value("pcd.sccs_processed") + Stats.value("pcd.sccs_skipped"),
-            Stats.value("pcd.sccs_queued"));
-  if (Stats.value("pcd.sccs_queued") > 0) {
-    EXPECT_GT(Stats.value("pcd.max_queue_depth"), 0u);
-  }
+            Stats.value("icd.sccs"));
 }
 
 /// The sharded path on replayed schedules: the same schedule must yield the
-/// same IDG, the same SCCs, and the same precise violations — with PCD
-/// inline or on the worker pool — and the verdict must match the
-/// ground-truth oracle's offline decision on the recorded trace.
+/// same IDG, the same SCCs, and the same precise violations, and the
+/// verdict must match the ground-truth oracle's offline decision on the
+/// recorded trace.
 TEST(IdgStressTest, ShardedPathIsDeterministicAndMatchesOracle) {
   struct Case {
     const char *Workload;
@@ -160,22 +155,19 @@ TEST(IdgStressTest, ShardedPathIsDeterministicAndMatchesOracle) {
     ASSERT_FALSE(Trace.Result.Aborted) << C.Workload;
     oracle::OracleVerdict Truth = oracle::decideSerializability(P, Trace);
 
-    auto Run = [&](bool ParallelPcd) {
+    auto Run = [&] {
       core::RunConfig Cfg;
       Cfg.M = core::Mode::SingleRun;
       Cfg.RunOpts.Deterministic = true;
       Cfg.RunOpts.ExplicitSchedule = Trace.Schedule;
       Cfg.RunOpts.OnScheduleExhausted = rt::ScheduleExhaustPolicy::HardError;
-      Cfg.ParallelPcd = ParallelPcd;
-      Cfg.PcdWorkers = 3;
       core::RunOutcome O = core::runChecker(P, Spec, Cfg);
       EXPECT_FALSE(O.Result.ScheduleDiverged) << C.Workload;
       return O;
     };
 
-    core::RunOutcome First = Run(false);
-    core::RunOutcome Second = Run(false);
-    core::RunOutcome Pool = Run(true);
+    core::RunOutcome First = Run();
+    core::RunOutcome Second = Run();
 
     EXPECT_EQ(First.stat("icd.idg_cross_edges"),
               Second.stat("icd.idg_cross_edges"))
@@ -185,10 +177,6 @@ TEST(IdgStressTest, ShardedPathIsDeterministicAndMatchesOracle) {
     EXPECT_EQ(First.Violations.size(), Second.Violations.size())
         << C.Workload;
     EXPECT_EQ(First.BlamedMethods, Second.BlamedMethods) << C.Workload;
-    EXPECT_EQ(First.Violations.size(), Pool.Violations.size())
-        << C.Workload << " (pool)";
-    EXPECT_EQ(First.BlamedMethods, Pool.BlamedMethods)
-        << C.Workload << " (pool)";
 
     EXPECT_EQ(First.Violations.empty(), Truth.Serializable) << C.Workload;
     if (!Truth.Serializable) {

@@ -313,6 +313,40 @@ TEST(RuntimeTest, DeadlockAbortsViaStepBudget) {
   EXPECT_TRUE(R.Aborted) << "deadlock must trip the step budget";
 }
 
+TEST(RuntimeTest, AbortDuringReplayIsNotReportedAsDivergence) {
+  // A replay aborted part-way (here by the step budget; in the field by a
+  // gate-stall watchdog) stops short of its recorded schedule. The unused
+  // tail must not read as "the recorded schedule did not replay": that
+  // verdict is reserved for executions the recording fails to describe.
+  Program P = forkJoinProgram(2000);
+  std::vector<uint32_t> Recorded;
+  RunOptions Opts;
+  Opts.Deterministic = true;
+  Opts.ScheduleSeed = 1;
+  Opts.ScheduleOut = &Recorded;
+  {
+    Runtime RT(P, nullptr, Opts);
+    ASSERT_FALSE(RT.run().Aborted);
+  }
+  Opts.ScheduleOut = nullptr;
+  Opts.ExplicitSchedule = Recorded;
+  Opts.OnScheduleExhausted = ScheduleExhaustPolicy::HardError;
+  {
+    // The full replay is faithful...
+    Runtime RT(P, nullptr, Opts);
+    RunResult R = RT.run();
+    EXPECT_FALSE(R.Aborted);
+    EXPECT_FALSE(R.ScheduleDiverged);
+  }
+  // ...and cutting it short is an abort, not a divergence.
+  Opts.MaxSteps = 4096;
+  ASSERT_GT(Recorded.size(), 2 * Opts.MaxSteps);
+  Runtime RT(P, nullptr, Opts);
+  RunResult R = RT.run();
+  EXPECT_TRUE(R.Aborted);
+  EXPECT_FALSE(R.ScheduleDiverged);
+}
+
 TEST(RuntimeTest, StepsAreCounted) {
   Program P = forkJoinProgram(5);
   Runtime RT(P, nullptr);

@@ -295,9 +295,10 @@ TEST(FuzzTest, InjectedIcdBugIsCaughtMinimizedAndReplayable) {
 
 /// The per-pair wall timeout (dcfuzz --pair-timeout-seconds): a pair
 /// wedged past it is written as a replayable witness and dcfuzz exits
-/// fuzz::ExitPairTimeout. The wedge is an existing fault plan — the PCD
-/// worker stalls on the first SCC, and the stall timeout (5 s) is far above
-/// the pair timeout (1 s), so the replay is still waiting for the watchdog
+/// fuzz::ExitPairTimeout. The wedge is an existing fault plan — the first
+/// retirement-window flush stalls (a one-transaction window makes the tiny
+/// program cross a boundary), and the stall timeout (5 s) is far above the
+/// pair timeout (1 s), so the replay is still waiting for the watchdog
 /// when the pair timeout expires. Under the default pair timeout the same
 /// witness completes and degrades soundly.
 TEST(FuzzTest, PairTimeoutWritesWitnessAndExitsThree) {
@@ -308,11 +309,11 @@ TEST(FuzzTest, PairTimeoutWritesWitnessAndExitsThree) {
                                 Seed, Error))
       << Error;
   fuzz::Divergence Wedge;
-  Wedge.Description = "PCD worker stall above the pair timeout";
+  Wedge.Description = "window flush stall above the pair timeout";
   Wedge.Schedule = Seed.Schedule;
   Wedge.Program = Seed.P;
-  Wedge.Fault.Plan.WorkerStallAt = 1;
-  Wedge.Fault.ParallelPcd = true;
+  Wedge.Fault.Plan.WindowStallAt = 1;
+  Wedge.Fault.WindowTxs = 1;
   Wedge.Fault.PcdTimeoutMs = 5000;
   const std::string In = ::testing::TempDir() + "/pair_timeout_in.dcw";
   const std::string Out = ::testing::TempDir() + "/pair_timeout_out.dcw";
@@ -334,7 +335,7 @@ TEST(FuzzTest, PairTimeoutWritesWitnessAndExitsThree) {
   ASSERT_TRUE(fuzz::readWitness(Out, Dumped, Error)) << Error;
   EXPECT_EQ(Dumped.Schedule, Seed.Schedule);
   EXPECT_TRUE(Dumped.Fault.Plan == Wedge.Fault.Plan);
-  EXPECT_TRUE(Dumped.Fault.ParallelPcd);
+  EXPECT_EQ(Dumped.Fault.WindowTxs, 1u);
   EXPECT_EQ(Dumped.Fault.PcdTimeoutMs, 5000u);
   std::ifstream DumpText(Out);
   std::string FirstLines, Line;

@@ -142,6 +142,16 @@ rt::RunOptions replayOpts(const std::vector<uint32_t> &Schedule) {
   return RO;
 }
 
+/// Names the checker fault that ended an aborted replay ("none" for a
+/// plain step-budget abort), so a gate-stall abort under host load reads
+/// as the stall it is rather than as a bare "aborted".
+std::string abortCause(const rt::RunResult &R) {
+  std::string Out = " (fault=" + std::string(rt::toString(R.Fault));
+  if (!R.FaultDiagnosis.empty())
+    Out += " " + R.FaultDiagnosis;
+  return Out + ")";
+}
+
 std::string describeSet(const std::set<std::string> &S) {
   if (S.empty())
     return "{}";
@@ -194,7 +204,7 @@ PairResult fuzz::checkPair(const ir::Program &Source,
       return false;
     }
     if (O.Result.Aborted) {
-      Fail(Name + ": replay aborted");
+      Fail(Name + ": replay aborted" + abortCause(O.Result));
       return false;
     }
     ConfigOutcome C{Name, O.BlamedMethods, !O.Violations.empty()};
@@ -240,8 +250,12 @@ PairResult fuzz::checkPair(const ir::Program &Source,
     core::RunConfig Cfg = BaseCfg(core::Mode::SingleRun);
     Cfg.IcdMaxRegion = 1;
     core::RunOutcome O = core::runChecker(Source, Spec, Cfg);
-    if (O.Result.ScheduleDiverged || O.Result.Aborted) {
+    if (O.Result.ScheduleDiverged) {
       Fail("single/icd-region-cap-1: recorded schedule did not replay");
+      return R;
+    }
+    if (O.Result.Aborted) {
+      Fail("single/icd-region-cap-1: replay aborted" + abortCause(O.Result));
       return R;
     }
     std::set<std::string> Reported = O.BlamedMethods;
@@ -285,7 +299,7 @@ PairResult fuzz::checkPair(const ir::Program &Source,
       return R;
     }
     if (O.Result.Aborted) {
-      Fail("vc: replay aborted");
+      Fail("vc: replay aborted" + abortCause(O.Result));
       return R;
     }
     ConfigOutcome C{"vc", O.BlamedMethods, !O.Violations.empty()};
@@ -322,8 +336,12 @@ PairResult fuzz::checkPair(const ir::Program &Source,
   {
     core::RunOutcome First =
         core::runChecker(Source, Spec, BaseCfg(core::Mode::FirstRun));
-    if (First.Result.ScheduleDiverged || First.Result.Aborted) {
+    if (First.Result.ScheduleDiverged) {
       Fail("multi(first): recorded schedule did not replay");
+      return R;
+    }
+    if (First.Result.Aborted) {
+      Fail("multi(first): replay aborted" + abortCause(First.Result));
       return R;
     }
     core::RunConfig Cfg = BaseCfg(core::Mode::SecondRun);
@@ -342,10 +360,6 @@ PairResult fuzz::checkPair(const ir::Program &Source,
 
 std::string FaultCase::name() const {
   std::string N = "fault[" + Plan.spec();
-  if (ParallelPcd)
-    N += " parallel-pcd";
-  if (PcdQueueDepth != 0)
-    N += " queue-depth=" + std::to_string(PcdQueueDepth);
   if (MaxSccTxs != 0)
     N += " max-scc-txs=" + std::to_string(MaxSccTxs);
   if (PcdTimeoutMs != 0)
@@ -375,33 +389,6 @@ std::vector<FaultCase> fuzz::faultSweepCases() {
     C.Plan.AllocFailAt = 3;
     Cases.push_back(C);
   }
-  // Permanent worker stall: the SCC degrades immediately and the watchdog
-  // converts the busy-and-silent worker into PcdWorkerStall. A short
-  // timeout keeps the sweep fast.
-  {
-    FaultCase C;
-    C.Plan.WorkerStallAt = 1;
-    C.ParallelPcd = true;
-    C.PcdTimeoutMs = 100;
-    Cases.push_back(C);
-  }
-  // Worker death mid-replay: caught, degraded, worker survives.
-  {
-    FaultCase C;
-    C.Plan.WorkerDieAt = 1;
-    C.ParallelPcd = true;
-    Cases.push_back(C);
-  }
-  // Queue saturation: workers refuse to dequeue until the hold releases,
-  // so with depth 1 the second enqueue exercises timed backpressure.
-  {
-    FaultCase C;
-    C.Plan.QueueHoldUntil = 2;
-    C.ParallelPcd = true;
-    C.PcdQueueDepth = 1;
-    C.PcdTimeoutMs = 100;
-    Cases.push_back(C);
-  }
   // Delayed collector passes (below the timeout: exercises the path
   // without tripping CollectorStall).
   {
@@ -414,14 +401,6 @@ std::vector<FaultCase> fuzz::faultSweepCases() {
   {
     FaultCase C;
     C.MaxSccTxs = 1;
-    Cases.push_back(C);
-  }
-  // Combination: shedding and a dying worker in the same run.
-  {
-    FaultCase C;
-    C.Plan.AllocFailAt = 1;
-    C.Plan.WorkerDieAt = 1;
-    C.ParallelPcd = true;
     Cases.push_back(C);
   }
   // Delayed collector against the *incremental* detector: the collector's
@@ -479,8 +458,8 @@ std::vector<FaultCase> fuzz::faultSweepCases() {
     Cases.push_back(C);
   }
   // Shed logging layered over streaming windows: the degradation ladder
-  // must stay sound when flush-forced collection and PCD drains interleave
-  // with degraded SCCs.
+  // must stay sound when flush-forced collection interleaves with
+  // degraded SCCs.
   {
     FaultCase C;
     C.Plan.AllocFailAt = 1;
@@ -527,8 +506,6 @@ fuzz::checkFaultCase(const ir::Program &Source,
     // (and the mark-sweep it delays) is exercised, not just configured.
     Cfg.VcCollectEveryTx = 4;
   } else {
-    Cfg.ParallelPcd = Case.ParallelPcd;
-    Cfg.PcdQueueDepth = Case.PcdQueueDepth;
     Cfg.MaxSccTxs = Case.MaxSccTxs;
     Cfg.PcdTimeoutMs = Case.PcdTimeoutMs;
     Cfg.IcdMaxRegion = Case.IcdMaxRegion;
@@ -543,9 +520,8 @@ fuzz::checkFaultCase(const ir::Program &Source,
   if (O.Result.ScheduleDiverged)
     return Name + ": recorded schedule did not replay under injected faults";
   if (O.Result.Aborted)
-    return Name + ": run aborted instead of degrading (fault=" +
-           std::string(rt::toString(O.Result.Fault)) + " " +
-           O.Result.FaultDiagnosis + ")";
+    return Name + ": run aborted instead of degrading" +
+           abortCause(O.Result);
 
   std::set<std::string> Reported = O.BlamedMethods;
   Reported.insert(O.PotentialMethods.begin(), O.PotentialMethods.end());
@@ -590,8 +566,10 @@ fuzz::checkWindowedPair(const ir::Program &Source,
     Batch.M = M;
     Batch.RunOpts = replayOpts(Trace.Schedule);
     core::RunOutcome B = core::runChecker(Source, Spec, Batch);
-    if (B.Result.ScheduleDiverged || B.Result.Aborted)
-      return Name + ": batch replay failed";
+    if (B.Result.ScheduleDiverged)
+      return Name + ": batch replay did not follow the recorded schedule";
+    if (B.Result.Aborted)
+      return Name + ": batch replay aborted" + abortCause(B.Result);
 
     // The streaming run pipes every confirmed record and window boundary
     // through a real StreamingSession, so the NDJSON path is exercised —
@@ -611,11 +589,11 @@ fuzz::checkWindowedPair(const ir::Program &Source,
     if (O.Result.ScheduleDiverged)
       return Name + ": recorded schedule did not replay under windowing";
     if (O.Result.Aborted)
-      return Name + ": windowed replay aborted";
+      return Name + ": windowed replay aborted" + abortCause(O.Result);
 
-    // The retirement windows must not change *any* verdict: a healthy
-    // flush waits for in-flight PCD work instead of degrading, so both
-    // tiers match batch mode exactly.
+    // The retirement windows must not change *any* verdict: PCD replays
+    // inline at the claim and a flush never degrades healthy work, so
+    // both tiers match batch mode exactly.
     if (O.BlamedMethods != B.BlamedMethods)
       return Name + ": windowed blame differs from batch (windowed=" +
              describeSet(O.BlamedMethods) +
@@ -795,10 +773,6 @@ bool fuzz::writeWitness(const std::string &Path, const Divergence &D,
   Out << "# inject-icd-bug: " << (InjectIcdBug ? 1 : 0) << "\n";
   if (D.Fault.any()) {
     Out << "# fault-plan: " << D.Fault.Plan.spec() << "\n";
-    if (D.Fault.ParallelPcd)
-      Out << "# fault-parallel-pcd: 1\n";
-    if (D.Fault.PcdQueueDepth != 0)
-      Out << "# fault-queue-depth: " << D.Fault.PcdQueueDepth << "\n";
     if (D.Fault.MaxSccTxs != 0)
       Out << "# fault-max-scc-txs: " << D.Fault.MaxSccTxs << "\n";
     if (D.Fault.PcdTimeoutMs != 0)
@@ -861,12 +835,6 @@ bool fuzz::readWitness(const std::string &Path, Witness &W,
         Error = "bad '# fault-plan:' line: " + PlanError;
         return false;
       }
-    } else if (Tag == "fault-parallel-pcd:") {
-      int V = 0;
-      LS >> V;
-      W.Fault.ParallelPcd = V != 0;
-    } else if (Tag == "fault-queue-depth:") {
-      LS >> W.Fault.PcdQueueDepth;
     } else if (Tag == "fault-max-scc-txs:") {
       LS >> W.Fault.MaxSccTxs;
     } else if (Tag == "fault-timeout-ms:") {

@@ -102,8 +102,8 @@ PairResult checkPair(const ir::Program &Source,
 
 /// One fault-injection configuration the sweep exercises: a deterministic
 /// FaultPlan plus the checker knobs that make its trigger reachable (a
-/// worker stall needs the parallel pool; queue saturation needs a tiny
-/// queue). Zero-valued knobs keep the checker defaults.
+/// window stall needs a window boundary; a shrunken SCC cap or region cap
+/// forces degradation). Zero-valued knobs keep the checker defaults.
 struct FaultCase {
   /// Checker engine the fault plan is injected into. DoubleChecker cases
   /// sweep the full plan; VectorClock cases exercise the one fault that
@@ -111,8 +111,6 @@ struct FaultCase {
   enum class Engine : uint8_t { DoubleChecker, Vc };
 
   FaultPlan Plan;
-  bool ParallelPcd = false;
-  uint32_t PcdQueueDepth = 0;
   uint32_t MaxSccTxs = 0;
   uint32_t PcdTimeoutMs = 0;
   /// Incremental detector's affected-region cap (0 = default): tiny values
@@ -130,9 +128,8 @@ struct FaultCase {
   Engine Eng = Engine::DoubleChecker;
 
   bool any() const {
-    return Plan.any() || ParallelPcd || PcdQueueDepth != 0 ||
-           MaxSccTxs != 0 || PcdTimeoutMs != 0 || IcdMaxRegion != 0 ||
-           IcdSeqRetryStorm != 0 || WindowTxs != 0 ||
+    return Plan.any() || MaxSccTxs != 0 || PcdTimeoutMs != 0 ||
+           IcdMaxRegion != 0 || IcdSeqRetryStorm != 0 || WindowTxs != 0 ||
            Eng != Engine::DoubleChecker;
   }
   /// Human-readable label, also used in witness headers.
@@ -140,8 +137,9 @@ struct FaultCase {
 };
 
 /// The built-in fault-sweep axis: one case per overload failure mode the
-/// FaultPlan models (allocation failure, worker stall/death, queue
-/// saturation, collector delay, oversized-SCC cap) plus a combination.
+/// FaultPlan models (allocation failure, collector delay, wedged window
+/// flush) and per degradation cap (oversized SCC, ICD region, seqlock
+/// retry storm), plus combinations layered over windowing.
 std::vector<FaultCase> faultSweepCases();
 
 /// Replays the recorded pair through single-run DoubleChecker under \p

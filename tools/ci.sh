@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate: Release build + full test suite, then a ThreadSanitizer build
-# running the concurrent stress tests (sharded IDG hot path, PCD worker
-# pool, background collector, fault-injection teardown paths) and an
+# running the concurrent stress tests (sharded IDG hot path, inline PCD
+# replays racing the background collector, fault-injection paths) and an
 # UndefinedBehaviorSanitizer build of the fault-injection tests. Run from
 # the repository root:
 #
@@ -170,11 +170,11 @@ fi
 
 echo "== Fault-injection sweep (bounded) =="
 # Every agreeing (program, schedule) pair re-runs under the deterministic
-# fault matrix (alloc failure, worker stall/death, queue saturation,
-# collector delay, oversized-SCC cap): degradation must stay sound —
-# nothing the fault-free run blames may be lost, and every run terminates
-# with a structured RunResult. DC_FAULT_BUDGET_SECONDS=300 (or more) is
-# the nightly setting; the default keeps the gate fast.
+# fault matrix (alloc failure, collector delay, window-flush stall,
+# oversized-SCC and region caps, seqlock retry storms): degradation must
+# stay sound — nothing the fault-free run blames may be lost, and every
+# run terminates with a structured RunResult. DC_FAULT_BUDGET_SECONDS=300
+# (or more) is the nightly setting; the default keeps the gate fast.
 FAULT_BUDGET="${DC_FAULT_BUDGET_SECONDS:-20}"
 build-ci/tools/dcfuzz --seed 3 --budget-seconds "$FAULT_BUDGET" \
   --pairs 1000000 --fault-sweep --progress 2000 \
@@ -207,8 +207,8 @@ cmake --build build-ci-tsan -j "$JOBS" --target idg_stress_test \
 echo "== Differential schedule fuzz under TSan (smoke) =="
 # Much slower per pair under TSan; a short fixed-seed slice is enough to
 # catch data races in the scheduler/gate/oracle plumbing itself. The
-# fault-sweep slice covers the degradation/watchdog/teardown machinery
-# (shed flags, queue backpressure, join-or-detach destruction).
+# fault-sweep slice covers the degradation/watchdog machinery (shed
+# flags, collector backpressure, window-flush stalls).
 # TSan's slowdown gets a proportionally longer pair timeout.
 TSAN_PAIR_TIMEOUT=$((PAIR_TIMEOUT * 10))
 build-ci-tsan/tools/dcfuzz --seed 7 --pairs 40 --strategy mixed \
@@ -233,10 +233,10 @@ build-ci-tsan/tests/icd_test \
 # every finished transaction.
 build-ci-tsan/tests/vc_test --gtest_filter='VcStress.*'
 # A TSan slice of the service-mode soak: window flushes synchronize the
-# mutator, the PCD pool, and the collector — exactly the cross-thread
-# seams TSan exists for. Iteration-bounded (TSan's slowdown makes
-# wall-clock budgets unpredictable), with the fault rotation on and the
-# min-windows floor scaled to the short slice.
+# mutator, inline PCD replays (through their pins), and the collector —
+# exactly the cross-thread seams TSan exists for. Iteration-bounded
+# (TSan's slowdown makes wall-clock budgets unpredictable), with the fault
+# rotation on and the min-windows floor scaled to the short slice.
 build-ci-tsan/tools/dcsoak --iterations 60 --seconds 0 --seed 13 \
   --min-windows 20
 # TSan slows execution ~5-15x; restrict to the tests whose whole point is
@@ -244,10 +244,10 @@ build-ci-tsan/tools/dcsoak --iterations 60 --seconds 0 --seed 13 \
 # logging tests are in that set: LogSrcPos races a lock-free LogLen
 # sampler against an appender, and LogElision replays the log with
 # elision on and off against Velodrome and the oracle.
-# FaultInjection exercises the watchdog, worker stall/death, and the
-# destruction-under-saturated-queue teardown. Icd covers the detector's
-# lock-free hot path (atomic order keys, program-order chain pointers)
-# plus the stripe-locality stress test. The Vc suites drive the
+# FaultInjection exercises the watchdog's collector-stall conversion and
+# the governor's backpressure waits against the collector. Icd covers the
+# detector's lock-free hot path (atomic order keys, program-order chain
+# pointers) plus the stripe-locality stress test. The Vc suites drive the
 # vector-clock engine's hooks from free-running OS threads: accesses that
 # add no cross edge store field metadata under the field lock alone, racing
 # the mark-sweep collector's acquire-load scan of the same slots under the

@@ -71,8 +71,6 @@ struct CliOptions {
   uint64_t Seed = 1;
   unsigned Trials = 1;
   bool Deterministic = false;
-  bool ParallelPcd = false;
-  unsigned PcdWorkers = 2;
   uint64_t MemBudgetMB = 0;
   unsigned PcdTimeoutMs = 0;
   std::string FaultPlanSpec;
@@ -128,14 +126,12 @@ void printUsage() {
       "                        documented exhaustion behaviour)\n"
       "  --trials <n>          repeat with seed, seed+1, ... (default 1)\n"
       "  --refine              iterative specification refinement (Fig. 6)\n"
-      "  --parallel-pcd        replay PCD SCCs on a background worker pool\n"
-      "  --pcd-workers <n>     pool size for --parallel-pcd (default 2)\n"
       "  --mem-budget-mb <n>   log-arena budget in MiB; breaching it sheds\n"
       "                        logging soundly (0 = unlimited, default)\n"
       "  --pcd-timeout-ms <n>  watchdog/stall timeout for background\n"
       "                        components (0 = default 10000)\n"
       "  --fault-plan <spec>   inject deterministic checker faults, e.g.\n"
-      "                        alloc-fail@1,worker-stall@2 (see dcfuzz)\n"
+      "                        alloc-fail@1,window-stall@2 (see dcfuzz)\n"
       "  --static-info <path>  second-run input (from --emit-static)\n"
       "  --emit-static <path>  write first-run static transaction info\n"
       "\n"
@@ -203,10 +199,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       Opts.ScheduleOutFile = V;
     else if (Arg == "--schedule-in" && Value(V))
       Opts.ScheduleInFile = V;
-    else if (Arg == "--parallel-pcd")
-      Opts.ParallelPcd = true;
-    else if (Arg == "--pcd-workers" && Value(V))
-      Opts.PcdWorkers = static_cast<unsigned>(std::atoi(V.c_str()));
     else if (Arg == "--mem-budget-mb" && Value(V))
       Opts.MemBudgetMB = std::strtoull(V.c_str(), nullptr, 10);
     else if (Arg == "--pcd-timeout-ms" && Value(V))
@@ -429,8 +421,6 @@ int main(int Argc, char **Argv) {
                  Opts.ScheduleInFile.c_str());
     return ExitUsage;
   }
-  Cfg.ParallelPcd = Opts.ParallelPcd;
-  Cfg.PcdWorkers = Opts.PcdWorkers;
   Cfg.MemBudgetMB = Opts.MemBudgetMB;
   Cfg.PcdTimeoutMs = Opts.PcdTimeoutMs;
   if (!Opts.FaultPlanSpec.empty()) {
