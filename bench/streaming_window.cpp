@@ -8,9 +8,11 @@
 /// Measures what streaming service mode (DESIGN.md §15) costs on top of
 /// batch checking: the same workload run with retirement windows at
 /// several cadences, normalized to the batch (window-txs = 0) run of the
-/// same engine. Each boundary flushes the ICD work queue, forces
-/// in-flight PCD replays to completion, and runs a retirement collection —
-/// so overhead scales with boundary frequency. The interesting number for
+/// same engine. Each boundary runs a retirement collection, so overhead
+/// scales with boundary frequency times what each collection must
+/// re-mark: the transactions still reachable from the ones that can gain
+/// an in-edge, plus the sealed and field-referenced ones the vc engine
+/// keeps. The interesting number for
 /// deployments is the cadence where overhead flattens: that is how often a
 /// service can afford health snapshots and bounded-lag retirement.
 ///

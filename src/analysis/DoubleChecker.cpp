@@ -286,6 +286,7 @@ void DoubleCheckerRuntime::endRun(rt::Runtime &RT) {
   Stats.get("icd.collector_ns")
       .add(CollectorNs.load(std::memory_order_relaxed));
   Stats.get("icd.txs_swept").add(TxsSwept.load(std::memory_order_relaxed));
+  Stats.get("icd.txs_sealed").add(TxsSealed.load(std::memory_order_relaxed));
   Stats.get("icd.collector_live")
       .updateMax(CollectorLiveMax.load(std::memory_order_relaxed));
   Stats.get("icd.idg_shards").updateMax(NumShards);
@@ -496,11 +497,25 @@ void DoubleCheckerRuntime::safePoint(rt::ThreadContext &TC) {
 void DoubleCheckerRuntime::aboutToBlock(rt::ThreadContext &TC) {
   TlsPhysTid = TC.Tid;
   Octet->aboutToBlock(TC.Tid);
+  setBlocked(TC.Tid, true);
 }
 
 void DoubleCheckerRuntime::unblocked(rt::ThreadContext &TC) {
   TlsPhysTid = TC.Tid;
+  // Cleared before the thread can request anything. The stripe handoff
+  // orders this after any collection that saw the flag set and sealed
+  // CurrTx, so the next access sees Interrupted and rotates.
+  setBlocked(TC.Tid, false);
   Octet->unblocked(TC.Tid);
+}
+
+void DoubleCheckerRuntime::setBlocked(uint32_t Tid, bool Blocked) {
+  const uint32_t S = shardOf(Tid);
+  lockShard(S, Tid);
+  assert(Threads[Tid].Blocked != Blocked &&
+         "unpaired aboutToBlock/unblocked");
+  Threads[Tid].Blocked = Blocked;
+  unlockShard(S);
 }
 
 //===----------------------------------------------------------------------===//
@@ -697,8 +712,9 @@ void DoubleCheckerRuntime::endCurrentTx(uint32_t Tid) {
     // Observing the end is what can complete a cycle's claim (last member
     // to finish). No stripes are held here, so a claim may block on PCD
     // backpressure safely. Until retire returns, Cur is still this
-    // thread's CurrTx — a strong collector root — so an unclaimed
-    // component containing it cannot be swept.
+    // thread's CurrTx, and a current transaction on a detected cycle is a
+    // strong collector root even once finished, so an unclaimed component
+    // containing it cannot be swept.
     IncrementalCycleDetector::ClaimList Claims;
     Icd->retire(Cur, Claims);
     executeIcdClaims(Claims);
@@ -729,6 +745,9 @@ void DoubleCheckerRuntime::addCrossEdgeLocked(Transaction *Src,
                                               uint32_t Phys) {
   if (Src == nullptr || Dst == nullptr || Src == Dst)
     return;
+  // The collector stopped tracing from a sealed transaction on the promise
+  // that nothing targets it again.
+  assert(!Dst->Sealed && "edge into a sealed transaction");
   OutEdge E;
   E.Dst = Dst;
   E.Id = composeId(Src->Tid, ++Threads[Src->Tid].NextEdgeSeq);
@@ -908,42 +927,71 @@ void DoubleCheckerRuntime::collectNow(uint32_t Holder) {
       Work.push_back(Tx);
     }
   };
-  // Strong roots: the unfinished transactions. Every transaction a future
-  // cycle can contain is forward-reachable from one of them — every edge
-  // ever added terminates at a transaction that was current (unfinished)
-  // when the edge was created, so no path from the live region leads
-  // backward into transactions that finished unreachable. A cycle whose
-  // members have all finished was claimed (and pinned) at its last
-  // member's retire, before that member stopped being a root.
-  for (uint32_t T = 0; T < NumThreads; ++T)
-    AddRoot(Threads[T].CurrTx.load(std::memory_order_relaxed));
+  // Strong roots: the current transactions that can still gain an
+  // in-edge (DESIGN.md §7, "Collector"). An edge only ever targets its
+  // requesting thread's current transaction, so every existing member of a
+  // future cycle is forward-reachable from one of them. A finished
+  // transaction gains no in-edge (its thread requests nothing until its
+  // next one is current), and neither does a sealed one (see
+  // Transaction::Sealed); both are weak roots below. Tracing from them
+  // would let main's unary transaction, interrupted by the fork edges and
+  // current through every join, keep the whole run alive.
+  //
+  // Sealing is sticky: re-deciding it from Blocked on every pass would
+  // re-trace, once its thread unblocks, a transaction whose successors an
+  // earlier pass swept. And a current transaction on a detected cycle
+  // stays strong even once sealed or finished, because its component is
+  // claimed only when its last member retires. Oversized groups are not
+  // exempt: their members were pinned and reported on absorption, and
+  // absorption can reach a transaction whose Out list already dangles.
+  uint64_t Sealed = 0;
+  for (uint32_t T = 0; T < NumThreads; ++T) {
+    const PerThread &PT = Threads[T];
+    Transaction *Cur = PT.CurrTx.load(std::memory_order_relaxed);
+    if (Cur == nullptr)
+      continue;
+    if (!Cur->Sealed && PT.Blocked && !Cur->Regular &&
+        Cur->Interrupted.load(std::memory_order_relaxed)) {
+      Cur->Sealed = true;
+      ++Sealed;
+    }
+    const IcdGroup *G = Cur->IcdG.load(std::memory_order_acquire);
+    if ((G != nullptr && !G->Oversized) ||
+        (!Cur->Sealed && !Cur->Finished.load(std::memory_order_relaxed)))
+      AddRoot(Cur);
+  }
   while (!Work.empty()) {
     Transaction *Tx = Work.back();
     Work.pop_back();
     for (const OutEdge &E : Tx->Out)
       AddRoot(E.Dst);
   }
-  // Weak roots: lastRdEx / gLastRdSh may still become *sources* of future
-  // edges, so the nodes themselves must survive — but their stale forward
-  // closures need not: a cycle through such a node would need an edge from
-  // the live region into it, which can never be created. Marking them
-  // after the traversal (without enqueueing) keeps the node and lets its
-  // unreachable successors be swept; their Out lists then hold dangling
-  // pointers, which is fine because only this mark phase ever walks the
-  // Out edges of a transaction that is not strongly reachable.
+  // Weak roots: the untraced current transactions, lastRdEx and gLastRdSh
+  // may still become *sources* of future edges, so the nodes themselves
+  // must survive — but their stale forward closures need not: a cycle
+  // through such a node would need an edge from the live region into it,
+  // which can never be created. Marking them after the traversal (without
+  // enqueueing) keeps the node and lets its unreachable successors be
+  // swept, while one a strong root reaches is still traced. Their Out
+  // lists then hold dangling pointers, which is fine because only this
+  // mark phase ever walks the Out edges of a transaction, and a node
+  // outside the strong closure never re-enters it: getting back in would
+  // take an in-edge, and none of these can gain one.
   auto WeakRoot = [&](Transaction *Tx) {
     if (Tx != nullptr)
       Tx->MarkEpoch = Epoch;
   };
-  for (uint32_t T = 0; T < NumThreads; ++T)
+  for (uint32_t T = 0; T < NumThreads; ++T) {
+    WeakRoot(Threads[T].CurrTx.load(std::memory_order_relaxed));
     WeakRoot(Threads[T].LastRdEx);
+  }
   WeakRoot(GLastRdSh);
-  // Sweep: a finished transaction not forward-reachable from any root can
-  // never gain another edge (edge sinks are current transactions; edge
-  // sources are roots), so it cannot join a future cycle. Unreachable also
-  // stays unreachable once the stripes drop, and un-pinned stays un-pinned
-  // (detections only pin root-reachable members), so the frees can happen
-  // outside the stripes.
+  // Sweep: an unmarked transaction is finished, can never gain another
+  // edge (edge sinks are strong roots; edge sources are marked), and so
+  // cannot join a future cycle. Unmarked also stays unmarked once the
+  // stripes drop, and un-pinned stays un-pinned (a claim pins the members
+  // of a detected cycle, which a strong root reaches), so the frees can
+  // happen outside the stripes.
   uint64_t Live = 0;
   for (uint32_t T = 0; T < NumThreads; ++T) {
     PerThread &PT = Threads[T];
@@ -982,6 +1030,7 @@ void DoubleCheckerRuntime::collectNow(uint32_t Holder) {
     delete Tx;
   }
   TxsSwept.fetch_add(Doomed.size(), std::memory_order_relaxed);
+  TxsSealed.fetch_add(Sealed, std::memory_order_relaxed);
   Governor.txsFreed(Doomed.size());
   CollectorRuns.fetch_add(1, std::memory_order_relaxed);
   CollectorNs.fetch_add(
@@ -1098,6 +1147,7 @@ void DoubleCheckerRuntime::fillHealth(rt::HealthSnapshot &H) {
   H.FinishedTxs = FinishedTxs.load(std::memory_order_relaxed);
   H.LiveTxs = Governor.liveTxs();
   H.RetiredTxs = TxsSwept.load(std::memory_order_relaxed);
+  H.SealedTxs = TxsSealed.load(std::memory_order_relaxed);
   H.PinnedTxs = Governor.windowPinnedLast();
   H.CrossEdges = CrossEdges.load(std::memory_order_relaxed);
   H.Violations = Violations.count();
@@ -1169,10 +1219,11 @@ bool DoubleCheckerRuntime::windowFlushNow(uint32_t Holder) {
     Dog->heartbeat(DogWindowSlot);
     Dog->heartbeat(DogGateSlot);
   }
-  // Sound retirement: mark-sweep over {current txs, pins}.
-  // Everything the sweep keeps is exactly the cross-window state that cannot yet be proven
-  // cycle-free (still running, strongly reachable from a runner, or pinned
-  // by a replay) — those transactions are carried into the next window;
+  // Sound retirement: mark-sweep from the current transactions that can
+  // still gain an in-edge, plus pins. Everything the sweep keeps is the
+  // cross-window state that cannot yet be proven cycle-free (current,
+  // reachable from a receptive current transaction, or pinned by a
+  // replay) — those transactions are carried into the next window;
   // nothing is silently dropped (DESIGN.md §15's soundness argument).
   collectNow(Holder);
   const uint64_t Pinned = Governor.liveTxs();

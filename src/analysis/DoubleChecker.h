@@ -20,9 +20,13 @@
 ///    members' static sites feed multi-run mode's StaticTransactionInfo,
 ///    and — when logging is on — the SCC goes to PCD for precise checking.
 ///  * A mark-sweep collector reclaims transactions unreachable from the
-///    roots {per-thread current transaction, per-thread lastRdEx,
-///    gLastRdSh}, standing in for the JVM garbage collector the paper
-///    relies on (see DESIGN.md §2 for the liveness argument).
+///    current transactions that can still gain an in-edge, standing in for
+///    the JVM garbage collector the paper relies on (see DESIGN.md §2 for
+///    the liveness argument). The other current transactions — finished,
+///    or sealed: a blocked thread's interrupted unary transaction — and
+///    each thread's lastRdEx and gLastRdSh are weak roots, kept but not
+///    traced; a current transaction on a detected cycle stays traced
+///    until its component is claimed (DESIGN.md §7, "Collector").
 ///
 /// Concurrency (see DESIGN.md §7 for the full argument): the IDG is
 /// sharded — one lock stripe per thread plus one global stripe — so the
@@ -228,6 +232,10 @@ private:
     /// any edge touching the thread's current transaction.
     std::atomic<uint64_t> CurTs{1};
     Transaction *LastRdEx = nullptr; ///< Own stripe.
+    /// Between aboutToBlock and unblocked (own stripe). The collector seals
+    /// an interrupted unary CurrTx only while this is set; see
+    /// Transaction::Sealed.
+    bool Blocked = false;
     uint64_t NextSeq = 0;            ///< Own thread only (tx lifecycle).
     uint64_t NextEdgeSeq = 0;        ///< Own stripe (edge ids, src side).
     // Per-thread statistics, flushed at endRun.
@@ -285,6 +293,8 @@ private:
   /// Caller must hold no stripe. CurrTx intentionally keeps pointing at
   /// the finished transaction until the next newTransactionLocked.
   void endCurrentTx(uint32_t Tid);
+  /// Flips Tid's Blocked flag under its own stripe (see PerThread).
+  void setBlocked(uint32_t Tid, bool Blocked);
   /// Requires shard(Src->Tid) and shard(Dst->Tid). \p Phys is the physical
   /// thread executing the call (its chunk cache feeds the EdgeIn append).
   void addCrossEdgeLocked(Transaction *Src, Transaction *Dst, uint32_t Phys);
@@ -381,6 +391,7 @@ private:
   std::atomic<uint64_t> CollectorRuns{0};
   std::atomic<uint64_t> CollectorNs{0};
   std::atomic<uint64_t> TxsSwept{0};
+  std::atomic<uint64_t> TxsSealed{0};
   /// Largest live set (kept transactions) any collection observed.
   std::atomic<uint64_t> CollectorLiveMax{0};
   uint64_t MarkEpochCounter = 0; ///< All stripes (collector mark epoch).

@@ -129,6 +129,13 @@ public:
   /// the next non-transactional access starts a fresh unary transaction.
   std::atomic<bool> Interrupted{false};
 
+  /// Sticky: this transaction can never again be the target of an edge.
+  /// Set only by the collector, under every stripe, on a thread's current
+  /// unary transaction that is Interrupted while its thread is blocked —
+  /// the thread's next access rotates it out before any barrier can name
+  /// it as a sink (DESIGN.md §7, "Collector"). Read under a stripe.
+  bool Sealed = false;
+
   /// The owning thread shed logging while this transaction was live, so its
   /// log is incomplete and precise replay of any SCC containing it would be
   /// unsound — such SCCs are degraded to potential violations instead.

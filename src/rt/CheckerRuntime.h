@@ -86,6 +86,8 @@ struct HealthSnapshot {
   uint64_t FinishedTxs = 0;  ///< Transactions ended so far.
   uint64_t LiveTxs = 0;      ///< Allocated, not-yet-retired transactions.
   uint64_t RetiredTxs = 0;   ///< Cumulative transactions swept.
+  uint64_t SealedTxs = 0;    ///< Cumulative transactions sealed: kept, but
+                             ///< no longer traced by the collector.
   uint64_t PinnedTxs = 0;    ///< Live txs surviving the latest window flush
                              ///< (cross-window state carried forward).
   uint64_t CrossEdges = 0;   ///< Cross-thread dependence edges so far.

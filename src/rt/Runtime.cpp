@@ -68,11 +68,13 @@ public:
   }
 
   /// Blocks until \p TC holds the turn (first action of a new thread).
+  /// The checker is not told: a thread it has not seen start is blocked
+  /// already, and threadStarted is the unblock.
   void waitTurn(ThreadContext &TC) {
     std::unique_lock<std::mutex> L(M);
     if (Turn == TC.Tid)
       return;
-    blockUntilTurn(TC, L);
+    blockUntilTurn(TC, L, /*NotifyChecker=*/false);
   }
 
   /// Ends this thread's turn and blocks until its next one. \p Blocked
@@ -105,13 +107,15 @@ public:
   }
 
 private:
-  void blockUntilTurn(ThreadContext &TC, std::unique_lock<std::mutex> &L) {
-    if (TC.Checker)
+  void blockUntilTurn(ThreadContext &TC, std::unique_lock<std::mutex> &L,
+                      bool NotifyChecker = true) {
+    const bool Notify = NotifyChecker && TC.Checker;
+    if (Notify)
       TC.Checker->aboutToBlock(TC);
     while (Turn != TC.Tid && !RT.abortFlag().load(std::memory_order_relaxed))
       CV.wait_for(L, WaitSlice);
     L.unlock();
-    if (TC.Checker)
+    if (Notify)
       TC.Checker->unblocked(TC);
   }
 

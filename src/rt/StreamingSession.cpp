@@ -119,6 +119,8 @@ void StreamingSession::healthJson(std::string &S,
   S += ',';
   appendKV(S, "pinned_txs", H.PinnedTxs);
   S += ',';
+  appendKV(S, "sealed_txs", H.SealedTxs);
+  S += ',';
   appendKV(S, "cross_edges", H.CrossEdges);
   S += ',';
   appendKV(S, "violations", H.Violations);

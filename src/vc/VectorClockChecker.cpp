@@ -452,6 +452,7 @@ void VectorClockRuntime::fillHealthLocked(rt::HealthSnapshot &H) {
   H.FinishedTxs = FinishedTxs;
   H.LiveTxs = liveTxsLocked();
   H.RetiredTxs = TxsSwept;
+  H.SealedTxs = TxsSealed;
   H.PinnedTxs = WindowPinnedLast;
   H.CrossEdges = CrossEdges;
   H.Violations = ViolationCount;

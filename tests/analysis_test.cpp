@@ -6,10 +6,11 @@
 ///
 /// \file
 /// Drives DoubleCheckerRuntime's hooks directly from one OS thread. Program
-/// threads are parked in the Octet blocked state right after starting, so
-/// every coordination uses the implicit protocol and runs synchronously —
-/// which makes the paper's interleaving examples (notably the §3.2.3
-/// two-transaction example) exactly reproducible.
+/// threads are parked in the blocked state right after starting and leave
+/// it only for their own accesses, so every coordination uses Octet's
+/// implicit protocol and runs synchronously — which makes the paper's
+/// interleaving examples (notably the §3.2.3 two-transaction example)
+/// exactly reproducible.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,7 +71,11 @@ protected:
     Info.Addr = RT->heap().fieldAddr(Obj, Field);
     Info.IsWrite = IsWrite;
     Info.Flags = ir::IF_OctetBarrier | ir::IF_LogAccess;
+    // A blocked thread performs no access: the collector may seal its
+    // interrupted unary transaction.
+    DC->unblocked(Tc[Tid]);
     DC->instrumentedAccess(Tc[Tid], Info, [] {});
+    DC->aboutToBlock(Tc[Tid]);
   }
 
   void begin(uint32_t Tid, const char *Method) {
@@ -233,6 +238,72 @@ TEST_F(IcdScenario, CollectorSweepsUnreachableTransactions) {
   EXPECT_GT(Stats.value("icd.collector_runs"), 0u);
   EXPECT_GT(Stats.value("icd.txs_swept"), 20u)
       << "edge-free finished transactions must be reclaimed";
+}
+
+// The collector's cycle rule. X (thread 0's m1) and U (thread 1's unary
+// transaction) form a detected cycle. X finishes; then a collection finds
+// U interrupted while its thread is blocked and seals it. Nothing else
+// reaches X, so X survives only because a current transaction on a
+// detected cycle stays a strong root even when sealed. Were X swept, U's
+// retire would claim a component missing X and the violation would be
+// lost. The run without the collection is the reference.
+class SealedCycleScenario : public IcdScenario,
+                            public ::testing::WithParamInterface<bool> {};
+
+TEST_P(SealedCycleScenario, SealedMemberKeepsItsComponent) {
+  const bool Flush = GetParam();
+  DoubleCheckerOptions Opts;
+  Opts.WindowTxs = 1u << 20; // Service mode, but the test flushes by hand.
+  start(Opts);
+  begin(0, "m1");        // X.
+  access(0, 0, 0, true); // X writes o.
+  access(1, 1, 0, true); // U writes p.
+  access(1, 0, 0, true); // U writes o: X -> U, interrupting U.
+  access(0, 1, 0, true); // X writes p: U -> X closes the cycle.
+  end(0, "m1");          // X finishes and retires; U is unretired.
+  if (Flush)
+    DC->windowFlush();   // Seals U; only the cycle rule keeps X.
+  access(1, 2, 0, true); // Rotates U out: its retire claims {X, U}.
+  finish();
+  EXPECT_EQ(Stats.value("icd.txs_sealed"), Flush ? 1u : 0u);
+  EXPECT_EQ(Stats.value("icd.sccs"), 1u);
+  ASSERT_GE(Violations.count(), 1u);
+  EXPECT_EQ(Violations.blamedMethods().count(P.findMethod("m1")), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Collection, SealedCycleScenario,
+                         ::testing::Values(false, true));
+
+// The exception to the cycle rule. W (thread 1's unary transaction) writes
+// o and p; Y (thread 2's m1) overwrites o, interrupting W. A flush seals W
+// and sweeps Y, so W's Out list now dangles. Later an inconsistent edge
+// under a region cap of 1 poisons thread 0's m1, and W's edge into it
+// pulls W into the oversized group. W must stay untraced: its members
+// were reported Potential on absorption, and tracing W at the next flush
+// would follow the dangling edge (ASan reports it).
+TEST_F(IcdScenario, SealedTransactionAbsorbedIntoOversizedGroupStaysUntraced) {
+  DoubleCheckerOptions Opts;
+  Opts.WindowTxs = 1u << 20; // Service mode, but the test flushes by hand.
+  Opts.IcdMaxRegion = 1;
+  start(Opts);
+  access(1, 0, 0, true);  // W writes o.
+  access(1, 1, 0, true);  // W writes p.
+  begin(2, "m1");         // Y.
+  access(2, 0, 0, true);  // Y writes o: W -> Y, interrupting W.
+  end(2, "m1");
+  DC->windowFlush();      // Seals W, sweeps Y.
+  begin(0, "m1");         // X.
+  begin(2, "m2");         // Z, newer than X.
+  access(2, 2, 0, true);  // Z writes q.
+  access(0, 2, 0, true);  // X writes q: Z -> X is inconsistent; poisons X.
+  access(0, 1, 0, true);  // X writes p: W -> X absorbs W.
+  DC->windowFlush();      // W is sealed and oversized: not traced.
+  end(0, "m1");
+  end(2, "m2");
+  finish();
+  EXPECT_EQ(Stats.value("icd.txs_sealed"), 1u);
+  EXPECT_GE(Stats.value("icd.txs_swept"), 1u);
+  EXPECT_GE(Stats.value("icd.region_cap_degrades"), 1u);
 }
 
 TEST_F(IcdScenario, StaticInfoRecordsSccSites) {

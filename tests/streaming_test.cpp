@@ -22,6 +22,7 @@
 #include "core/Checker.h"
 #include "rt/StreamingSession.h"
 #include "support/ChromeTrace.h"
+#include "support/Oracle.h"
 #include "tests/TestPrograms.h"
 
 using namespace dc;
@@ -63,6 +64,94 @@ TEST(StreamingWindows, RacyBankVerdictSurvivesTinyWindows) {
     EXPECT_GT(Windowed.stat(Stat), 10u)
         << toString(M) << ": 80+ transactions at window cadence 2";
   }
+}
+
+/// Main writes the shared table, forks the workers and joins them; each
+/// worker reads the table and makes racy deposits. Every fork and
+/// table-read edge leaves main's unary transaction, which stays current
+/// while main waits in join.
+ir::Program forkJoinReaders(uint32_t Workers, uint32_t Rounds) {
+  using namespace ir;
+  ProgramBuilder B("fork-join-readers", 5);
+  const uint32_t Entries = 8;
+  PoolId Table = B.addPool("table", Entries, 1);
+  PoolId Acct = B.addPool("accounts", 2, 1);
+  MethodId Lookup = B.beginMethod("lookup", /*Atomic=*/true)
+                        .read(Table, idxParam(), 0u)
+                        .endMethod();
+  MethodId Deposit = B.beginMethod("deposit", /*Atomic=*/true)
+                         .read(Acct, idxParam(), 0u)
+                         .work(5)
+                         .write(Acct, idxParam(), 0u)
+                         .endMethod();
+  MethodId Worker = B.beginMethod("worker", /*Atomic=*/false)
+                        .beginLoop(idxConst(Rounds))
+                        .call(Lookup, idxRandom(Entries))
+                        .call(Deposit, idxRandom(2))
+                        .endLoop()
+                        .endMethod();
+  auto &Main = B.beginMethod("main", /*Atomic=*/false);
+  Main.beginLoop(idxConst(Entries)).write(Table, idxLoop(), 0u).endLoop();
+  for (uint32_t W = 1; W <= Workers; ++W)
+    Main.forkThread(idxConst(W));
+  for (uint32_t W = 1; W <= Workers; ++W)
+    Main.joinThread(idxConst(W));
+  MethodId MainId = Main.endMethod();
+  B.addThread(MainId);
+  for (uint32_t W = 1; W <= Workers; ++W)
+    B.addThread(Worker);
+  return B.build();
+}
+
+/// Windows must retire the workers' history even though main's unary
+/// transaction reaches all of it: main is blocked in join and its
+/// transaction was interrupted, so it can gain no in-edge and the
+/// collector seals it instead of tracing from it. On one replayed
+/// schedule, the windowed run must sweep nearly everything and still
+/// report exactly what batch mode and the oracle report.
+TEST(StreamingWindows, ForkJoinHistoryRetiresBehindBlockedMain) {
+  ir::Program P = forkJoinReaders(3, 60);
+  AtomicitySpec Spec = AtomicitySpec::initial(P);
+  rt::RunOptions RO;
+  RO.Deterministic = true;
+  RO.ScheduleSeed = 4;
+  oracle::RecordedTrace Trace = oracle::recordTrace(P, Spec, RO);
+  ASSERT_FALSE(Trace.Result.Aborted);
+  oracle::OracleVerdict Truth = oracle::decideSerializability(P, Trace);
+  ASSERT_FALSE(Truth.Serializable) << "the racy deposits must show";
+
+  auto Replay = [&](uint32_t WindowTxs) {
+    RunConfig Cfg = windowedCfg(Mode::SingleRun, WindowTxs);
+    Cfg.RunOpts.ExplicitSchedule = Trace.Schedule;
+    Cfg.RunOpts.OnScheduleExhausted = rt::ScheduleExhaustPolicy::HardError;
+    RunOutcome O = runChecker(P, Spec, Cfg);
+    EXPECT_FALSE(O.Result.Aborted);
+    EXPECT_FALSE(O.Result.ScheduleDiverged);
+    return O;
+  };
+  RunOutcome Batch = Replay(0);
+  RunOutcome Windowed = Replay(8);
+
+  const uint64_t Txs = Windowed.stat("icd.regular_transactions") +
+                       Windowed.stat("icd.unary_transactions");
+  ASSERT_GT(Txs, 300u);
+  EXPECT_GE(Windowed.stat("icd.txs_sealed"), 1u) << "main's transaction";
+  EXPECT_GE(Windowed.stat("icd.txs_swept") * 10, Txs * 9)
+      << "swept " << Windowed.stat("icd.txs_swept") << " of " << Txs;
+  // A collector that traces from main's transaction carries 684
+  // transactions across some boundary here; sealing it leaves 21.
+  EXPECT_LE(Windowed.stat("governor.window_pinned_peak"), 32u);
+
+  EXPECT_FALSE(Windowed.Violations.empty());
+  EXPECT_EQ(Windowed.BlamedMethods, Batch.BlamedMethods);
+  EXPECT_EQ(Windowed.PotentialMethods, Batch.PotentialMethods);
+  EXPECT_TRUE(Windowed.PotentialMethods.empty());
+  EXPECT_EQ(Windowed.Violations.size(), Batch.Violations.size());
+  for (const std::string &M : Windowed.BlamedMethods)
+    EXPECT_TRUE(Truth.CycleMethods.count(M))
+        << "blamed '" << M << "' outside the oracle's cycles";
+  EXPECT_EQ(Windowed.stat("icd.sccs"), Batch.stat("icd.sccs"));
+  EXPECT_EQ(Windowed.stat("pcd.cycles"), Batch.stat("pcd.cycles"));
 }
 
 TEST(StreamingWindows, SerializableProgramStaysCleanUnderWindows) {
@@ -149,7 +238,8 @@ TEST(StreamingSessionTest, HealthEventsCarryLivenessCounters) {
     // The snapshot-consistent counters the soak and any dashboard key on.
     for (const char *Field :
          {"\"window\":", "\"finished_txs\":", "\"live_txs\":",
-          "\"retired_txs\":", "\"pinned_txs\":", "\"stats_stable\":"})
+          "\"retired_txs\":", "\"pinned_txs\":", "\"sealed_txs\":",
+          "\"stats_stable\":"})
       EXPECT_NE(L.find(Field), std::string::npos)
           << "health event missing " << Field << ": " << L;
   }

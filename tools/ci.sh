@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 # CI gate: Release build + full test suite, then a ThreadSanitizer build
 # running the concurrent stress tests (sharded IDG hot path, inline PCD
-# replays racing the background collector, fault-injection paths) and an
+# replays racing the background collector, fault-injection paths), a Debug
+# build that runs the collector, detector, Octet, streaming and fault suites
+# with assertions on, an AddressSanitizer build, and an
 # UndefinedBehaviorSanitizer build of the fault-injection tests. Run from
 # the repository root:
 #
 #   tools/ci.sh [jobs]
 #
-# Build trees land in build-ci/, build-ci-tsan/, and build-ci-ubsan/ so a
-# developer's existing build/ directory is left alone.
+# Build trees land in build-ci/, build-ci-tsan/, build-ci-debug/,
+# build-ci-asan/ and build-ci-ubsan/ so a developer's existing build/
+# directory is left alone.
 set -euo pipefail
 
 JOBS="${1:-$(nproc)}"
@@ -107,28 +110,62 @@ echo "== Vector-clock window retirement (count gate) =="
 # never-overwritten field does not pin the rest of the run. Counts, not
 # timings: at window-16 on tsp at least 90% of all transactions must be
 # swept, with the same violations and cross edges as the batch run.
-vc_stat() { echo "$1" | awk -v K="$2" '$1 == K {print $2}'; }
+stat_of() { echo "$1" | awk -v K="$2" '$1 == K {print $2}'; }
 set +e
 VC_BATCH=$(build-ci/tools/dcheck --workload tsp --scale 0.2 --engine vc \
   --det --seed 1 --stats)
 VC_SERVE=$(build-ci/tools/dcheck --workload tsp --scale 0.2 --engine vc \
   --det --seed 1 --serve --window-txs 16 --stats)
 set -e
-VC_TXS=$(vc_stat "$VC_SERVE" vc.txs)
-VC_SWEPT=$(vc_stat "$VC_SERVE" vc.txs_swept)
+VC_TXS=$(stat_of "$VC_SERVE" vc.txs)
+VC_SWEPT=$(stat_of "$VC_SERVE" vc.txs_swept)
 if [ -z "$VC_TXS" ] || [ -z "$VC_SWEPT" ] || \
    [ $((VC_SWEPT * 10)) -lt $((VC_TXS * 9)) ]; then
   echo "error: vc window flushes swept $VC_SWEPT of $VC_TXS transactions"
   exit 1
 fi
 for K in vc.violations vc.cross_edges; do
-  if [ "$(vc_stat "$VC_SERVE" $K)" != "$(vc_stat "$VC_BATCH" $K)" ] || \
-     [ -z "$(vc_stat "$VC_BATCH" $K)" ]; then
-    echo "error: windowed $K $(vc_stat "$VC_SERVE" $K) differs from" \
-      "batch $(vc_stat "$VC_BATCH" $K)"
+  if [ "$(stat_of "$VC_SERVE" $K)" != "$(stat_of "$VC_BATCH" $K)" ] || \
+     [ -z "$(stat_of "$VC_BATCH" $K)" ]; then
+    echo "error: windowed $K $(stat_of "$VC_SERVE" $K) differs from" \
+      "batch $(stat_of "$VC_BATCH" $K)"
     exit 1
   fi
 done
+
+echo "== DoubleChecker window retirement (count gate) =="
+# The collector traces only from current transactions that can still gain
+# an in-edge (DESIGN.md §7, "Collector"): main's unary transaction, which
+# the fork edges interrupt and which stays current while main waits in
+# join, is sealed instead of rooting every worker's history. Counts, not
+# timings: at window-16 on montecarlo no flush may carry more than 64
+# transactions (tracing from main carried 3,889), with the same SCCs,
+# precise cycles and violations as the batch run.
+set +e
+DC_BATCH=$(build-ci/tools/dcheck --workload montecarlo --scale 0.1 --det \
+  --seed 2 --window-txs 0 --stats)
+DC_SERVE=$(build-ci/tools/dcheck --workload montecarlo --scale 0.1 --det \
+  --seed 2 --window-txs 16 --stats)
+set -e
+DC_PINNED=$(stat_of "$DC_SERVE" governor.window_pinned_peak)
+if [ -z "$DC_PINNED" ] || [ "$DC_PINNED" -gt 64 ]; then
+  echo "error: window flushes carried up to ${DC_PINNED:-?} transactions"
+  exit 1
+fi
+for K in icd.sccs pcd.cycles; do
+  if [ "$(stat_of "$DC_SERVE" $K)" != "$(stat_of "$DC_BATCH" $K)" ] || \
+     [ -z "$(stat_of "$DC_BATCH" $K)" ]; then
+    echo "error: windowed $K $(stat_of "$DC_SERVE" $K) differs from" \
+      "batch $(stat_of "$DC_BATCH" $K)"
+    exit 1
+  fi
+done
+# The violation report: everything before the statistics block.
+if [ "$(echo "$DC_SERVE" | sed -n '2,/^statistics:/p')" != \
+     "$(echo "$DC_BATCH" | sed -n '2,/^statistics:/p')" ]; then
+  echo "error: windowed violations differ from the batch run"
+  exit 1
+fi
 
 echo "== Differential schedule fuzz (bounded) =="
 # Fixed seed set, wall-clock bounded: PCT + bounded-exhaustive schedules on
@@ -257,6 +294,20 @@ build-ci-tsan/tools/dcsoak --iterations 60 --seconds 0 --seed 13 \
 ctest --test-dir build-ci-tsan --output-on-failure \
   -R "Idg|Octet|ElisionFilter|LogDifferential|SrcPosSampling|FaultInjection|Icd|Vc|EngineAgreement|Streaming"
 
+echo "== Assertions enabled: collection, ICD, Octet, streaming, faults =="
+# Every other build here is Release or RelWithDebInfo, and both compile
+# assert() out. The collector's sealing rule rests on asserted invariants:
+# aboutToBlock/unblocked pair up, no edge targets a sealed transaction, and
+# the sweep never frees a live one. So a Debug build runs the suites that
+# drive the collector, the detector, Octet's blocked states, window
+# flushes and the fault paths.
+cmake -B build-ci-debug -S . -DCMAKE_BUILD_TYPE=Debug >/dev/null
+cmake --build build-ci-debug -j "$JOBS" --target analysis_test icd_test \
+  idg_stress_test octet_test octet_stress_test octet_coord_test \
+  streaming_test fault_injection_test
+ctest --test-dir build-ci-debug --output-on-failure -j "$JOBS" \
+  -R "IcdScenario|SealedCycle|Icd|Idg|Octet|Streaming|FaultInjection"
+
 echo "== AddressSanitizer build + abort-mid-coordination + log-pool teardown =="
 # An aborted roundtrip must retire its posted request before returning, or
 # the responder's eventual drain writes into a slot its requester already
@@ -266,12 +317,18 @@ echo "== AddressSanitizer build + abort-mid-coordination + log-pool teardown =="
 # check fails them if the pool dies first and strands those chunks. The
 # Vc suites read field metadata that a concurrent window sweep may have
 # displaced: a transaction read after its sweep is a use-after-free here.
+# The DoubleChecker collector's suites get the same treatment: a
+# collection that traced a transaction whose successors an earlier pass
+# swept, or swept a member of a detected cycle before its claim, reads
+# freed memory in the ICD and IDG stress tests, the fault paths, the
+# window-flush tests and the sealed-cycle scenario.
 cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DDC_SANITIZE=address >/dev/null
 cmake --build build-ci-asan -j "$JOBS" --target octet_coord_test \
-  octet_stress_test log_elision_test vc_test
+  octet_stress_test log_elision_test vc_test icd_test idg_stress_test \
+  fault_injection_test streaming_test analysis_test
 ctest --test-dir build-ci-asan --output-on-failure \
-  -R "Octet|ElisionFilter|ChunkedLog|ChunkPool|LogDifferential|Vc"
+  -R "Octet|ElisionFilter|ChunkedLog|ChunkPool|LogDifferential|Vc|Icd|Idg|FaultInjection|Streaming|SealedCycle"
 
 echo "== UndefinedBehaviorSanitizer build + fault-injection tests =="
 # UBSan (fail-fast: -fno-sanitize-recover=all) over the paths the fault
