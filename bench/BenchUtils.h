@@ -48,9 +48,12 @@ inline unsigned benchTrials() {
   return 3;
 }
 
-/// Free-running run options used by all performance harnesses: yielding
-/// the (single-core) host every 1024 instructions stands in for truly
-/// parallel execution so cross-thread transitions actually occur.
+/// Free-running run options used by all performance harnesses. Each
+/// program thread yields its core every 1024 instructions. The quantum was
+/// set for a single-core host, whose threads otherwise ran whole OS
+/// timeslices and hardly interleaved. It stays because perfbench/main.cpp
+/// sets the same quantum, so the harnesses and the benchmark measure one
+/// regime; whether a multicore host still needs it is an open question.
 inline rt::RunOptions perfRunOptions(uint64_t Seed) {
   rt::RunOptions Opts;
   Opts.Deterministic = false;

@@ -88,10 +88,9 @@ SweepPoint runOnce(const ir::Program &P, uint32_t Threads,
   analysis::DoubleCheckerOptions Opts;
   Opts.CollectEveryTx = 1024;
   Opts.MaxLiveTxs = 8192; // Same bounded-live-graph regime for every row.
-  // The calibrated remote-miss penalties stay at their defaults (as in
-  // bench/scaling_threads): this round-robin harness multiplexes the
-  // logical threads onto one OS thread, so stripe handoff costs only show
-  // up through the model.
+  // This round-robin harness multiplexes the logical threads onto one OS
+  // thread, so stripe handoffs stay in one core's cache: they are counted
+  // (icd.idg_lock_handoffs in bench/scaling_threads), not timed.
   auto DC = std::make_unique<analysis::DoubleCheckerRuntime>(P, Opts,
                                                              Violations, Stats);
   rt::Runtime RT(P, DC.get());

@@ -7,8 +7,9 @@
 /// \file
 /// google-benchmark microbenchmarks justifying the design's cost story:
 /// Octet's fast paths are a load+compare (cheap, no writes); Velodrome's
-/// per-access critical section costs an order of magnitude more, and its
-/// cross-thread metadata ping-pong (simulated coherence miss) more still;
+/// per-access critical section costs an order of magnitude more (the same
+/// whether one thread or two alternating threads touch the field, since one
+/// OS thread drives both and no coherence miss can occur);
 /// log appends sit in between, with duplicate elision nearly free; PCD
 /// replay costs are linear in SCC log sizes.
 ///
@@ -233,8 +234,9 @@ void BM_VelodromeAccessPingPong(benchmark::State &State) {
   Info.Flags = ir::IF_VelodromeBarrier;
   bool Flip = false;
   for (auto _ : State) {
-    // Alternating threads: the contended path with the simulated
-    // coherence miss (two accesses per iteration).
+    // Alternating threads: the contended path (two accesses per
+    // iteration). One OS thread drives both, so the metadata line stays in
+    // its cache; on a multicore each alternation is also a coherence miss.
     Velo.instrumentedAccess(Flip ? T0 : T1, Info, [] {});
     Flip = !Flip;
   }

@@ -299,45 +299,20 @@ void DoubleCheckerRuntime::endRun(rt::Runtime &RT) {
 // Stripe helpers
 //===----------------------------------------------------------------------===//
 
-void DoubleCheckerRuntime::lockShard(uint32_t S, uint32_t Holder) {
-  if (IdgShards->lock(S, Holder) && Opts.IdgRemoteMissPenalty != 0)
-    spinPenalty(Opts.IdgRemoteMissPenalty,
-                (static_cast<uint64_t>(S) << 32) | Holder);
-}
-
 void DoubleCheckerRuntime::lockShards(const uint32_t *Shards, unsigned N,
                                       uint32_t Holder) {
-  // Batched acquisition pays at most one remote-miss penalty: the stripes'
-  // cache lines are independent, so on real hardware their coherence
-  // transfers overlap (memory-level parallelism) instead of forming the
-  // serial dependence chain spinPenalty models. Per-stripe handoffs are
-  // still counted individually for the icd.idg_lock_handoffs statistic.
-  bool AnyHandoff = false;
   for (unsigned I = 0; I < N; ++I)
-    AnyHandoff |= IdgShards->lock(Shards[I], Holder);
-  if (AnyHandoff && Opts.IdgRemoteMissPenalty != 0)
-    spinPenalty(Opts.IdgRemoteMissPenalty, Holder);
+    lockShard(Shards[I], Holder);
 }
 
 void DoubleCheckerRuntime::lockAllShards(uint32_t Holder) {
-  // Same memory-level-parallelism batching as lockShards, over every stripe.
-  bool AnyHandoff = false;
   for (uint32_t S = 0; S < NumShards; ++S)
-    AnyHandoff |= IdgShards->lock(S, Holder);
-  if (AnyHandoff && Opts.IdgRemoteMissPenalty != 0)
-    spinPenalty(Opts.IdgRemoteMissPenalty, Holder);
+    lockShard(S, Holder);
 }
 
 void DoubleCheckerRuntime::unlockAllShards() {
   for (uint32_t S = NumShards; S-- > 0;)
     unlockShard(S);
-}
-
-void DoubleCheckerRuntime::spinPenalty(uint32_t Iters, uint64_t Seed) {
-  uint64_t Acc = Seed;
-  for (uint32_t I = 0; I < Iters; ++I)
-    Acc = Acc * 6364136223846793005ULL + 1442695040888963407ULL;
-  PenaltySink.fetch_add(Acc, std::memory_order_relaxed);
 }
 
 //===----------------------------------------------------------------------===//

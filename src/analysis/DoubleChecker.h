@@ -115,16 +115,6 @@ struct DoubleCheckerOptions {
   /// to a small replayable witness — the standing proof that the harness
   /// would notice a real unsound filter.
   bool TestOnlyUnsoundFilter = false;
-  /// Remote-cache-miss simulation for IDG lock stripes (same methodology):
-  /// when a stripe is acquired by a different thread than its last holder,
-  /// two lines miss in the acquirer's cache — the stripe's lock word and
-  /// the hot transaction state it guards (the previous holder dirtied both
-  /// in its critical section). Calibrated at twice Velodrome's
-  /// RemoteMissPenalty (300 per ping-ponged line for its two-word locked
-  /// metadata update). With one global stripe nearly every acquisition is
-  /// a handoff; with per-thread stripes only genuine cross-thread events
-  /// are. 0 disables.
-  uint32_t IdgRemoteMissPenalty = 600;
 
   // --- Overload / fault tolerance (DESIGN.md §10) -------------------------
 
@@ -273,17 +263,12 @@ private:
   // transactions). Lock order: ascending stripe index; SccStateLock /
   // PcdOnlyLock are innermost and never held while acquiring a stripe.
   static uint32_t shardOf(uint32_t Tid) { return Tid + 1; }
-  void lockShard(uint32_t S, uint32_t Holder);
+  void lockShard(uint32_t S, uint32_t Holder) { IdgShards->lock(S, Holder); }
   void unlockShard(uint32_t S) { IdgShards->unlock(S); }
-  /// Acquires the N stripes in Shards (caller-sorted ascending), paying at
-  /// most one remote-miss penalty for the whole batch — the stripes live on
-  /// independent cache lines, so their coherence transfers overlap.
+  /// Acquires the N stripes in Shards (caller-sorted ascending).
   void lockShards(const uint32_t *Shards, unsigned N, uint32_t Holder);
   void lockAllShards(uint32_t Holder);
   void unlockAllShards();
-  /// Calibrated coherence-miss spin (DESIGN.md §2); result feeds
-  /// PenaltySink so the loop is not optimized away.
-  void spinPenalty(uint32_t Iters, uint64_t Seed);
 
   /// Requires shard(Tid). Installs and returns Tid's next transaction.
   Transaction *newTransactionLocked(uint32_t Tid, ir::MethodId Site,
@@ -372,9 +357,6 @@ private:
   uint32_t NumThreads = 0;
   uint32_t NumShards = 0;
   std::unique_ptr<StripedLockSet> IdgShards;
-
-  /// Keeps the penalty spin from being optimized away.
-  std::atomic<uint64_t> PenaltySink{0};
 
   Transaction *GLastRdSh = nullptr; ///< Stripe 0.
   /// Global order clock: ticks at transaction ends and edge creations;

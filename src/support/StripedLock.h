@@ -10,11 +10,10 @@
 /// order by index: acquiring stripes in ascending index order — and never
 /// acquiring a lower index while holding a higher one — is deadlock-free.
 ///
-/// Each stripe remembers the last holder that acquired it, so callers can
-/// detect a cross-holder handoff. On a real multicore a lock handoff is at
-/// least one coherence miss (the lock word plus the protected lines migrate
-/// between caches); the analysis uses this signal to charge its calibrated
-/// remote-miss penalty (see DESIGN.md §2) on the single-core host.
+/// Each stripe counts its cross-holder handoffs: acquisitions by a different
+/// holder than the last one. A handoff migrates the lock word and the lines
+/// it protects between cores, so the count (icd.idg_lock_handoffs) is a
+/// proxy for the coherence traffic a sharding scheme causes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,20 +42,18 @@ public:
 
   uint32_t count() const { return N; }
 
-  /// Acquires stripe \p I on behalf of \p Holder. Returns true when the
-  /// stripe was last held by a *different* holder (a handoff): on real
-  /// hardware the stripe's lines would miss in \p Holder's cache.
-  bool lock(uint32_t I, uint32_t Holder) {
+  /// Acquires stripe \p I on behalf of \p Holder, counting a handoff when
+  /// the stripe was last held by a different holder.
+  void lock(uint32_t I, uint32_t Holder) {
     assert(I < N && "stripe index out of range");
     Stripe &S = Stripes[I];
     S.L.lock();
-    bool Handoff = S.LastHolder != Holder && S.LastHolder != NoHolder;
-    if (Handoff) // Single writer (we hold L); relaxed keeps readers race-free.
+    // Single writer (we hold L); relaxed keeps readers race-free.
+    if (S.LastHolder != Holder && S.LastHolder != NoHolder)
       S.Handoffs.store(S.Handoffs.load(std::memory_order_relaxed) + 1,
                        std::memory_order_relaxed);
     S.LastHolder = Holder;
     S.CurHolder.store(Holder, std::memory_order_relaxed);
-    return Handoff;
   }
 
   void unlock(uint32_t I) {

@@ -120,22 +120,6 @@ void VectorClockRuntime::instrumentedAccess(rt::ThreadContext &TC,
   // Metadata stores need only the field lock (see FieldMeta); EngineLock is
   // taken only to add cross edges. Lock order: field lock, then EngineLock.
   SpinLockGuard FieldGuard(Meta.Lock);
-  if (Opts.RemoteMissPenalty != 0) {
-    // Same coherence-miss simulation as Velodrome: this engine also updates
-    // per-field metadata inside the access's critical section, so contended
-    // fields would ping-pong the metadata cache line on a real multicore.
-    if (Meta.LastToucher != TC.Tid) {
-      if (Meta.LastToucher != ~0u)
-        Meta.Contended = true;
-      Meta.LastToucher = TC.Tid;
-    }
-    if (Meta.Contended) {
-      uint64_t Acc = Info.Addr;
-      for (uint32_t I = 0; I < Opts.RemoteMissPenalty; ++I)
-        Acc = Acc * 6364136223846793005ULL + 1442695040888963407ULL;
-      PenaltySink.fetch_add(Acc, std::memory_order_relaxed);
-    }
-  }
   VcTxn *W = Meta.LastWrite.load(std::memory_order_relaxed);
   VcTxn *OwnRead = Own.load(std::memory_order_relaxed);
   // Reads W->Tid only when the rule needs it: W is hot in other threads'

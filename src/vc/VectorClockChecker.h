@@ -56,13 +56,6 @@ namespace dc {
 namespace vc {
 
 struct VectorClockOptions {
-  /// Remote-cache-miss simulation, identical to Velodrome's (DESIGN.md §2):
-  /// the engine updates per-field metadata inside a per-access critical
-  /// section, so on a real multicore contended fields would ping-pong their
-  /// metadata line exactly like Velodrome's. Keeping the same default keeps
-  /// the fig7 comparison between the two metadata-in-line engines fair; the
-  /// VC engine's structural win is the absent graph/SCC/replay machinery.
-  uint32_t RemoteMissPenalty = 300;
   /// Disable the cycle (reachability) check while still tracking clocks.
   bool DetectCycles = true;
   /// Collector trigger, in finished transactions.
@@ -177,8 +170,6 @@ private:
   /// the reader slots with acquire loads (DESIGN.md §14, "Collection").
   struct alignas(64) FieldMeta {
     SpinLock Lock;
-    bool Contended = false;
-    uint32_t LastToucher = ~0u;
     /// Non-null slots in this field's reader row.
     uint32_t NumReaders = 0;
     std::atomic<VcTxn *> LastWrite{nullptr};
@@ -221,7 +212,6 @@ private:
   /// `Addr * NumThreads + Tid` holds thread Tid's last reader of field Addr
   /// since the field's last write.
   std::unique_ptr<std::atomic<VcTxn *>[]> ReaderSlots;
-  std::atomic<uint64_t> PenaltySink{0};
 
   /// Guards transaction lifecycle, clocks, subscriptions and collection; an
   /// access takes it only to add cross edges.

@@ -129,23 +129,6 @@ void VelodromeRuntime::instrumentedAccess(rt::ThreadContext &TC,
   // while both are held, so the collector (which holds GraphLock) can scan
   // field metadata as roots without racing vector mutations.
   SpinLockGuard FieldGuard(FieldLocks[Info.Addr]);
-  if (Opts.RemoteMissPenalty != 0) {
-    // Coherence-miss simulation: once a field's metadata has been touched
-    // by more than one thread, concurrent cores would ping-pong its cache
-    // line on every locked update — even when all program accesses are
-    // reads (see VelodromeOptions::RemoteMissPenalty).
-    if (Meta.LastToucher != TC.Tid) {
-      if (Meta.LastToucher != ~0u)
-        Meta.Contended = true;
-      Meta.LastToucher = TC.Tid;
-    }
-    if (Meta.Contended) {
-      uint64_t Acc = Info.Addr;
-      for (uint32_t I = 0; I < Opts.RemoteMissPenalty; ++I)
-        Acc = Acc * 6364136223846793005ULL + 1442695040888963407ULL;
-      PenaltySink.fetch_add(Acc, std::memory_order_relaxed);
-    }
-  }
   Transaction *W = Meta.LastWrite.load(std::memory_order_relaxed);
   if (!Info.IsWrite) {
     // READ rule (Fig. 5): write-read edge, then record the reader.

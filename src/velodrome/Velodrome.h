@@ -47,18 +47,6 @@ struct VelodromeOptions {
   /// Unsound variant: skip the metadata lock when a racy pre-check says the
   /// metadata would not change.
   bool UnsoundMetadataFastPath = false;
-  /// Remote-cache-miss simulation (see DESIGN.md §2): this host has one
-  /// core, so the atomic metadata updates that dominate Velodrome's cost on
-  /// real multicores ("82% of this overhead comes from synchronization ...
-  /// atomic operations can lead to remote cache misses on otherwise
-  /// mostly-read-shared accesses", §5.3) would otherwise be nearly free.
-  /// When an access finds its field metadata last touched by a *different*
-  /// thread, the checker spins this many ALU iterations, modelling the
-  /// coherence-miss latency of pulling the metadata line from the other
-  /// core. Thread-local fields stay cheap, read-shared hot fields
-  /// ping-pong — exactly the asymmetry Octet's write-free fast path avoids.
-  /// 0 disables the simulation.
-  uint32_t RemoteMissPenalty = 300;
   /// Disable cycle detection (used by the array-instrumentation ablation,
   /// where conflated array metadata would make reports meaningless).
   bool DetectCycles = true;
@@ -103,11 +91,6 @@ private:
     /// Last reader per thread since the last write. Guarded by the field
     /// lock; searched linearly (reader sets are small).
     std::vector<std::pair<uint32_t, Transaction *>> Readers;
-    /// Thread that last ran the metadata critical section, and whether the
-    /// field has ever been touched by two different threads (remote-miss
-    /// simulation; guarded by the field lock).
-    uint32_t LastToucher = ~0u;
-    bool Contended = false;
   };
 
   Transaction *newTransactionLocked(uint32_t Tid, ir::MethodId Site,
@@ -130,8 +113,6 @@ private:
 
   std::vector<SpinLock> FieldLocks;
   std::vector<FieldMeta> Fields;
-  /// Keeps the penalty spin from being optimized away.
-  std::atomic<uint64_t> PenaltySink{0};
 
   /// Guards the transaction graph, lifecycle, cycle checks, collection.
   /// Lock order: field lock, then GraphLock.

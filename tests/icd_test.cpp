@@ -640,8 +640,7 @@ TEST(IcdStressTest, ReorderNeverHoldsAllStripes) {
   StatisticRegistry Stats;
   ViolationLog Violations;
   DoubleCheckerOptions Opts;
-  Opts.CollectEveryTx = 64;      // Sweeps race the order maintenance.
-  Opts.IdgRemoteMissPenalty = 0; // Pure-concurrency stress.
+  Opts.CollectEveryTx = 64; // Sweeps race the order maintenance.
   auto DC =
       std::make_unique<DoubleCheckerRuntime>(P, Opts, Violations, Stats);
   rt::Runtime RT(P, DC.get());

@@ -58,8 +58,7 @@ TEST(IdgStressTest, ConcurrentTransactionsEdgesCollectionAndInlinePcd) {
   StatisticRegistry Stats;
   ViolationLog Violations;
   DoubleCheckerOptions Opts;
-  Opts.CollectEveryTx = 64;      // Hammer the background collector.
-  Opts.IdgRemoteMissPenalty = 0; // Pure-concurrency stress; no spins.
+  Opts.CollectEveryTx = 64; // Hammer the background collector.
   auto DC = std::make_unique<DoubleCheckerRuntime>(P, Opts, Violations,
                                                    Stats);
   rt::Runtime RT(P, DC.get());

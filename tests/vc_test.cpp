@@ -133,7 +133,6 @@ struct VcHarness {
   VcHarness() : P(scenarioProgram(3)) {}
 
   void start(VectorClockOptions Opts = VectorClockOptions()) {
-    Opts.RemoteMissPenalty = Penalty;
     VC = std::make_unique<VectorClockRuntime>(P, Opts, Violations, Stats);
     RT = std::make_unique<rt::Runtime>(P, VC.get());
     VC->beginRun(*RT);
@@ -151,13 +150,16 @@ struct VcHarness {
     VC->endRun(*RT);
   }
 
-  void access(uint32_t Tid, rt::ObjectId Obj, uint32_t Field, bool IsWrite) {
+  /// \p Access runs where the program's load or store would, which is
+  /// under the field's lock.
+  void access(uint32_t Tid, rt::ObjectId Obj, uint32_t Field, bool IsWrite,
+              function_ref<void()> Access = [] {}) {
     rt::AccessInfo Info;
     Info.Obj = Obj;
     Info.Addr = RT->heap().fieldAddr(Obj, Field);
     Info.IsWrite = IsWrite;
     Info.Flags = ir::IF_VelodromeBarrier;
-    VC->instrumentedAccess(Tc[Tid], Info, [] {});
+    VC->instrumentedAccess(Tc[Tid], Info, Access);
   }
 
   void begin(uint32_t Tid, const char *M) {
@@ -167,8 +169,6 @@ struct VcHarness {
     VC->txEnd(Tc[Tid], P.Methods[P.findMethod(M)]);
   }
 
-  /// Remote-miss penalty iterations; not under test except as a delay.
-  uint32_t Penalty = 0;
   ir::Program P;
   StatisticRegistry Stats;
   analysis::ViolationLog Violations;
@@ -525,49 +525,56 @@ TEST_F(VcScenario, DetectCyclesOffStillTracksClocks) {
 
 TEST(VcStress, TransactionSealedMidAccessIsRotated) {
   // Thread 0's access passes currentForAccess with its unary transaction U
-  // still open, then waits for field x's lock (thread 2 holds it through a
-  // remote-miss penalty spin, x being contended) and spins itself before
-  // it takes the engine lock. Meanwhile thread 1 reads a field U wrote,
-  // interrupting U, and ends its span, whose window flush seals U. Under
-  // the engine lock the access must find U sealed and rotate to a fresh
-  // unary transaction, as currentForAccess would have. Targeting U instead
-  // would close the cycle U -> T1 -> T2 -> U and leave one transaction
-  // fewer.
+  // still open, then waits for field x's lock, which thread 2 holds by
+  // blocking in its own access callback. Meanwhile thread 1 reads a field
+  // U wrote, interrupting U, and ends its span, whose window flush seals U.
+  // Only then does thread 2 let go of x. Under the engine lock thread 0's
+  // access must find U sealed and rotate to a fresh unary transaction, as
+  // currentForAccess would have. Targeting U instead would add an edge
+  // into a sealed transaction and leave one transaction fewer.
   //
-  // The interleaving is staged with sleeps and penalty spins (thread 1's
-  // read of y spins too, since U wrote y), so on a loaded host thread 0
-  // can finish its access before the flush. Such a run is inconclusive and
-  // is retried: only a flush that completes while thread 0 is still inside
-  // its access can have sealed U first.
+  // A sleep gives thread 0 time to reach x's lock, so on a loaded host it
+  // may not have started its access when the flush runs. Such a run is
+  // inconclusive and is retried: only a flush that completes while thread
+  // 0 is inside its access can have sealed U first.
   constexpr int MaxAttempts = 5;
   for (int Attempt = 1;; ++Attempt) {
     VcHarness H;
-    H.Penalty = 250'000'000; // A few hundred milliseconds per contended access.
     VectorClockOptions Opts;
     Opts.WindowTxs = 1;
     H.start(Opts);
     const rt::ObjectId X = 0, Y = 1;
     H.access(0, Y, 0, true); // U writes y.
-    H.access(1, X, 0, true); // Thread 1 touches x first.
-    std::thread T2([&] { H.access(2, X, 0, true); }); // Holds x, spinning.
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    std::atomic<bool> T0Done{false};
+    std::atomic<bool> T2HoldsX{false}, Flushed{false};
+    std::thread T2([&] { // Holds x until the flush is done.
+      H.access(2, X, 0, true, [&] {
+        T2HoldsX.store(true);
+        while (!Flushed.load())
+          std::this_thread::yield();
+      });
+    });
+    while (!T2HoldsX.load())
+      std::this_thread::yield();
+    std::atomic<bool> T0Started{false}, T0Done{false};
     std::thread T0([&] { // Waits for x.
+      T0Started.store(true);
       H.access(0, X, 0, true);
       T0Done.store(true);
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const bool T0Waiting = T0Started.load();
     H.access(1, Y, 0, false); // U -> thread 1: interrupts U.
     H.begin(1, "m1");         // Ends thread 1's span: the flush seals U.
     H.end(1, "m1");
-    const bool FlushedInTime = !T0Done.load();
+    const bool FlushedInTime = T0Waiting && !T0Done.load();
+    Flushed.store(true);
     T2.join();
     T0.join();
     H.finish();
     if (!FlushedInTime && Attempt < MaxAttempts)
       continue;
     ASSERT_TRUE(FlushedInTime)
-        << "the flush never completed before thread 0's access";
+        << "the flush never completed while thread 0 was inside its access";
     // Three initial spans, thread 1's m1 and its unary successor, and the
     // span replacing U.
     EXPECT_EQ(H.Stats.value("vc.txs"), 6u);
@@ -591,7 +598,6 @@ void runConcurrentStress(bool Windowed) {
   StatisticRegistry Stats;
   analysis::ViolationLog Violations;
   VectorClockOptions Opts;
-  Opts.RemoteMissPenalty = 0;
   Opts.CollectEveryTx = 64; // Collect often: sweeps race against accesses.
   if (Windowed)
     Opts.WindowTxs = 2;
@@ -693,7 +699,6 @@ TEST(VcStress, UnlockedMetadataRacesCollection) {
   StatisticRegistry Stats;
   analysis::ViolationLog Violations;
   VectorClockOptions Opts;
-  Opts.RemoteMissPenalty = 0;
   Opts.WindowTxs = 1;
   auto VC = std::make_unique<VectorClockRuntime>(P, Opts, Violations, Stats);
   rt::Runtime RT(P, VC.get());

@@ -33,7 +33,6 @@ protected:
   VelodromeScenario() : P(scenarioProgram()) {}
 
   void start(VelodromeOptions Opts = VelodromeOptions()) {
-    Opts.RemoteMissPenalty = 0; // Not under test here.
     Velo = std::make_unique<VelodromeRuntime>(P, Opts, Violations, Stats);
     RT = std::make_unique<rt::Runtime>(P, Velo.get());
     Velo->beginRun(*RT);

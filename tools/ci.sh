@@ -58,6 +58,34 @@ DC_BENCH_SCALE=0.02 DC_BENCH_TRIALS=1 \
 DC_BENCH_SCALE=0.02 DC_BENCH_TRIALS=1 \
   build-ci/bench/octet_coordination build-ci/bench_octet_smoke.json
 
+echo "== Fig. 7 ordering (structural gate) =="
+# A reduced-scale Fig. 7 run must keep the geomean orderings whose
+# min-max ranges were disjoint in every process recorded for
+# BENCH_fig7.json (EXPERIMENTS.md, Fig. 7): first run below single-run,
+# single-run below Velodrome, and vc below Velodrome. Magnitudes are not
+# gated, and neither is an ordering whose recorded ranges overlapped
+# (first run vs second run, second run vs single-run, single-run vs vc).
+DC_BENCH_SCALE=0.1 DC_BENCH_TRIALS=3 \
+  build-ci/bench/fig7_performance build-ci/bench_fig7_smoke.json >/dev/null
+fig7_geomean() {
+  awk -v C="\"config\": \"$1\"" -F'"median": ' \
+    'index($0, "\"benchmark\": \"geomean\"") && index($0, C) {
+       split($2, V, ","); print V[1] }' build-ci/bench_fig7_smoke.json
+}
+fig7_below() {
+  local LO HI
+  LO=$(fig7_geomean "$1")
+  HI=$(fig7_geomean "$2")
+  if [ -z "$LO" ] || [ -z "$HI" ] || \
+     ! awk -v A="$LO" -v B="$HI" 'BEGIN { exit !(A < B) }'; then
+    echo "error: Fig. 7 geomean $1 (${LO:-?}x) is not below $2 (${HI:-?}x)"
+    exit 1
+  fi
+}
+fig7_below first-run single-run
+fig7_below single-run velodrome
+fig7_below vc velodrome
+
 echo "== Incremental cycle detection (bounded) =="
 # Detector microbench at smoke scale: catches hot path regressions
 # (cross-edge latency, order maintenance) and asserts nothing crashed on
@@ -265,9 +293,10 @@ build-ci-tsan/tests/icd_test \
 # The vc engine's stress tests: window flushes every two transactions seal
 # a parked thread's interrupted unary transaction and the workers' unary
 # spans, racing the access path's rotate-on-sealed recheck; one access
-# stalled in the remote-miss penalty has its transaction sealed mid-access;
-# and reader-slot stores made without the engine lock race a sweep after
-# every finished transaction.
+# waiting for a field lock, which another thread holds by blocking in its
+# access callback, has its transaction sealed mid-access; and reader-slot
+# stores made without the engine lock race a sweep after every finished
+# transaction.
 build-ci-tsan/tests/vc_test --gtest_filter='VcStress.*'
 # A TSan slice of the service-mode soak: window flushes synchronize the
 # mutator, inline PCD replays (through their pins), and the collector —
@@ -340,6 +369,8 @@ cmake --build build-ci-ubsan -j "$JOBS" --target fault_injection_test \
   pcd_test dcfuzz
 ctest --test-dir build-ci-ubsan --output-on-failure \
   -R "FaultInjection|Pcd"
-build-ci-ubsan/tools/dcfuzz --seed 5 --pairs 20 --fault-sweep
+build-ci-ubsan/tools/dcfuzz --seed 5 --pairs 20 --fault-sweep \
+  --pair-timeout-seconds "$PAIR_TIMEOUT" \
+  --witness-out build-ci-ubsan/fault_timeout_witness.dcw
 
 echo "== CI gate passed =="
