@@ -150,7 +150,11 @@ public:
 
   /// An access whose instruction carries instrumentation flags. \p Access
   /// performs the underlying heap operation; implementations decide where
-  /// it runs relative to their analysis.
+  /// it runs relative to their analysis. A read's \p Access only loads the
+  /// value into a local of the caller, which applies the last load after
+  /// this hook returns, so an implementation may run it more than once (a
+  /// validated read that loses a race with a writer drops its value and
+  /// loads again). A write's \p Access stores, and must run exactly once.
   virtual void instrumentedAccess(ThreadContext &TC, const AccessInfo &Info,
                                   function_ref<void()> Access) {
     Access();

@@ -601,7 +601,10 @@ void Runtime::execInstr(ThreadContext &TC, const ir::Instr &I) {
   case ir::Opcode::ReadElem: {
     ObjectId Obj = TheHeap.objectOf(I.Obj.Pool, evalExpr(TC, I.Obj.Index));
     FieldAddr Addr = TheHeap.fieldAddr(Obj, evalExpr(TC, I.A));
-    auto DoRead = [&] { TC.Accumulator ^= TheHeap.load(Addr); };
+    // A checker may run a read's Access more than once (see
+    // CheckerRuntime::instrumentedAccess): fold only the last load in.
+    int64_t Loaded = 0;
+    auto DoRead = [&] { Loaded = TheHeap.load(Addr); };
     if ((I.Flags & ir::IF_Hooked) && Checker) {
       AccessInfo Info{Obj, Addr, /*IsWrite=*/false, /*IsSync=*/false,
                       I.Flags};
@@ -609,6 +612,7 @@ void Runtime::execInstr(ThreadContext &TC, const ir::Instr &I) {
     } else {
       DoRead();
     }
+    TC.Accumulator ^= Loaded;
     break;
   }
   case ir::Opcode::Write:

@@ -9,6 +9,7 @@
 #include <cassert>
 #include <chrono>
 #include <thread>
+#include <utility>
 
 using namespace dc;
 using namespace dc::vc;
@@ -36,26 +37,41 @@ void VectorClockRuntime::beginRun(rt::Runtime &RT) {
 }
 
 void VectorClockRuntime::endRun(rt::Runtime &RT) {
-  uint64_t Acc = 0, Locked = 0;
+  uint64_t Acc = 0, Locked = 0, Validated = 0, Retries = 0;
   for (uint32_t T = 0; T < NumThreads; ++T) {
     Acc += Threads[T].Accesses;
     Locked += Threads[T].EngineLockAccesses;
+    Validated += Threads[T].ValidatedReads;
+    Retries += Threads[T].ValidatedReadRetries;
   }
   Stats.get("vc.accesses").add(Acc);
   Stats.get("vc.engine_lock_accesses").add(Locked);
+  Stats.get("vc.validated_reads").add(Validated);
+  Stats.get("vc.validated_read_retries").add(Retries);
   SpinLockGuard Guard(EngineLock);
-  Stats.get("vc.txs").add(NextTxId);
-  Stats.get("vc.cross_edges").add(CrossEdges);
-  Stats.get("vc.joins").add(Joins);
-  Stats.get("vc.epoch_joins").add(EpochJoins);
-  Stats.get("vc.propagations").add(Propagations);
-  Stats.get("vc.violations").add(ViolationCount);
-  Stats.get("vc.collector_runs").add(CollectorRuns);
-  Stats.get("vc.collector_ns").add(CollectorNs);
-  Stats.get("vc.txs_swept").add(TxsSwept);
-  Stats.get("vc.txs_sealed").add(TxsSealed);
-  if (WindowsFlushed != 0)
-    Stats.get("vc.windows_flushed").add(WindowsFlushed);
+  publishCountersLocked();
+}
+
+void VectorClockRuntime::publishCountersLocked() {
+  const std::pair<const char *, uint64_t> Now[NumPublished] = {
+      {"vc.txs", NextTxId},
+      {"vc.cross_edges", CrossEdges},
+      {"vc.joins", Joins},
+      {"vc.epoch_joins", EpochJoins},
+      {"vc.propagations", Propagations},
+      {"vc.violations", ViolationCount},
+      {"vc.collector_runs", CollectorRuns},
+      {"vc.collector_ns", CollectorNs},
+      {"vc.txs_swept", TxsSwept},
+      {"vc.txs_sealed", TxsSealed},
+  };
+  for (size_t I = 0; I < NumPublished; ++I) {
+    Stats.get(Now[I].first).add(Now[I].second - Published[I]);
+    Published[I] = Now[I].second;
+  }
+  if (WindowsFlushed != PublishedWindows)
+    Stats.get("vc.windows_flushed").add(WindowsFlushed - PublishedWindows);
+  PublishedWindows = WindowsFlushed;
 }
 
 void VectorClockRuntime::threadStarted(rt::ThreadContext &TC) {
@@ -117,6 +133,28 @@ void VectorClockRuntime::instrumentedAccess(rt::ThreadContext &TC,
       &ReaderSlots[static_cast<size_t>(Info.Addr) * NumThreads];
   std::atomic<VcTxn *> &Own = Readers[TC.Tid];
 
+  // Validated read (DESIGN.md §14): a read whose reader slot already holds
+  // Cur changes no metadata and owes no edge, so it needs no field lock as
+  // long as no write overlaps it. A write keeps Seq odd from before its
+  // first metadata store until after its heap store, so an unchanged even
+  // Seq around the slot check and the load means the read took effect at a
+  // point where the slot held Cur. Otherwise the value is dropped and the
+  // locked path below loads it again. The first slot check only filters:
+  // a read bound for the lock leaves Meta's line alone until it locks it,
+  // so it does not fetch the line shared and then again exclusive.
+  if (!Info.IsWrite && Own.load(std::memory_order_relaxed) == Cur) {
+    const uint32_t S1 = Meta.Seq.load(std::memory_order_acquire);
+    if ((S1 & 1) == 0 && Own.load(std::memory_order_relaxed) == Cur) {
+      Access();
+      std::atomic_thread_fence(std::memory_order_acquire);
+      if (Meta.Seq.load(std::memory_order_relaxed) == S1) {
+        ++PT.ValidatedReads;
+        return;
+      }
+      ++PT.ValidatedReadRetries;
+    }
+  }
+
   // Metadata stores need only the field lock (see FieldMeta); EngineLock is
   // taken only to add cross edges. Lock order: field lock, then EngineLock.
   SpinLockGuard FieldGuard(Meta.Lock);
@@ -140,8 +178,14 @@ void VectorClockRuntime::instrumentedAccess(rt::ThreadContext &TC,
         ++Meta.NumReaders;
       Own.store(Cur, std::memory_order_release);
     }
+    Access();
   } else {
-    // WRITE rule: write-write and read-write edges, then update.
+    // WRITE rule: write-write and read-write edges, then update. Seq is odd
+    // from here until the store is done; the fence orders the odd value
+    // before every store below for a validated read that sees one of them.
+    const uint32_t S = Meta.Seq.load(std::memory_order_relaxed);
+    Meta.Seq.store(S + 1, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_release);
     const bool Foreign = ForeignWriter();
     if (Foreign || Meta.NumReaders > (OwnRead != nullptr ? 1u : 0u)) {
       ++PT.EngineLockAccesses;
@@ -160,8 +204,9 @@ void VectorClockRuntime::instrumentedAccess(rt::ThreadContext &TC,
       }
     if (W != Cur)
       Meta.LastWrite.store(Cur, std::memory_order_release);
+    Access();
+    Meta.Seq.store(S + 2, std::memory_order_release);
   }
-  Access();
 }
 
 void VectorClockRuntime::syncOp(rt::ThreadContext &TC,
@@ -413,8 +458,9 @@ void VectorClockRuntime::windowFlushLocked() {
   collectLocked();
   ++WindowsFlushed;
   WindowPinnedLast = liveTxsLocked();
-  // Published per flush, so health events' stats carry it mid-run too.
+  // Published per flush, so health events' stats carry them mid-run too.
   Stats.get("vc.window_pinned_peak").updateMax(WindowPinnedLast);
+  publishCountersLocked();
   if (Opts.WindowHook) {
     rt::HealthSnapshot H;
     fillHealthLocked(H);

@@ -156,6 +156,10 @@ private:
     uint64_t Accesses = 0;
     /// Accesses whose metadata update took EngineLock (cross edges).
     uint64_t EngineLockAccesses = 0;
+    /// Reads that completed without the field lock (see FieldMeta::Seq),
+    /// and validated reads that a write overlapped, which then took it.
+    uint64_t ValidatedReads = 0;
+    uint64_t ValidatedReadRetries = 0;
     std::vector<VcTxn *> Owned;
     SpinLock OwnedLock;
   };
@@ -172,6 +176,10 @@ private:
     SpinLock Lock;
     /// Non-null slots in this field's reader row.
     uint32_t NumReaders = 0;
+    /// Write sequence: odd while a write, under Lock, changes the metadata
+    /// and stores the value. A read whose reader slot already holds its
+    /// transaction validates against it instead of taking Lock.
+    std::atomic<uint32_t> Seq{0};
     std::atomic<VcTxn *> LastWrite{nullptr};
   };
 
@@ -196,6 +204,9 @@ private:
   /// always "clean" (no degradation ladder here).
   void windowFlushLocked();
   void fillHealthLocked(rt::HealthSnapshot &H);
+  /// Adds the growth of the EngineLock-guarded counters since the last call
+  /// to Stats, so window flushes publish them mid-run and endRun the rest.
+  void publishCountersLocked();
   /// Transactions not yet swept, across all threads.
   uint64_t liveTxsLocked();
 
@@ -232,6 +243,10 @@ private:
   uint64_t WindowsFlushed = 0;
   /// Live txs surviving the latest window flush (HealthSnapshot::PinnedTxs).
   uint64_t WindowPinnedLast = 0;
+  /// The counter values publishCountersLocked last added to Stats.
+  static constexpr size_t NumPublished = 10;
+  uint64_t Published[NumPublished] = {};
+  uint64_t PublishedWindows = 0;
   /// Reused propagation worklist (avoids per-edge allocation).
   std::vector<VcTxn *> Worklist;
 };

@@ -374,4 +374,43 @@ TEST(RuntimeTest, AccumulatorCarriesLoadedValues) {
   EXPECT_EQ(RT.heap().load(1), 2); // (0 ^ 1) + 1.
 }
 
+/// Runs every read's Access twice, as a validated read that lost a race
+/// with a writer does; writes run once.
+class RereadingChecker : public CheckerRuntime {
+public:
+  uint64_t ReadCalls = 0;
+  void instrumentedAccess(ThreadContext &TC, const AccessInfo &Info,
+                          function_ref<void()> Access) override {
+    Access();
+    if (!Info.IsWrite) {
+      ++ReadCalls;
+      Access();
+    }
+  }
+};
+
+TEST(RuntimeTest, RereadAccessFoldsOneLoad) {
+  // Same program as AccumulatorCarriesLoadedValues, with every access
+  // hooked: a read's Access only loads, and the runtime folds the last load
+  // into the accumulator once, so running it twice reads like one read.
+  ProgramBuilder B("reread");
+  PoolId Pool = B.addPool("p", 1, 2);
+  MethodId Main = B.beginMethod("main", false)
+                      .write(Pool, idxConst(0), 0u)
+                      .read(Pool, idxConst(0), 0u)
+                      .write(Pool, idxConst(0), 1u)
+                      .endMethod();
+  B.addThread(Main);
+  Program P = B.build();
+  for (Instr &I : P.Methods[Main].Body)
+    if (I.Op == Opcode::Read || I.Op == Opcode::Write)
+      I.Flags = IF_OctetBarrier;
+  RereadingChecker Checker;
+  Runtime RT(P, &Checker);
+  RT.run();
+  EXPECT_EQ(Checker.ReadCalls, 1u);
+  EXPECT_EQ(RT.heap().load(0), 1);
+  EXPECT_EQ(RT.heap().load(1), 2) << "a re-run read folded its load twice";
+}
+
 } // namespace

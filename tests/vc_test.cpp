@@ -8,8 +8,9 @@
 /// Unit tests for the vector-clock atomicity engine (DESIGN.md §14): the
 /// clock representation's epoch/spill fast paths, transaction-boundary
 /// sequence advance, the push-based propagation that keeps late-arriving
-/// edges exact, the collector's root discipline, and a free-running
-/// OS-thread stress that gives TSan real concurrency to bite on.
+/// edges exact, the collector's root discipline, the lock-free validated
+/// read and its fallback, and a free-running OS-thread stress that gives
+/// TSan real concurrency to bite on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +18,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <set>
 #include <thread>
 
@@ -266,10 +268,15 @@ TEST_F(VcScenario, RepeatedAccessSkipsMetadataUpdate) {
   access(0, 0, 0, true);
   for (int I = 0; I < 10; ++I)
     access(0, 0, 0, true); // Already last writer: no metadata change.
+  access(0, 0, 1, false);
+  for (int I = 0; I < 10; ++I)
+    access(0, 0, 1, false); // Already this thread's reader: validated.
   end(0, "m1");
   finish();
-  EXPECT_EQ(Stats.value("vc.accesses"), 11u);
+  EXPECT_EQ(Stats.value("vc.accesses"), 22u);
   EXPECT_EQ(Stats.value("vc.cross_edges"), 0u);
+  EXPECT_EQ(Stats.value("vc.validated_reads"), 10u);
+  EXPECT_EQ(Stats.value("vc.validated_read_retries"), 0u);
 }
 
 TEST_F(VcScenario, EngineLockOnlyForCrossEdges) {
@@ -382,6 +389,44 @@ TEST_F(VcScenario, CollectorReclaimsOldTransactions) {
   finish();
   EXPECT_GT(Stats.value("vc.collector_runs"), 0u);
   EXPECT_GT(Stats.value("vc.txs_swept"), 10u);
+}
+
+TEST_F(VcScenario, WindowHealthCarriesEngineCounters) {
+  // Each window flush publishes the engine's counters as deltas, so a
+  // mid-run health snapshot carries them and endRun adds only the rest:
+  // the totals match a run of the same accesses without windows.
+  auto Drive = [](VcHarness &H) {
+    for (int I = 0; I < 4; ++I) {
+      H.begin(0, "m1");
+      H.access(0, 0, 0, true);
+      H.end(0, "m1");
+      H.begin(1, "m2");
+      H.access(1, 0, 0, false); // Write-read edge from thread 0.
+      H.end(1, "m2");
+    }
+    H.finish();
+  };
+  VectorClockOptions Opts;
+  Opts.WindowTxs = 2;
+  std::vector<std::map<std::string, uint64_t>> Seen;
+  Opts.WindowHook = [&](const rt::HealthSnapshot &H) {
+    Seen.push_back(H.Stats);
+  };
+  start(Opts);
+  Drive(*this);
+  ASSERT_GE(Seen.size(), 2u);
+  const std::map<std::string, uint64_t> &Mid = Seen[1];
+  EXPECT_EQ(Mid.count("vc.txs"), 1u);
+  EXPECT_EQ(Mid.at("vc.windows_flushed"), 2u);
+  EXPECT_EQ(Mid.at("vc.collector_runs"), 2u);
+  EXPECT_GT(Mid.at("vc.cross_edges"), 0u);
+  EXPECT_EQ(Stats.value("vc.windows_flushed"), Seen.size());
+
+  VcHarness Batch;
+  Batch.start();
+  Drive(Batch);
+  for (const char *K : {"vc.txs", "vc.cross_edges", "vc.joins"})
+    EXPECT_EQ(Stats.value(K), Batch.Stats.value(K)) << K;
 }
 
 TEST_F(VcScenario, MetadataRootsSurviveCollection) {
@@ -582,6 +627,48 @@ TEST(VcStress, TransactionSealedMidAccessIsRotated) {
     EXPECT_EQ(H.Violations.count(), 0u);
     break;
   }
+}
+
+TEST(VcStress, WriteDuringValidatedReadTakesLockedPath) {
+  // Thread 0 reads x twice in m1. Its reader slot holds m1 at the second
+  // read, so that read validates instead of taking x's lock, and it blocks
+  // inside its access callback. Thread 1 then writes x in m2, which adds the
+  // read-write edge m1 -> m2 and clears the slot, and ends m2. Released,
+  // the read must fail its re-check, drop the value and load again on the
+  // locked path, which adds the write-read edge m2 -> m1: a cycle. A read
+  // that skipped the re-check would return with neither edge nor report.
+  // Deterministic: thread 0 holds no lock while it blocks.
+  VcHarness H;
+  H.start();
+  const rt::ObjectId X = 0;
+  H.begin(0, "m1");
+  H.access(0, X, 0, false);
+  std::atomic<bool> InRead{false}, Written{false};
+  int Loads = 0;
+  std::thread T0([&] {
+    H.access(0, X, 0, false, [&] {
+      if (Loads++ != 0)
+        return;
+      InRead.store(true);
+      while (!Written.load())
+        std::this_thread::yield();
+    });
+    H.end(0, "m1");
+  });
+  while (!InRead.load())
+    std::this_thread::yield();
+  H.begin(1, "m2");
+  H.access(1, X, 0, true);
+  H.end(1, "m2");
+  Written.store(true);
+  T0.join();
+  H.finish();
+  EXPECT_EQ(Loads, 2) << "the overlapped read was not loaded again";
+  EXPECT_EQ(H.Stats.value("vc.validated_reads"), 0u);
+  EXPECT_EQ(H.Stats.value("vc.validated_read_retries"), 1u);
+  EXPECT_EQ(H.Stats.value("vc.cross_edges"), 2u);
+  ASSERT_EQ(H.Violations.count(), 1u)
+      << "the write-read edge m2 -> m1 was never recorded";
 }
 
 /// Drives the engine's hooks from free-running OS threads. With \p Windowed

@@ -11,7 +11,8 @@
 #
 # Build trees land in build-ci/, build-ci-tsan/, build-ci-debug/,
 # build-ci-asan/ and build-ci-ubsan/ so a developer's existing build/
-# directory is left alone.
+# directory is left alone; the mutant gate builds each mutant in a
+# temporary build-ci-mutant/ that it removes afterwards.
 set -euo pipefail
 
 JOBS="${1:-$(nproc)}"
@@ -233,6 +234,46 @@ if [ "$RC" -ne 1 ]; then
   echo "error: injected-bug witness did not replay (exit $RC)"; exit 1
 fi
 
+echo "== Mutant gate (seeded concurrency bugs) =="
+# Each patch under tools/mutants/ plants one concurrency bug that the
+# differential matrix cannot see (its replayed schedules never interleave
+# inside a hook) and names the test that must catch it in a
+# "Caught-by: <test binary> <gtest filter>" line. The patch goes onto a
+# temporary copy of the tree, only that test binary is built, and the test
+# must fail (gtest exit 1): a mutant that survives, does not apply or does
+# not build fails the gate.
+MUTANT_TREE="$ROOT/build-ci-mutant"
+for MUTANT in tools/mutants/*.patch; do
+  CAUGHT_BY=$(sed -n 's/^Caught-by: //p' "$MUTANT")
+  MUTANT_BIN=${CAUGHT_BY%% *}
+  MUTANT_FILTER=${CAUGHT_BY#* }
+  if [ -z "$CAUGHT_BY" ] || [ "$MUTANT_BIN" = "$CAUGHT_BY" ]; then
+    echo "error: $MUTANT names no 'Caught-by: <binary> <filter>' test"
+    exit 1
+  fi
+  rm -rf "$MUTANT_TREE"
+  mkdir -p "$MUTANT_TREE/src"
+  git ls-files -z --cached --others --exclude-standard |
+    tar --null --ignore-failed-read -T - -cf - |
+    tar -C "$MUTANT_TREE/src" -xf -
+  patch -p1 --quiet -d "$MUTANT_TREE/src" < "$MUTANT"
+  cmake -B "$MUTANT_TREE/build" -S "$MUTANT_TREE/src" \
+    -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build "$MUTANT_TREE/build" -j "$JOBS" --target "$MUTANT_BIN" \
+    >/dev/null
+  set +e
+  "$MUTANT_TREE/build/tests/$MUTANT_BIN" --gtest_filter="$MUTANT_FILTER" \
+    >/dev/null 2>&1
+  RC=$?
+  set -e
+  if [ "$RC" -ne 1 ]; then
+    echo "error: mutant $MUTANT was not caught by $CAUGHT_BY (exit $RC)"
+    exit 1
+  fi
+  echo "$(basename "$MUTANT"): caught by $CAUGHT_BY"
+done
+rm -rf "$MUTANT_TREE"
+
 echo "== Fault-injection sweep (bounded) =="
 # Every agreeing (program, schedule) pair re-runs under the deterministic
 # fault matrix (alloc failure, collector delay, window-flush stall,
@@ -294,9 +335,10 @@ build-ci-tsan/tests/icd_test \
 # a parked thread's interrupted unary transaction and the workers' unary
 # spans, racing the access path's rotate-on-sealed recheck; one access
 # waiting for a field lock, which another thread holds by blocking in its
-# access callback, has its transaction sealed mid-access; and reader-slot
+# access callback, has its transaction sealed mid-access; reader-slot
 # stores made without the engine lock race a sweep after every finished
-# transaction.
+# transaction; and a write lands while a validated read, which holds no
+# lock, is blocked between its slot check and its re-check.
 build-ci-tsan/tests/vc_test --gtest_filter='VcStress.*'
 # A TSan slice of the service-mode soak: window flushes synchronize the
 # mutator, inline PCD replays (through their pins), and the collector —
