@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The sharded IDG hot path (inline PCD replay, background collector) as
+/// The sharded IDG hot path (inline PCD replay, inline collection) as
 /// thread count grows, next to the vector-clock engine on the same
 /// workload.
 ///
@@ -94,13 +94,9 @@ SweepPoint runOnce(const ir::Program &P, uint32_t Threads,
   analysis::ViolationLog Violations;
   analysis::DoubleCheckerOptions Opts;
   Opts.CollectEveryTx = 1024; // Keep the live graph small.
-  // Bound the live graph (governor backpressure at tx boundaries). The
-  // round-robin mutator never blocks, so on a host with fewer cores than
-  // checker threads the background collector only runs when the OS
-  // preempts the mutator — whether a row lands in the "collector keeps
-  // up" or the "live graph snowballs" regime was scheduler lottery, and
-  // dominated the row-to-row comparison. With the budget, every row runs
-  // in the same bounded-live-graph regime.
+  // Bound the live graph: a breached budget triggers eager inline
+  // collections at tx boundaries, so every row runs in the same
+  // bounded-live-graph regime.
   Opts.MaxLiveTxs = 8192;
   auto DC = std::make_unique<analysis::DoubleCheckerRuntime>(P, Opts,
                                                              Violations, Stats);

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <condition_variable>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -21,9 +20,9 @@ using namespace dc::analysis;
 
 namespace {
 
-/// Holder id the background collector uses for stripe acquisition (never a
-/// program thread id).
-constexpr uint32_t HolderCollector = 0xFFFFFFFEu;
+/// Holder id an external windowFlush() call uses for stripe acquisition
+/// (never a program thread id).
+constexpr uint32_t HolderExternalFlush = 0xFFFFFFFEu;
 
 /// The program thread currently executing on this OS thread; every checker
 /// hook stores it on entry. Octet listener callbacks run inside some hook
@@ -43,90 +42,6 @@ uint64_t composeId(uint32_t Tid, uint64_t Seq) {
 }
 
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// Background transaction collector
-//===----------------------------------------------------------------------===//
-
-/// Runs mark-sweep passes off the critical path. Triggers from
-/// endCurrentTx only bump a request counter; pending requests coalesce
-/// into one pass (a pass sweeps everything currently unreachable, so a
-/// coalesced pass frees no less than the passes it replaces).
-class DoubleCheckerRuntime::TxCollector {
-public:
-  explicit TxCollector(DoubleCheckerRuntime &DC) : DC(DC) {
-    Worker = std::thread([this] { run(); });
-  }
-
-  ~TxCollector() {
-    {
-      std::lock_guard<std::mutex> L(M);
-      Stop = true;
-    }
-    CV.notify_all();
-    Worker.join();
-  }
-
-  void request() {
-    {
-      std::lock_guard<std::mutex> L(M);
-      ++Requested;
-    }
-    CV.notify_one();
-  }
-
-  /// Waits until every request made before the call has been served,
-  /// bounded by the stall timeout: a wedged (or fault-delayed) collector
-  /// becomes a structured CollectorStall fault instead of hanging endRun.
-  /// Skipping the sweep is always safe — collection only frees memory.
-  void drain() {
-    std::unique_lock<std::mutex> L(M);
-    const uint64_t Target = Requested;
-    const uint32_t TimeoutMs = std::max(1u, DC.Opts.PcdStallTimeoutMs);
-    if (!Done.wait_for(L, std::chrono::milliseconds(TimeoutMs),
-                       [&] { return Completed >= Target; })) {
-      L.unlock();
-      DC.recordFault(rt::CheckerFault::CollectorStall,
-                     "collector drain timed out after " +
-                         std::to_string(TimeoutMs) + " ms");
-    }
-  }
-
-private:
-  void run() {
-    std::unique_lock<std::mutex> L(M);
-    for (;;) {
-      CV.wait(L, [this] { return Stop || Completed < Requested; });
-      if (Completed >= Requested && Stop)
-        return;
-      const uint64_t Target = Requested; // Coalesce pending requests.
-      L.unlock();
-      // beginWork before the injected delay: the fault plan models a
-      // collector that accepted work and then made no progress, which is
-      // exactly what the watchdog's busy-and-silent detection covers.
-      if (DC.Dog)
-        DC.Dog->beginWork(DC.DogCollectorSlot);
-      if (DC.Opts.Faults.CollectorDelayMs != 0)
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(DC.Opts.Faults.CollectorDelayMs));
-      DC.collectNow(HolderCollector);
-      if (DC.Dog)
-        DC.Dog->endWork(DC.DogCollectorSlot);
-      L.lock();
-      Completed = Target;
-      Done.notify_all();
-    }
-  }
-
-  DoubleCheckerRuntime &DC;
-  std::mutex M;
-  std::condition_variable CV;
-  std::condition_variable Done;
-  uint64_t Requested = 0;
-  uint64_t Completed = 0;
-  bool Stop = false;
-  std::thread Worker;
-};
 
 //===----------------------------------------------------------------------===//
 // Construction / run lifecycle
@@ -153,9 +68,6 @@ DoubleCheckerRuntime::DoubleCheckerRuntime(const ir::Program &P,
 }
 
 DoubleCheckerRuntime::~DoubleCheckerRuntime() {
-  // Stop the collector before tearing down the stripes it locks, and the
-  // watchdog last (the collector beats a slot it owns until it stops).
-  Collector.reset();
   Dog.reset();
   for (uint32_t T = 0; T < NumThreads; ++T)
     for (Transaction *Tx : Threads[T].Owned)
@@ -188,34 +100,28 @@ void DoubleCheckerRuntime::beginRun(rt::Runtime &RT) {
   Governor.configure(B);
   ChunkPool.setGovernor(&Governor);
   ChunkPool.failRefillAt(Opts.Faults.AllocFailAt);
-  // The watchdog only exists when there are background components to
-  // monitor. CollectEveryTx == ~0u (PcdOnly) never triggers, so the
-  // collector thread would sit idle.
-  const bool WantCollector = Opts.CollectEveryTx != ~0u;
   // Streaming mode always arms the watchdog: the window slot is what turns
   // a wedged flush into a structured WindowFlushStall instead of a stuck
   // server.
   const bool WantWindow = Opts.WindowTxs != 0;
-  if (WantCollector || WantWindow) {
+  // The gate slot is the run's liveness net: it is busy for the whole run
+  // and program threads beat it from safePoint, so a wedged scheduler gate
+  // becomes a structured GateStall abort instead of a hang. Every
+  // collecting run arms it; only the PcdOnly straw man (CollectEveryTx ==
+  // ~0u) runs unwatched in batch mode.
+  const bool WantGate = Opts.CollectEveryTx != ~0u || WantWindow;
+  if (WantGate) {
     rt::Watchdog::Options WOpts;
-    WOpts.TimeoutMs = std::max(1u, Opts.PcdStallTimeoutMs);
+    WOpts.TimeoutMs = std::max(1u, Opts.StallTimeoutMs);
     WOpts.PollMs = std::max(1u, Opts.WatchdogPollMs);
     Dog = std::make_unique<rt::Watchdog>(
         WOpts, [this](const std::string &Component, uint64_t SilentMs) {
           onComponentStall(Component, SilentMs);
         });
     DogGateSlot = Dog->addComponent("gate");
-    if (WantCollector)
-      DogCollectorSlot = Dog->addComponent("collector");
     if (WantWindow)
       DogWindowSlot = Dog->addComponent("window-flush");
-  }
-  if (WantCollector)
-    Collector = std::make_unique<TxCollector>(*this);
-  if (Dog) {
     Dog->start();
-    // The gate slot is busy for the whole run: program threads beat it
-    // from safePoint, so a wedged scheduler gate surfaces as GateStall.
     Dog->beginWork(DogGateSlot);
   }
   if (Opts.LogAccesses)
@@ -225,19 +131,18 @@ void DoubleCheckerRuntime::beginRun(rt::Runtime &RT) {
 
 void DoubleCheckerRuntime::endRun(rt::Runtime &RT) {
   // The run is over: no program thread will beat the gate slot again, so
-  // retire it before the (possibly long) drains below can trip GateStall.
+  // retire it before the (possibly long) finalize below can trip
+  // GateStall.
   if (Dog)
     Dog->endWork(DogGateSlot);
-  // Flush the tail of detection, then drain the collector. Every cycle
-  // was claimed at its last member's retire, so finalize only claims
-  // defensively (icd.finalize_claims, expected 0).
+  // Flush the tail of detection. Every cycle was claimed at its last
+  // member's retire, so finalize only claims defensively
+  // (icd.finalize_claims, expected 0).
   if (Icd) {
     IncrementalCycleDetector::ClaimList Claims;
     Icd->finalize(Claims);
     executeIcdClaims(Claims);
   }
-  if (Collector)
-    Collector->drain();
   if (Dog)
     Dog->disarm();
   Octet->flushStatistics();
@@ -279,8 +184,6 @@ void DoubleCheckerRuntime::endRun(rt::Runtime &RT) {
   Stats.get("icd.idg_cross_edges")
       .add(CrossEdges.load(std::memory_order_relaxed));
   Stats.get("icd.sccs").add(SccCount.load(std::memory_order_relaxed));
-  Stats.get("governor.tx_backpressure_waits")
-      .add(BackpressureWaits.load(std::memory_order_relaxed));
   Stats.get("icd.collector_runs")
       .add(CollectorRuns.load(std::memory_order_relaxed));
   Stats.get("icd.collector_ns")
@@ -343,7 +246,6 @@ void DoubleCheckerRuntime::txBegin(rt::ThreadContext &TC,
                                    const ir::Method &M) {
   TlsPhysTid = TC.Tid;
   endCurrentTx(TC.Tid);
-  collectBackpressure(TC.Tid);
   const uint32_t S = shardOf(TC.Tid);
   lockShard(S, TC.Tid);
   newTransactionLocked(TC.Tid, P.originalOf(M.Id), /*Regular=*/true);
@@ -354,7 +256,6 @@ void DoubleCheckerRuntime::txEnd(rt::ThreadContext &TC, const ir::Method &M) {
   // §4: at method end, a new unary transaction begins.
   TlsPhysTid = TC.Tid;
   endCurrentTx(TC.Tid);
-  collectBackpressure(TC.Tid);
   const uint32_t S = shardOf(TC.Tid);
   lockShard(S, TC.Tid);
   newTransactionLocked(TC.Tid, ir::InvalidMethodId, /*Regular=*/false);
@@ -705,14 +606,23 @@ void DoubleCheckerRuntime::endCurrentTx(uint32_t Tid) {
     // so the boundary election is deterministic per schedule. The flush
     // subsumes a collection, so the periodic trigger below is skipped.
     windowFlushNow(Tid);
-  else if (Finished % Opts.CollectEveryTx == 0)
-    requestCollect();
   else if (Opts.CollectEveryTx != ~0u &&
-           (Governor.pressure() & PressureLiveTxs) != 0)
-    // Live-transaction budget breached: collect now instead of waiting for
-    // the periodic trigger. Collection is the correct relief valve here —
-    // shedding would not free a single finished transaction.
-    requestCollect();
+           (Finished % Opts.CollectEveryTx == 0 || liveBudgetDue(Finished)))
+    // Collection runs inline on the finishing thread, like the window
+    // flush (DESIGN.md §7, "Collector").
+    collectNow(Tid);
+}
+
+bool DoubleCheckerRuntime::liveBudgetDue(uint64_t Finished) const {
+  // Live-transaction budget breached: collect now instead of waiting for
+  // the periodic trigger. Collection is the correct relief valve here —
+  // shedding would not free a single finished transaction. But a pass
+  // cannot free what is still reachable, so wait until as many
+  // transactions have finished since the last pass as that pass kept:
+  // marking stays amortized O(1) per finished transaction even when the
+  // whole live graph is reachable.
+  return (Governor.pressure() & PressureLiveTxs) != 0 &&
+         Finished >= BudgetCollectAt.load(std::memory_order_relaxed);
 }
 
 void DoubleCheckerRuntime::addCrossEdgeLocked(Transaction *Src,
@@ -847,49 +757,6 @@ uint32_t DoubleCheckerRuntime::stripesHeldByCurrentThread() const {
 // Transaction collection (stands in for the JVM's GC)
 //===----------------------------------------------------------------------===//
 
-void DoubleCheckerRuntime::requestCollect() {
-  if (Collector)
-    Collector->request();
-}
-
-void DoubleCheckerRuntime::collectBackpressure(uint32_t Tid) {
-  if ((Governor.pressure() & PressureLiveTxs) == 0)
-    return;
-  // Live-transaction budget breached at a transaction boundary: request
-  // collection and lend the collector this thread's cycles until the live
-  // graph is back under budget. Without this, a mutator that never blocks
-  // can starve the background collector outright (most visibly on few-core
-  // hosts), and the lag feeds on itself: the live graph grows, so every
-  // mark-sweep cycle walks more and falls further behind. The wait is
-  // bounded and holds no stripes, so a wedged collector degrades
-  // throughput, never liveness — the watchdog is what reports a genuinely
-  // stuck collector.
-  BackpressureWaits.fetch_add(1, std::memory_order_relaxed);
-  requestCollect();
-  // Wall-clock bound, not an iteration count: a yield's cost varies by
-  // orders of magnitude with run-queue contention, and a wait long enough
-  // to look like gate silence would trip the watchdog's stalled-gate abort.
-  // 5 ms per boundary is far under any watchdog timeout and enough for a
-  // lagging mark-sweep cycle to complete.
-  const auto Deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
-  YieldBackoff Backoff;
-  for (;;) {
-    for (unsigned I = 0; I < 32; ++I) {
-      if ((Governor.pressure() & PressureLiveTxs) == 0)
-        return;
-      Backoff.pause();
-    }
-    // The caller is a gate-admitted program thread: while it lends cycles
-    // here no instruction retires, so beat the gate slot to keep the
-    // watchdog pointed at the real culprit (the collector), not the gate.
-    if (Dog)
-      Dog->heartbeat(DogGateSlot);
-    if (std::chrono::steady_clock::now() >= Deadline)
-      return;
-  }
-}
-
 void DoubleCheckerRuntime::collectNow(uint32_t Holder) {
   auto Start = std::chrono::steady_clock::now();
   std::vector<Transaction *> Doomed;
@@ -993,6 +860,8 @@ void DoubleCheckerRuntime::collectNow(uint32_t Holder) {
   // never rejoin a cycle.
   if (Icd)
     Icd->removeNodes(Doomed);
+  BudgetCollectAt.store(FinishedTxs.load(std::memory_order_relaxed) + Live,
+                        std::memory_order_relaxed);
   unlockAllShards();
   uint64_t PrevMax = CollectorLiveMax.load(std::memory_order_relaxed);
   while (Live > PrevMax && !CollectorLiveMax.compare_exchange_weak(
@@ -1079,18 +948,15 @@ void DoubleCheckerRuntime::degradeScc(
 
 void DoubleCheckerRuntime::onComponentStall(const std::string &Component,
                                             uint64_t SilentMs) {
-  rt::CheckerFault F = rt::CheckerFault::GateStall;
-  if (Component == "collector")
-    F = rt::CheckerFault::CollectorStall;
-  else if (Component == "window-flush")
-    F = rt::CheckerFault::WindowFlushStall;
+  const rt::CheckerFault F = Component == "window-flush"
+                                ? rt::CheckerFault::WindowFlushStall
+                                : rt::CheckerFault::GateStall;
   recordFault(F, Component + " made no progress for " +
                      std::to_string(SilentMs) + " ms");
-  // A stalled collector or window flush only delays analysis — the run
-  // can finish, since the collector drain and the flush's stall wait are
-  // both bounded. A stalled gate means no program thread is retiring
-  // instructions: the run itself is wedged, so convert the hang into a
-  // structured abort.
+  // A stalled window flush only delays analysis — the run can finish,
+  // since the flush's stall wait is bounded. A stalled gate means no
+  // program thread is retiring instructions: the run itself is wedged, so
+  // convert the hang into a structured abort.
   if (F == rt::CheckerFault::GateStall && TheRT != nullptr)
     TheRT->requestAbort();
 }
@@ -1142,7 +1008,7 @@ void DoubleCheckerRuntime::healthSnapshot(rt::HealthSnapshot &H) {
 }
 
 bool DoubleCheckerRuntime::windowFlush() {
-  return windowFlushNow(HolderCollector);
+  return windowFlushNow(HolderExternalFlush);
 }
 
 bool DoubleCheckerRuntime::windowFlushNow(uint32_t Holder) {
@@ -1164,7 +1030,7 @@ bool DoubleCheckerRuntime::windowFlushNow(uint32_t Holder) {
     // deterministic, not a race against GateStall.
     const auto Deadline =
         std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(2 * std::max(1u, Opts.PcdStallTimeoutMs) +
+        std::chrono::milliseconds(2 * std::max(1u, Opts.StallTimeoutMs) +
                                   50u * std::max(1u, Opts.WatchdogPollMs) +
                                   200u);
     for (;;) {

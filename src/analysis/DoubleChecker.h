@@ -34,8 +34,9 @@
 /// edges take the two involved threads' stripes, and only collection
 /// quiesces the whole graph. Cycle detection is incremental
 /// (IncrementalCycles.h): each edge insert answers "cycle?" under the
-/// stripes its writer already holds. Collection runs on a background
-/// thread; PCD replays each SCC inline on the thread that claims it.
+/// stripes its writer already holds. Collection runs inline on the thread
+/// that finishes the triggering transaction, and PCD replays each SCC
+/// inline on the thread that claims it.
 ///
 /// Configure with LogAccesses=false, RunPcd=false for the first run of
 /// multi-run mode ("ICD w/o logging"); defaults give single-run mode.
@@ -121,16 +122,14 @@ struct DoubleCheckerOptions {
   /// Deterministic counter-keyed fault injection (tests / fuzzing only).
   FaultPlan Faults;
   /// ResourceGovernor budget: live (uncollected) transactions. 0 = off.
-  /// A breach triggers extra collections and sheds logging at the next
-  /// chunk refill (sound: shed threads degrade to ICD-only).
+  /// A breach triggers extra inline collections and sheds logging at the
+  /// next chunk refill (sound: shed threads degrade to ICD-only).
   uint64_t MaxLiveTxs = 0;
   /// ResourceGovernor budget: bytes of log chunks out of the pool. 0 = off.
   uint64_t MaxLogBytes = 0;
-  /// Watchdog/stall timeout: a busy component (collector, window flush,
-  /// scheduler gate) silent for longer trips a CheckerFault; a collector
-  /// drain blocked for longer records CollectorStall and skips the sweep
-  /// instead of waiting forever.
-  uint32_t PcdStallTimeoutMs = 10000;
+  /// Watchdog/stall timeout: a busy component (window flush, scheduler
+  /// gate) silent for longer trips a CheckerFault.
+  uint32_t StallTimeoutMs = 10000;
   /// Watchdog poll interval.
   uint32_t WatchdogPollMs = 10;
   /// After shedding, a thread attempts to re-arm full logging once this
@@ -255,8 +254,6 @@ private:
     LogChunkCache ChunkCache;
   };
 
-  class TxCollector;
-
   // -- IDG stripes ---------------------------------------------------------
   // Stripe 0 guards gLastRdSh; stripe Tid+1 guards thread Tid's IDG state
   // (CurrTx identity, lastRdEx, Owned, and the Out lists of its
@@ -274,7 +271,7 @@ private:
   Transaction *newTransactionLocked(uint32_t Tid, ir::MethodId Site,
                                     bool Regular);
   /// Finishes Tid's current transaction, then runs the out-of-line
-  /// follow-ups (PCD-only feed, cycle claims, collection trigger).
+  /// follow-ups (PCD-only feed, cycle claims, window flush or collection).
   /// Caller must hold no stripe. CurrTx intentionally keeps pointing at
   /// the finished transaction until the next newTransactionLocked.
   void endCurrentTx(uint32_t Tid);
@@ -293,12 +290,10 @@ private:
   void executeIcdClaims(IncrementalCycleDetector::ClaimList &Claims);
   /// One mark-sweep pass; takes all stripes, frees outside them.
   void collectNow(uint32_t Holder);
-  /// Routes a collection trigger to the background collector (a no-op
-  /// when collection is disabled, as under PcdOnly).
-  void requestCollect();
-  /// Bounded wait at a transaction boundary while the live-tx budget is
-  /// breached: lends the collector this thread's cycles (see definition).
-  void collectBackpressure(uint32_t Tid);
+  /// True when the live-tx budget is breached and enough transactions
+  /// finished since the last pass (\p Finished counts them) for another
+  /// pass to be worth its mark (see definition).
+  bool liveBudgetDue(uint64_t Finished) const;
   /// Returns the transaction the next access belongs to, replacing an
   /// interrupted unary transaction if needed. \p PT must be TC's block
   /// (hoisted by the caller so the hot path resolves it once).
@@ -344,11 +339,9 @@ private:
   /// Incremental online cycle detection; null in PcdOnly /
   /// DetectIcdCycles=false modes.
   std::unique_ptr<IncrementalCycleDetector> Icd;
-  /// Declared before the collector: it beats a slot, so it is destroyed
-  /// after it (the dtor also resets explicitly in that order).
+  /// Gate and window-flush stall monitor; null when the run is unwatched.
   std::unique_ptr<rt::Watchdog> Dog;
   std::unique_ptr<OnlinePcd> PcdOnlyAnalysis;
-  std::unique_ptr<TxCollector> Collector;
   /// Global free list backing every thread's chunk cache; the collector
   /// splices swept transactions' chunks back into it. Declared before
   /// Threads so it outlives the caches that recycle into it on teardown.
@@ -369,13 +362,16 @@ private:
   std::atomic<uint64_t> CrossEdges{0};
   std::atomic<uint64_t> FinishedTxs{0};
   std::atomic<uint64_t> SccCount{0};
-  std::atomic<uint64_t> BackpressureWaits{0};
   std::atomic<uint64_t> CollectorRuns{0};
   std::atomic<uint64_t> CollectorNs{0};
   std::atomic<uint64_t> TxsSwept{0};
   std::atomic<uint64_t> TxsSealed{0};
   /// Largest live set (kept transactions) any collection observed.
   std::atomic<uint64_t> CollectorLiveMax{0};
+  /// FinishedTxs plus the kept count as of the last collection: the
+  /// earliest finish count at which a budget breach collects again
+  /// (written under all stripes; read racily by liveBudgetDue).
+  std::atomic<uint64_t> BudgetCollectAt{0};
   uint64_t MarkEpochCounter = 0; ///< All stripes (collector mark epoch).
 
   /// Guards SccSites/SccAnyUnary (innermost; also used by staticInfo).
@@ -392,7 +388,6 @@ private:
   rt::Runtime *TheRT = nullptr;
   /// Watchdog slot ids (valid while Dog is set).
   uint32_t DogGateSlot = 0;
-  uint32_t DogCollectorSlot = 0;
   uint32_t DogWindowSlot = 0;
   /// Serializes window flushes against each other (two threads can cross
   /// consecutive boundaries while the first flush is still draining).

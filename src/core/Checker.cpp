@@ -152,8 +152,8 @@ RunOutcome core::runChecker(const ir::Program &Source,
     DOpts.Faults = Cfg.Faults;
     DOpts.MaxLogBytes = Cfg.MemBudgetMB << 20;
     DOpts.MaxLiveTxs = Cfg.MaxLiveTxs;
-    if (Cfg.PcdTimeoutMs != 0)
-      DOpts.PcdStallTimeoutMs = Cfg.PcdTimeoutMs;
+    if (Cfg.StallTimeoutMs != 0)
+      DOpts.StallTimeoutMs = Cfg.StallTimeoutMs;
     if (Cfg.MaxSccTxs != 0)
       DOpts.MaxSccTxsForPcd = Cfg.MaxSccTxs;
     DOpts.WindowTxs = Cfg.WindowTxs;
@@ -178,7 +178,6 @@ RunOutcome core::runChecker(const ir::Program &Source,
     VcOpts.DetectCycles = Cfg.DetectCycles;
     if (Cfg.VcCollectEveryTx != 0)
       VcOpts.CollectEveryTx = Cfg.VcCollectEveryTx;
-    VcOpts.Faults = Cfg.Faults;
     VcOpts.WindowTxs = Cfg.WindowTxs;
     if (Cfg.Session != nullptr)
       VcOpts.WindowHook = [S = Cfg.Session](const rt::HealthSnapshot &H) {

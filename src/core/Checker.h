@@ -96,7 +96,7 @@ struct RunConfig {
   uint64_t MaxLiveTxs = 0;
   /// Watchdog/stall timeout in ms (0 = keep the DoubleCheckerOptions
   /// default).
-  uint32_t PcdTimeoutMs = 0;
+  uint32_t StallTimeoutMs = 0;
   /// Cap on SCC size handed to PCD (0 = keep the DoubleCheckerOptions
   /// default). Oversized SCCs degrade to potential violations.
   uint32_t MaxSccTxs = 0;

@@ -16,8 +16,6 @@ const char *dc::rt::toString(CheckerFault F) {
   switch (F) {
   case CheckerFault::None:
     return "none";
-  case CheckerFault::CollectorStall:
-    return "collector-stall";
   case CheckerFault::GateStall:
     return "gate-stall";
   case CheckerFault::WindowFlushStall:

@@ -44,7 +44,6 @@ struct RunResult;
 /// RunResult::Fault plus a human-readable diagnosis string.
 enum class CheckerFault : uint8_t {
   None = 0,
-  CollectorStall,  ///< The transaction collector stopped heartbeating.
   GateStall,       ///< The scheduler gate made no progress (wedged run).
   WindowFlushStall, ///< A streaming window flush could not quiesce within
                     ///< its bounded waits (wedged drain inside a window).

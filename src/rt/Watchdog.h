@@ -6,8 +6,8 @@
 ///
 /// \file
 /// A small heartbeat monitor that converts "component silently wedged" into
-/// a structured CheckerFault (DESIGN.md §10). Components — the transaction
-/// collector, the window flush, the scheduler gate — register a named
+/// a structured CheckerFault (DESIGN.md §10). Components — the window
+/// flush, the scheduler gate — register a named
 /// slot, mark themselves busy while holding work, and beat their slot as
 /// they make progress. The monitor thread polls; a slot that is busy and
 /// has not beaten for longer than the timeout fires the handler exactly

@@ -22,7 +22,6 @@ std::string FaultPlan::spec() const {
     Out += std::to_string(V);
   };
   Add("alloc-fail", AllocFailAt);
-  Add("collect-delay-ms", CollectorDelayMs);
   Add("window-stall", WindowStallAt);
   return Out.empty() ? "none" : Out;
 }
@@ -61,14 +60,11 @@ bool FaultPlan::parse(const std::string &Spec, FaultPlan &Out,
     }
     if (Key == "alloc-fail")
       Out.AllocFailAt = V;
-    else if (Key == "collect-delay-ms")
-      Out.CollectorDelayMs = static_cast<uint32_t>(V);
     else if (Key == "window-stall")
       Out.WindowStallAt = V;
     else {
       Error = "unknown fault key '" + Key +
-              "' (expected alloc-fail, collect-delay-ms, or "
-              "window-stall)";
+              "' (expected alloc-fail or window-stall)";
       return false;
     }
   }

@@ -15,8 +15,8 @@
 /// that reproduces the degraded run.
 ///
 /// The injected faults mirror the overload failure modes DESIGN.md §10
-/// catalogues: allocation failure in the log-chunk arena, a delayed
-/// collector, and a wedged retirement-window flush. The checker must
+/// catalogues: allocation failure in the log-chunk arena and a wedged
+/// retirement-window flush. The checker must
 /// degrade *soundly* under every one of them: the reported violation set
 /// (precise + potential) stays a superset of the true violations, and the
 /// run terminates with a structured RunResult.
@@ -40,10 +40,6 @@ struct FaultPlan {
   /// ICD-only degradation) instead of crashing or silently dropping the
   /// entry.
   uint64_t AllocFailAt = 0;
-  /// Every collector pass sleeps this long (without heartbeating) before
-  /// collecting; above the watchdog timeout this trips
-  /// CheckerFault::CollectorStall.
-  uint32_t CollectorDelayMs = 0;
   /// The Nth retirement-window flush (streaming service mode) wedges: the
   /// flushing thread sleeps past the stall timeout without heartbeating its
   /// window slot, so the watchdog converts the stuck boundary into
@@ -52,13 +48,11 @@ struct FaultPlan {
 
   /// True iff any fault is armed.
   bool any() const {
-    return AllocFailAt != 0 || CollectorDelayMs != 0 || WindowStallAt != 0;
+    return AllocFailAt != 0 || WindowStallAt != 0;
   }
 
   bool operator==(const FaultPlan &O) const {
-    return AllocFailAt == O.AllocFailAt &&
-           CollectorDelayMs == O.CollectorDelayMs &&
-           WindowStallAt == O.WindowStallAt;
+    return AllocFailAt == O.AllocFailAt && WindowStallAt == O.WindowStallAt;
   }
 
   /// Canonical spec string: comma-separated `key@count` tokens in a fixed
@@ -66,7 +60,7 @@ struct FaultPlan {
   std::string spec() const;
 
   /// Parses a spec string: "none" / "" → empty plan; otherwise tokens
-  ///   alloc-fail@N, collect-delay-ms@N, window-stall@N
+  ///   alloc-fail@N, window-stall@N
   /// separated by commas. Returns false with \p Error set on bad input.
   static bool parse(const std::string &Spec, FaultPlan &Out,
                     std::string &Error);

@@ -8,7 +8,6 @@
 
 #include <cassert>
 #include <chrono>
-#include <thread>
 #include <utility>
 
 using namespace dc;
@@ -360,9 +359,6 @@ void VectorClockRuntime::reportViolationLocked(VcTxn *Src, VcTxn *Dst) {
 
 void VectorClockRuntime::collectLocked() {
   auto StartTime = std::chrono::steady_clock::now();
-  if (Opts.Faults.CollectorDelayMs != 0)
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(Opts.Faults.CollectorDelayMs));
   const uint64_t Epoch = ++MarkEpoch;
   auto Mark = [&](VcTxn *Tx) {
     if (Tx == nullptr || Tx->MarkEpoch == Epoch)

@@ -47,7 +47,6 @@
 #include "analysis/Violation.h"
 #include "rt/CheckerRuntime.h"
 #include "rt/Runtime.h"
-#include "support/FaultPlan.h"
 #include "support/SpinLock.h"
 #include "support/Statistic.h"
 #include "vc/VectorClock.h"
@@ -60,9 +59,6 @@ struct VectorClockOptions {
   bool DetectCycles = true;
   /// Collector trigger, in finished transactions.
   uint32_t CollectEveryTx = 8192;
-  /// Deterministic fault injection (only CollectorDelayMs applies here: the
-  /// engine has no workers, queues, or allocation-gated paths).
-  FaultPlan Faults;
   /// Streaming service mode: run one window flush (a forced collection plus
   /// a WindowHook callback) every this many finished transactions. The
   /// engine's verdicts are per-edge and never deferred, so windowing cannot

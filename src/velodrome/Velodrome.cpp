@@ -304,14 +304,15 @@ void VelodromeRuntime::collectLocked() {
       Work.push_back(Tx);
     }
   };
-  for (uint32_t T = 0; T < NumThreads; ++T)
-    AddRoot(Threads[T].CurrTx.load(std::memory_order_relaxed));
-  // Field metadata references are roots: a last-writer/reader can still
-  // source a future edge. (Bounded by the number of fields; see header.)
-  for (FieldMeta &Meta : Fields) {
-    AddRoot(Meta.LastWrite.load(std::memory_order_relaxed));
-    for (const auto &R : Meta.Readers)
-      AddRoot(R.second);
+  // Strong roots: the current, unfinished transactions. Every edge
+  // targets the accessing thread's current transaction, so only these can
+  // still gain an in-edge, and every existing member of a future cycle is
+  // forward-reachable from one of them (DESIGN.md §7, "Collector"). The
+  // finishing thread's own transaction is current but finished here.
+  for (uint32_t T = 0; T < NumThreads; ++T) {
+    Transaction *Cur = Threads[T].CurrTx.load(std::memory_order_relaxed);
+    if (Cur != nullptr && !Cur->Finished.load(std::memory_order_relaxed))
+      AddRoot(Cur);
   }
   while (!Work.empty()) {
     Transaction *Tx = Work.back();
@@ -319,6 +320,31 @@ void VelodromeRuntime::collectLocked() {
     for (const analysis::OutEdge &E : Tx->Out)
       AddRoot(E.Dst);
   }
+  // Weak roots: field metadata (a last writer or reader can still source a
+  // future edge) and finished current transactions. They are kept but not
+  // traced: none can gain an in-edge, so a node outside the strong closure
+  // never re-enters it, and cycle checks and blame only walk the strong
+  // closure. Work collects the weak roots the trace did not reach.
+  auto WeakRoot = [&](Transaction *Tx) {
+    if (Tx != nullptr && Tx->MarkEpoch != Epoch) {
+      Tx->MarkEpoch = Epoch;
+      Work.push_back(Tx);
+    }
+  };
+  for (uint32_t T = 0; T < NumThreads; ++T)
+    WeakRoot(Threads[T].CurrTx.load(std::memory_order_relaxed));
+  for (FieldMeta &Meta : Fields) {
+    WeakRoot(Meta.LastWrite.load(std::memory_order_relaxed));
+    for (const auto &R : Meta.Readers)
+      WeakRoot(R.second);
+  }
+  // Null their edges into the swept set: addEdgeLocked's duplicate check
+  // compares a source's last edge target, and a freed address can come
+  // back as a new transaction.
+  for (Transaction *Tx : Work)
+    for (analysis::OutEdge &E : Tx->Out)
+      if (E.Dst != nullptr && E.Dst->MarkEpoch != Epoch)
+        E.Dst = nullptr;
   for (uint32_t T = 0; T < NumThreads; ++T) {
     PerThread &PT = Threads[T];
     SpinLockGuard Guard(PT.OwnedLock);

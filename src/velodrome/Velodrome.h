@@ -21,9 +21,10 @@
 /// when it appears not to — racy reads that can miss dependences under
 /// concurrent accesses.
 ///
-/// Transactions are reclaimed by a mark-sweep collector; field metadata
-/// references are treated as roots (a bounded-by-#fields strengthening of
-/// the paper's weak references — see DESIGN.md §2).
+/// Transactions are reclaimed by a mark-sweep collector that traces only
+/// from current, unfinished transactions; field metadata references are
+/// weak roots, kept but not traced (a bounded-by-#fields strengthening of
+/// the paper's weak references — see DESIGN.md §2 and §7).
 ///
 //===----------------------------------------------------------------------===//
 

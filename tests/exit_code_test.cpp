@@ -55,7 +55,7 @@ TEST(DcheckExitCodes, CheckerFaultExitsTwo) {
   // faulted run as a trustworthy "1").
   EXPECT_EQ(runDcheck("--workload xalan6 --scale 0.2 --mode single-run "
                       "--det --seed 1 --window-txs 16 "
-                      "--fault-plan window-stall@1 --pcd-timeout-ms 100"),
+                      "--fault-plan window-stall@1 --stall-timeout-ms 100"),
             2);
 }
 

@@ -575,15 +575,14 @@ TEST(IcdTest, LockFreeFastPathMatchesLockedAndBatchedOnReplayedSchedules) {
   }
 }
 
-/// Regression: a delayed collector (CollectorDelayMs fault) racing live
-/// order maintenance under a tiny live-transaction budget — sweeps overlap
+/// Regression: frequent collections interleaved with live order
+/// maintenance under a tiny live-transaction budget — sweeps land between
 /// reorders, and removeNodes must keep the maintained order valid, so the
 /// verdicts stay equivalent to the oracle's and Velodrome's.
 TEST(IcdTest, CollectorRacingOrderMaintenanceStaysEquivalent) {
   ir::Program P = workloads::build("xalan6", 0.3);
   RecordedRun R = record(P, 1);
   core::RunConfig Cfg;
-  Cfg.Faults.CollectorDelayMs = 5;
   Cfg.MaxLiveTxs = 64; // Force eager, frequent collections.
   core::RunOutcome Inc = replay(P, R, core::Mode::SingleRun, Cfg);
   core::RunOutcome Velo = replay(P, R, core::Mode::Velodrome);
@@ -626,7 +625,7 @@ ir::Program hammerProgram(uint32_t Threads, uint32_t Objects) {
 }
 
 /// Real concurrent threads, heavy shared traffic (lots of inconsistent
-/// edges), background collection — and a reorder hook asserting the core
+/// edges), inline collection — and a reorder hook asserting the core
 /// perf property the tentpole exists for: a reorder runs under only the
 /// stripes its edge-writer path already holds (at most four: the RdSh
 /// upgrade takes stripe 0 plus the three endpoint-thread stripes before

@@ -7,7 +7,7 @@
 /// \file
 /// Exercises the sharded IDG hot path with real concurrent threads: many
 /// threads begin/end transactions, hammer shared objects (cross-thread
-/// edges via both Octet protocols), trigger background collection, and
+/// edges via both Octet protocols), collect inline, and
 /// replay claimed SCCs inline — all simultaneously. Checks liveness,
 /// pipeline accounting (every detected SCC is replayed), and — on replayed
 /// schedules — that the sharded path is deterministic and agrees with the
@@ -45,7 +45,7 @@ ir::Program hammerProgram(uint32_t Threads, uint32_t Objects) {
 }
 
 /// Many real threads: transactions + shared-object conflicts + collection
-/// + inline PCD replays racing the background collector, all concurrent.
+/// + inline PCD replays racing inline collections, all concurrent.
 /// The interesting assertions are "finishes at all" (no deadlock among
 /// stripes / collector / replay pins) and the SCC accounting; violation
 /// content is schedule-dependent here.
@@ -58,7 +58,7 @@ TEST(IdgStressTest, ConcurrentTransactionsEdgesCollectionAndInlinePcd) {
   StatisticRegistry Stats;
   ViolationLog Violations;
   DoubleCheckerOptions Opts;
-  Opts.CollectEveryTx = 64; // Hammer the background collector.
+  Opts.CollectEveryTx = 64; // Hammer the collector.
   auto DC = std::make_unique<DoubleCheckerRuntime>(P, Opts, Violations,
                                                    Stats);
   rt::Runtime RT(P, DC.get());

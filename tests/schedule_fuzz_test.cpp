@@ -314,7 +314,7 @@ TEST(FuzzTest, PairTimeoutWritesWitnessAndExitsThree) {
   Wedge.Program = Seed.P;
   Wedge.Fault.Plan.WindowStallAt = 1;
   Wedge.Fault.WindowTxs = 1;
-  Wedge.Fault.PcdTimeoutMs = 5000;
+  Wedge.Fault.StallTimeoutMs = 5000;
   const std::string In = ::testing::TempDir() + "/pair_timeout_in.dcw";
   const std::string Out = ::testing::TempDir() + "/pair_timeout_out.dcw";
   ASSERT_TRUE(fuzz::writeWitness(In, Wedge, /*InjectIcdBug=*/false));
@@ -336,7 +336,7 @@ TEST(FuzzTest, PairTimeoutWritesWitnessAndExitsThree) {
   EXPECT_EQ(Dumped.Schedule, Seed.Schedule);
   EXPECT_TRUE(Dumped.Fault.Plan == Wedge.Fault.Plan);
   EXPECT_EQ(Dumped.Fault.WindowTxs, 1u);
-  EXPECT_EQ(Dumped.Fault.PcdTimeoutMs, 5000u);
+  EXPECT_EQ(Dumped.Fault.StallTimeoutMs, 5000u);
   std::ifstream DumpText(Out);
   std::string FirstLines, Line;
   for (int L = 0; L < 3 && std::getline(DumpText, Line); ++L)

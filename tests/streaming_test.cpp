@@ -261,7 +261,7 @@ TEST(StreamingFaults, WedgedWindowFlushDegradesStructurally) {
   RunConfig Cfg = windowedCfg(Mode::SingleRun, 8);
   Cfg.Session = &Session;
   Cfg.Faults.WindowStallAt = 1;
-  Cfg.PcdTimeoutMs = 100;
+  Cfg.StallTimeoutMs = 100;
   RunOutcome O = runChecker(P, Spec, Cfg);
   EXPECT_FALSE(O.Result.Aborted)
       << "a wedged flush degrades; it must not abort the run";

@@ -193,6 +193,31 @@ TEST_F(VelodromeScenario, MetadataRootsSurviveCollection) {
   EXPECT_GE(Stats.value("velodrome.cross_edges"), 1u);
 }
 
+TEST_F(VelodromeScenario, FinishedWriterSuccessorsAreSwept) {
+  // A long-finished field writer is kept (its metadata can still source an
+  // edge) but only as a weak root: its successors, here all of thread 0's
+  // later history, are swept instead of traced, and a later read still
+  // finds the writer.
+  VelodromeOptions Opts;
+  Opts.CollectEveryTx = 4;
+  start(Opts);
+  begin(0, "m1");
+  access(0, 0, 0, true); // The field is never written again.
+  end(0, "m1");
+  for (int I = 0; I < 40; ++I) {
+    begin(0, "m2");
+    end(0, "m2");
+  }
+  begin(1, "m2");
+  access(1, 0, 0, false); // Edge from the kept writer.
+  end(1, "m2");
+  finish();
+  // The churn finished 80 transactions after the writer; traced from the
+  // writer, not one of them could be swept.
+  EXPECT_GE(Stats.value("velodrome.txs_swept"), 70u);
+  EXPECT_EQ(Stats.value("velodrome.cross_edges"), 1u);
+}
+
 TEST_F(VelodromeScenario, SyncOpsTrackedAsAccesses) {
   start();
   begin(0, "m1");

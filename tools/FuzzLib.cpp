@@ -362,8 +362,8 @@ std::string FaultCase::name() const {
   std::string N = "fault[" + Plan.spec();
   if (MaxSccTxs != 0)
     N += " max-scc-txs=" + std::to_string(MaxSccTxs);
-  if (PcdTimeoutMs != 0)
-    N += " timeout-ms=" + std::to_string(PcdTimeoutMs);
+  if (StallTimeoutMs != 0)
+    N += " timeout-ms=" + std::to_string(StallTimeoutMs);
   if (IcdMaxRegion != 0)
     N += " icd-max-region=" + std::to_string(IcdMaxRegion);
   if (IcdSeqRetryStorm != 0)
@@ -389,27 +389,11 @@ std::vector<FaultCase> fuzz::faultSweepCases() {
     C.Plan.AllocFailAt = 3;
     Cases.push_back(C);
   }
-  // Delayed collector passes (below the timeout: exercises the path
-  // without tripping CollectorStall).
-  {
-    FaultCase C;
-    C.Plan.CollectorDelayMs = 5;
-    Cases.push_back(C);
-  }
   // Oversized-SCC cap: every real SCC (≥ 2 members) exceeds the cap and
   // must surface as potential violations, never vanish.
   {
     FaultCase C;
     C.MaxSccTxs = 1;
-    Cases.push_back(C);
-  }
-  // Delayed collector against the *incremental* detector: the collector's
-  // removeNodes unlink races against live order maintenance, and claimed
-  // components must survive the sweep unchanged.
-  {
-    FaultCase C;
-    C.Plan.CollectorDelayMs = 5;
-    C.IcdMaxRegion = 2;
     Cases.push_back(C);
   }
   // Incremental region cap of 1: every inconsistent edge trips the
@@ -454,7 +438,7 @@ std::vector<FaultCase> fuzz::faultSweepCases() {
     FaultCase C;
     C.Plan.WindowStallAt = 1;
     C.WindowTxs = 3;
-    C.PcdTimeoutMs = 100;
+    C.StallTimeoutMs = 100;
     Cases.push_back(C);
   }
   // Shed logging layered over streaming windows: the degradation ladder
@@ -466,12 +450,11 @@ std::vector<FaultCase> fuzz::faultSweepCases() {
     C.WindowTxs = 3;
     Cases.push_back(C);
   }
-  // Delayed collector inside the vector-clock engine, under an aggressive
-  // collect cadence (every 4 finished transactions): mark-sweep over live
-  // subscription lists must not change the verdict or blame.
+  // The vector-clock engine under an aggressive collect cadence (every 4
+  // finished transactions): mark-sweep over live subscription lists must
+  // not change the verdict or blame.
   {
     FaultCase C;
-    C.Plan.CollectorDelayMs = 5;
     C.Eng = FaultCase::Engine::Vc;
     Cases.push_back(C);
   }
@@ -502,12 +485,11 @@ fuzz::checkFaultCase(const ir::Program &Source,
   Cfg.Faults = Case.Plan;
   Cfg.WindowTxs = Case.WindowTxs;
   if (Case.Eng == FaultCase::Engine::Vc) {
-    // Make the collector actually run on tiny fuzz programs so the delay
-    // (and the mark-sweep it delays) is exercised, not just configured.
+    // Make the collector actually run on tiny fuzz programs.
     Cfg.VcCollectEveryTx = 4;
   } else {
     Cfg.MaxSccTxs = Case.MaxSccTxs;
-    Cfg.PcdTimeoutMs = Case.PcdTimeoutMs;
+    Cfg.StallTimeoutMs = Case.StallTimeoutMs;
     Cfg.IcdMaxRegion = Case.IcdMaxRegion;
     Cfg.IcdSeqRetryStorm = Case.IcdSeqRetryStorm;
   }
@@ -775,8 +757,8 @@ bool fuzz::writeWitness(const std::string &Path, const Divergence &D,
     Out << "# fault-plan: " << D.Fault.Plan.spec() << "\n";
     if (D.Fault.MaxSccTxs != 0)
       Out << "# fault-max-scc-txs: " << D.Fault.MaxSccTxs << "\n";
-    if (D.Fault.PcdTimeoutMs != 0)
-      Out << "# fault-timeout-ms: " << D.Fault.PcdTimeoutMs << "\n";
+    if (D.Fault.StallTimeoutMs != 0)
+      Out << "# fault-timeout-ms: " << D.Fault.StallTimeoutMs << "\n";
     if (D.Fault.IcdMaxRegion != 0)
       Out << "# fault-icd-max-region: " << D.Fault.IcdMaxRegion << "\n";
     if (D.Fault.IcdSeqRetryStorm != 0)
@@ -838,7 +820,7 @@ bool fuzz::readWitness(const std::string &Path, Witness &W,
     } else if (Tag == "fault-max-scc-txs:") {
       LS >> W.Fault.MaxSccTxs;
     } else if (Tag == "fault-timeout-ms:") {
-      LS >> W.Fault.PcdTimeoutMs;
+      LS >> W.Fault.StallTimeoutMs;
     } else if (Tag == "fault-icd-max-region:") {
       LS >> W.Fault.IcdMaxRegion;
     } else if (Tag == "fault-icd-lockfree:") {
@@ -909,7 +891,7 @@ std::optional<std::string> fuzz::replayWitness(const Witness &W) {
 
 double fuzz::defaultPairTimeoutSeconds() {
   constexpr unsigned StallBudgets = 4;
-  return StallBudgets * analysis::DoubleCheckerOptions().PcdStallTimeoutMs /
+  return StallBudgets * analysis::DoubleCheckerOptions().StallTimeoutMs /
          1000.0;
 }
 

@@ -106,13 +106,13 @@ PairResult checkPair(const ir::Program &Source,
 /// forces degradation). Zero-valued knobs keep the checker defaults.
 struct FaultCase {
   /// Checker engine the fault plan is injected into. DoubleChecker cases
-  /// sweep the full plan; VectorClock cases exercise the one fault that
-  /// engine owns (a delayed collector) under an aggressive collect cadence.
+  /// sweep the full plan; the VectorClock case runs that engine's
+  /// mark-sweep under an aggressive collect cadence.
   enum class Engine : uint8_t { DoubleChecker, Vc };
 
   FaultPlan Plan;
   uint32_t MaxSccTxs = 0;
-  uint32_t PcdTimeoutMs = 0;
+  uint32_t StallTimeoutMs = 0;
   /// Incremental detector's affected-region cap (0 = default): tiny values
   /// force the oversized-region sound-degradation valve.
   uint32_t IcdMaxRegion = 0;
@@ -128,7 +128,7 @@ struct FaultCase {
   Engine Eng = Engine::DoubleChecker;
 
   bool any() const {
-    return Plan.any() || MaxSccTxs != 0 || PcdTimeoutMs != 0 ||
+    return Plan.any() || MaxSccTxs != 0 || StallTimeoutMs != 0 ||
            IcdMaxRegion != 0 || IcdSeqRetryStorm != 0 || WindowTxs != 0 ||
            Eng != Engine::DoubleChecker;
   }
@@ -137,9 +137,10 @@ struct FaultCase {
 };
 
 /// The built-in fault-sweep axis: one case per overload failure mode the
-/// FaultPlan models (allocation failure, collector delay, wedged window
-/// flush) and per degradation cap (oversized SCC, ICD region, seqlock
-/// retry storm), plus combinations layered over windowing.
+/// FaultPlan models (allocation failure, wedged window flush) and per
+/// degradation cap (oversized SCC, ICD region, seqlock retry storm), plus
+/// combinations layered over windowing and the vc engine's collect
+/// cadence.
 std::vector<FaultCase> faultSweepCases();
 
 /// Replays the recorded pair through single-run DoubleChecker under \p
@@ -214,7 +215,7 @@ std::optional<std::string> replayWitness(const Witness &W);
 constexpr int ExitPairTimeout = 3;
 
 /// The default per-pair wall timeout: a fixed multiple of the checker's
-/// stall budget (DoubleCheckerOptions::PcdStallTimeoutMs). Every timed wait
+/// stall budget (DoubleCheckerOptions::StallTimeoutMs). Every timed wait
 /// a healthy or degrading run performs is bounded by a small multiple of
 /// that budget, so a pair that outlives this is wedged, not slow.
 double defaultPairTimeoutSeconds();

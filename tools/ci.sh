@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate: Release build + full test suite, then a ThreadSanitizer build
 # running the concurrent stress tests (sharded IDG hot path, inline PCD
-# replays racing the background collector, fault-injection paths), a Debug
+# replays racing inline collections, fault-injection paths), a Debug
 # build that runs the collector, detector, Octet, streaming and fault suites
 # with assertions on, an AddressSanitizer build, and an
 # UndefinedBehaviorSanitizer build of the fault-injection tests. Run from
@@ -40,6 +40,33 @@ for PIN in "" "taskset -c 0"; do
       exit 1
     fi
   done
+done
+
+echo "== Reproducible --det --stats =="
+# A deterministic run is reproducible down to its statistics: two runs of
+# one configuration must print the same report, counters and NDJSON
+# events, apart from the *_ns timings and the wall-clock "ran ... in ...s"
+# line. Every checker component that touches the graph runs on a program
+# thread, so nothing may depend on another thread's timing.
+det_stats() {
+  local OUT RC
+  set +e
+  OUT=$(build-ci/tools/dcheck --workload xalan6 --scale 0.35 --seed 3 --det \
+    --stats "$@")
+  RC=$?
+  set -e
+  printf '%s\nexit %s\n' "$OUT" "$RC" |
+    grep -v -E '^ran [0-9]+ instructions in [0-9.]+s$|^  [a-z0-9_.]+_ns +[0-9]+$'
+}
+for CFG in "" "--engine vc" "--mode velodrome" "--serve --window-txs 64"; do
+  # $CFG is unquoted on purpose: it is a list of flags (empty = single-run).
+  DET_A=$(det_stats $CFG)
+  DET_B=$(det_stats $CFG)
+  if [ "$DET_A" != "$DET_B" ]; then
+    echo "error: two --det --stats runs differ (${CFG:-single-run}):"
+    diff <(echo "$DET_A") <(echo "$DET_B") | head -20
+    exit 1
+  fi
 done
 
 echo "== Logging hot-path bench (smoke) =="
@@ -276,8 +303,8 @@ rm -rf "$MUTANT_TREE"
 
 echo "== Fault-injection sweep (bounded) =="
 # Every agreeing (program, schedule) pair re-runs under the deterministic
-# fault matrix (alloc failure, collector delay, window-flush stall,
-# oversized-SCC and region caps, seqlock retry storms): degradation must
+# fault matrix (alloc failure, window-flush stall, oversized-SCC and
+# region caps, seqlock retry storms, the vc collect cadence): degradation must
 # stay sound — nothing the fault-free run blames may be lost, and every
 # run terminates with a structured RunResult. DC_FAULT_BUDGET_SECONDS=300
 # (or more) is the nightly setting; the default keeps the gate fast.
@@ -314,7 +341,7 @@ echo "== Differential schedule fuzz under TSan (smoke) =="
 # Much slower per pair under TSan; a short fixed-seed slice is enough to
 # catch data races in the scheduler/gate/oracle plumbing itself. The
 # fault-sweep slice covers the degradation/watchdog machinery (shed
-# flags, collector backpressure, window-flush stalls).
+# flags, eager inline collection, window-flush stalls).
 # TSan's slowdown gets a proportionally longer pair timeout.
 TSAN_PAIR_TIMEOUT=$((PAIR_TIMEOUT * 10))
 build-ci-tsan/tools/dcfuzz --seed 7 --pairs 40 --strategy mixed \
@@ -352,8 +379,9 @@ build-ci-tsan/tools/dcsoak --iterations 60 --seconds 0 --seed 13 \
 # logging tests are in that set: LogSrcPos races a lock-free LogLen
 # sampler against an appender, and LogElision replays the log with
 # elision on and off against Velodrome and the oracle.
-# FaultInjection exercises the watchdog's collector-stall conversion and
-# the governor's backpressure waits against the collector. Icd covers the
+# FaultInjection exercises the degradation ladder (shed flags, the live
+# budget's eager inline collections); Streaming the watchdog's
+# window-stall conversion. Icd covers the
 # detector's lock-free hot path (atomic order keys, program-order chain
 # pointers) plus the stripe-locality stress test. The Vc suites drive the
 # vector-clock engine's hooks from free-running OS threads: accesses that

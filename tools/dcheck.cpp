@@ -72,7 +72,7 @@ struct CliOptions {
   unsigned Trials = 1;
   bool Deterministic = false;
   uint64_t MemBudgetMB = 0;
-  unsigned PcdTimeoutMs = 0;
+  unsigned StallTimeoutMs = 0;
   std::string FaultPlanSpec;
   bool Serve = false;
   unsigned WindowTxs = 0;
@@ -128,8 +128,8 @@ void printUsage() {
       "  --refine              iterative specification refinement (Fig. 6)\n"
       "  --mem-budget-mb <n>   log-arena budget in MiB; breaching it sheds\n"
       "                        logging soundly (0 = unlimited, default)\n"
-      "  --pcd-timeout-ms <n>  watchdog/stall timeout for background\n"
-      "                        components (0 = default 10000)\n"
+      "  --stall-timeout-ms <n> watchdog timeout for the scheduler gate\n"
+      "                        and window flushes (0 = default 10000)\n"
       "  --fault-plan <spec>   inject deterministic checker faults, e.g.\n"
       "                        alloc-fail@1,window-stall@2 (see dcfuzz)\n"
       "  --static-info <path>  second-run input (from --emit-static)\n"
@@ -201,8 +201,8 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       Opts.ScheduleInFile = V;
     else if (Arg == "--mem-budget-mb" && Value(V))
       Opts.MemBudgetMB = std::strtoull(V.c_str(), nullptr, 10);
-    else if (Arg == "--pcd-timeout-ms" && Value(V))
-      Opts.PcdTimeoutMs = static_cast<unsigned>(std::atoi(V.c_str()));
+    else if (Arg == "--stall-timeout-ms" && Value(V))
+      Opts.StallTimeoutMs = static_cast<unsigned>(std::atoi(V.c_str()));
     else if (Arg == "--fault-plan" && Value(V))
       Opts.FaultPlanSpec = V;
     else if (Arg == "--serve")
@@ -422,7 +422,7 @@ int main(int Argc, char **Argv) {
     return ExitUsage;
   }
   Cfg.MemBudgetMB = Opts.MemBudgetMB;
-  Cfg.PcdTimeoutMs = Opts.PcdTimeoutMs;
+  Cfg.StallTimeoutMs = Opts.StallTimeoutMs;
   if (!Opts.FaultPlanSpec.empty()) {
     std::string PlanError;
     if (!FaultPlan::parse(Opts.FaultPlanSpec, Cfg.Faults, PlanError)) {

@@ -22,7 +22,7 @@
 ///   * engine agreement — DoubleChecker and the vector-clock engine agree
 ///     with the oracle (and hence each other) on every streamed verdict;
 ///   * zero unstructured hangs — fault iterations replay the full fault
-///     sweep (allocation failure, collector delay, degradation caps,
+///     sweep (allocation failure, degradation caps,
 ///     wedged window flushes) layered over windowing; every stall must
 ///     surface as a structured CheckerFault, never an abort or a hang.
 ///
