@@ -74,26 +74,39 @@ void VectorClockRuntime::publishCountersLocked() {
 }
 
 void VectorClockRuntime::threadStarted(rt::ThreadContext &TC) {
-  SpinLockGuard Guard(EngineLock);
-  newTransactionLocked(TC.Tid, ir::InvalidMethodId, /*Regular=*/false);
+  startTransaction(TC.Tid, ir::InvalidMethodId, /*Regular=*/false);
 }
 
 void VectorClockRuntime::threadExiting(rt::ThreadContext &TC) {
-  SpinLockGuard Guard(EngineLock);
-  endCurrentTxLocked(TC.Tid);
-  Threads[TC.Tid].CurrTx.store(nullptr, std::memory_order_release);
+  PerThread &PT = Threads[TC.Tid];
+  uint64_t Finished = 0;
+  {
+    SpinLockGuard Guard(EngineLock);
+    VcTxn *Cur = PT.CurrTx.load(std::memory_order_relaxed);
+    if (Cur != nullptr && !Cur->Finished.load(std::memory_order_relaxed))
+      Finished = countFinished();
+    PT.CurrTx.store(nullptr, std::memory_order_release);
+  }
+  runBoundary(Finished);
 }
 
 void VectorClockRuntime::txBegin(rt::ThreadContext &TC, const ir::Method &M) {
-  SpinLockGuard Guard(EngineLock);
-  endCurrentTxLocked(TC.Tid);
-  newTransactionLocked(TC.Tid, P.originalOf(M.Id), /*Regular=*/true);
+  startTransaction(TC.Tid, P.originalOf(M.Id), /*Regular=*/true);
 }
 
 void VectorClockRuntime::txEnd(rt::ThreadContext &TC, const ir::Method &M) {
-  SpinLockGuard Guard(EngineLock);
-  endCurrentTxLocked(TC.Tid);
-  newTransactionLocked(TC.Tid, ir::InvalidMethodId, /*Regular=*/false);
+  // No successor starts here: the next txBegin, or the next checked access
+  // for a unary one, starts it. So txEnd changes only the owner-written
+  // Finished flag and the relaxed LastSub, and needs EngineLock only for
+  // the collection its count may close.
+  VcTxn *Cur = Threads[TC.Tid].CurrTx.load(std::memory_order_relaxed);
+  if (Cur == nullptr || Cur->Finished.load(std::memory_order_relaxed))
+    return;
+  // A finished transaction's next conflict edge is never a duplicate of
+  // its previous one (DESIGN.md §14, "Transaction lifecycle and locking").
+  Cur->LastSub.store(nullptr, std::memory_order_relaxed);
+  Cur->Finished.store(true, std::memory_order_relaxed);
+  runBoundary(countFinished());
 }
 
 VectorClockRuntime::VcTxn *
@@ -101,20 +114,20 @@ VectorClockRuntime::currentForAccess(rt::ThreadContext &TC) {
   PerThread &PT = Threads[TC.Tid];
   VcTxn *Cur = PT.CurrTx.load(std::memory_order_relaxed);
   assert(Cur && "access outside any transaction context");
-  if (Cur->Regular || !Cur->Interrupted.load(std::memory_order_relaxed))
+  if (isOpen(Cur))
     return Cur;
-  SpinLockGuard Guard(EngineLock);
-  endCurrentTxLocked(TC.Tid);
-  return newTransactionLocked(TC.Tid, ir::InvalidMethodId,
-                              /*Regular=*/false);
+  startTransaction(TC.Tid, ir::InvalidMethodId, /*Regular=*/false);
+  return PT.CurrTx.load(std::memory_order_relaxed);
 }
 
-VectorClockRuntime::VcTxn *VectorClockRuntime::edgeTargetLocked(uint32_t Tid,
-                                                                 VcTxn *Cur) {
+VectorClockRuntime::VcTxn *
+VectorClockRuntime::edgeTargetLocked(uint32_t Tid, VcTxn *Cur,
+                                     uint64_t &Finished) {
   if (!Cur->Sealed)
     return Cur;
-  endCurrentTxLocked(Tid);
-  return newTransactionLocked(Tid, ir::InvalidMethodId, /*Regular=*/false);
+  Finished = startTransactionLocked(Tid, ir::InvalidMethodId,
+                                    /*Regular=*/false);
+  return Threads[Tid].CurrTx.load(std::memory_order_relaxed);
 }
 
 void VectorClockRuntime::instrumentedAccess(rt::ThreadContext &TC,
@@ -156,7 +169,10 @@ void VectorClockRuntime::instrumentedAccess(rt::ThreadContext &TC,
 
   // Metadata stores need only the field lock (see FieldMeta); EngineLock is
   // taken only to add cross edges. Lock order: field lock, then EngineLock.
-  SpinLockGuard FieldGuard(Meta.Lock);
+  // A flush or collection that a rotation in edgeTargetLocked makes due
+  // runs after the field lock is released (Finished stays 0 otherwise).
+  uint64_t Finished = 0;
+  std::unique_lock<SpinLock> FieldGuard(Meta.Lock);
   VcTxn *W = Meta.LastWrite.load(std::memory_order_relaxed);
   VcTxn *OwnRead = Own.load(std::memory_order_relaxed);
   // Reads W->Tid only when the rule needs it: W is hot in other threads'
@@ -170,7 +186,7 @@ void VectorClockRuntime::instrumentedAccess(rt::ThreadContext &TC,
       if (ForeignWriter()) {
         ++PT.EngineLockAccesses;
         SpinLockGuard EngineGuard(EngineLock);
-        Cur = edgeTargetLocked(TC.Tid, Cur);
+        Cur = edgeTargetLocked(TC.Tid, Cur, Finished);
         addEdgeLocked(W, Cur);
       }
       if (OwnRead == nullptr)
@@ -189,7 +205,7 @@ void VectorClockRuntime::instrumentedAccess(rt::ThreadContext &TC,
     if (Foreign || Meta.NumReaders > (OwnRead != nullptr ? 1u : 0u)) {
       ++PT.EngineLockAccesses;
       SpinLockGuard EngineGuard(EngineLock);
-      Cur = edgeTargetLocked(TC.Tid, Cur);
+      Cur = edgeTargetLocked(TC.Tid, Cur, Finished);
       if (Foreign)
         addEdgeLocked(W, Cur);
       for (uint32_t T = 0; T < NumThreads; ++T)
@@ -206,6 +222,9 @@ void VectorClockRuntime::instrumentedAccess(rt::ThreadContext &TC,
     Access();
     Meta.Seq.store(S + 2, std::memory_order_release);
   }
+  FieldGuard.unlock();
+  if (Finished != 0)
+    runBoundary(Finished);
 }
 
 void VectorClockRuntime::syncOp(rt::ThreadContext &TC,
@@ -218,16 +237,14 @@ void VectorClockRuntime::syncOp(rt::ThreadContext &TC,
   instrumentedAccess(TC, Info, [] {});
 }
 
-VectorClockRuntime::VcTxn *
-VectorClockRuntime::newTransactionLocked(uint32_t Tid, ir::MethodId Site,
-                                         bool Regular) {
+uint64_t VectorClockRuntime::startTransactionLocked(uint32_t Tid,
+                                                   ir::MethodId Site,
+                                                   bool Regular) {
   PerThread &PT = Threads[Tid];
   auto *Tx = new VcTxn(++NextTxId, Tid, PT.NextSeq++, Site, Regular,
                        NumThreads);
-  {
-    SpinLockGuard Guard(PT.OwnedLock);
-    PT.Owned.push_back(Tx);
-  }
+  PT.Owned.push_back(Tx);
+  uint64_t Finished = 0;
   VcTxn *Prev = PT.CurrTx.load(std::memory_order_relaxed);
   if (Prev != nullptr) {
     // Program-order edge Prev->Tx: join and subscribe, like any edge. The
@@ -240,21 +257,34 @@ VectorClockRuntime::newTransactionLocked(uint32_t Tid, ir::MethodId Site,
     Tx->Known.joinFrom(Prev->Known, [&](uint32_t T) { Tx->Pred[T] = Prev; });
     if (!Prev->Sealed)
       Prev->Subs.push_back(Tx);
-    Prev->LastSub = Tx;
+    // A finished Prev's txEnd already cleared LastSub, and a conflict edge
+    // may have set it since: that one stays.
+    if (!Prev->Finished.load(std::memory_order_relaxed)) {
+      Prev->LastSub.store(Tx, std::memory_order_relaxed);
+      Finished = countFinished();
+    }
   }
   PT.CurrTx.store(Tx, std::memory_order_release);
-  return Tx;
+  return Finished;
 }
 
-void VectorClockRuntime::endCurrentTxLocked(uint32_t Tid) {
-  PerThread &PT = Threads[Tid];
-  if (PT.CurrTx.load(std::memory_order_relaxed) == nullptr)
+void VectorClockRuntime::startTransaction(uint32_t Tid, ir::MethodId Site,
+                                          bool Regular) {
+  uint64_t Finished;
+  {
+    SpinLockGuard Guard(EngineLock);
+    Finished = startTransactionLocked(Tid, Site, Regular);
+  }
+  runBoundary(Finished);
+}
+
+void VectorClockRuntime::runBoundary(uint64_t Finished) {
+  if (Finished == 0)
     return;
-  ++FinishedTxs;
-  if (Opts.WindowTxs != 0 && FinishedTxs % Opts.WindowTxs == 0)
-    windowFlushLocked();
-  else if (FinishedTxs % Opts.CollectEveryTx == 0)
-    collectLocked();
+  if (Opts.WindowTxs != 0 && Finished % Opts.WindowTxs == 0)
+    collect(/*Window=*/true);
+  else if (Finished % Opts.CollectEveryTx == 0)
+    collect(/*Window=*/false);
 }
 
 void VectorClockRuntime::addEdgeLocked(VcTxn *Src, VcTxn *Dst) {
@@ -264,7 +294,7 @@ void VectorClockRuntime::addEdgeLocked(VcTxn *Src, VcTxn *Dst) {
   // Cheap dedupe of the common consecutive-duplicate case (safe: the first
   // instance already ran the reachability check, and a duplicate edge can
   // never close a cycle the original did not).
-  if (Src->LastSub == Dst)
+  if (Src->LastSub.load(std::memory_order_relaxed) == Dst)
     return;
   // Edges interrupt unary-transaction merging (same demarcation as the
   // graph engines).
@@ -285,7 +315,7 @@ void VectorClockRuntime::addEdgeLocked(VcTxn *Src, VcTxn *Dst) {
       Dst->Known.joinFrom(Src->Known, [&](uint32_t T) { Dst->Pred[T] = Src; });
   if (!Src->Sealed)
     Src->Subs.push_back(Dst);
-  Src->LastSub = Dst;
+  Src->LastSub.store(Dst, std::memory_order_relaxed);
   if (Grew)
     propagateLocked(Dst);
 }
@@ -357,7 +387,7 @@ void VectorClockRuntime::reportViolationLocked(VcTxn *Src, VcTxn *Dst) {
   Violations.report(std::move(R));
 }
 
-void VectorClockRuntime::collectLocked() {
+void VectorClockRuntime::collectLocked(std::vector<VcTxn *> &Swept) {
   auto StartTime = std::chrono::steady_clock::now();
   const uint64_t Epoch = ++MarkEpoch;
   auto Mark = [&](VcTxn *Tx) {
@@ -367,15 +397,14 @@ void VectorClockRuntime::collectLocked() {
     return true;
   };
   // Growable set: every clock that can still grow. Only an open transaction
-  // (current, and regular or not yet interrupted) can be the target of a
-  // future in-edge, and growth reaches everything else by pushes along
-  // Subs, so the set is the forward closure of the open ones.
+  // (current, unfinished, and regular or not yet interrupted) can be the
+  // target of a future in-edge, and growth reaches everything else by
+  // pushes along Subs, so the set is the forward closure of the open ones.
+  // A txEnd racing this pass at worst leaves its transaction marked open.
   std::vector<VcTxn *> Work;
   for (uint32_t T = 0; T < NumThreads; ++T) {
     VcTxn *Cur = Threads[T].CurrTx.load(std::memory_order_relaxed);
-    if (Cur != nullptr &&
-        (Cur->Regular || !Cur->Interrupted.load(std::memory_order_relaxed)) &&
-        Mark(Cur))
+    if (Cur != nullptr && isOpen(Cur) && Mark(Cur))
       Work.push_back(Cur);
   }
   while (!Work.empty()) {
@@ -415,29 +444,27 @@ void VectorClockRuntime::collectLocked() {
   // to be swept. Null them before deleting anything: the blame walk then
   // stops at the truncation instead of chasing freed memory (it only ever
   // shortens the reported cycle, never a verdict), and the dedupe cannot
-  // match a recycled address.
+  // match a recycled address. A txEnd racing this only stores null.
   for (uint32_t T = 0; T < NumThreads; ++T) {
-    PerThread &PT = Threads[T];
-    SpinLockGuard Guard(PT.OwnedLock);
-    for (VcTxn *Tx : PT.Owned) {
+    for (VcTxn *Tx : Threads[T].Owned) {
       if (Tx->MarkEpoch != Epoch)
         continue;
       for (VcTxn *&Pred : Tx->Pred)
         if (Pred != nullptr && Pred->MarkEpoch != Epoch)
           Pred = nullptr;
-      if (Tx->LastSub != nullptr && Tx->LastSub->MarkEpoch != Epoch)
-        Tx->LastSub = nullptr;
+      VcTxn *Last = Tx->LastSub.load(std::memory_order_relaxed);
+      if (Last != nullptr && Last->MarkEpoch != Epoch)
+        Tx->LastSub.store(nullptr, std::memory_order_relaxed);
     }
   }
   for (uint32_t T = 0; T < NumThreads; ++T) {
     PerThread &PT = Threads[T];
-    SpinLockGuard Guard(PT.OwnedLock);
     size_t Kept = 0;
     for (VcTxn *Tx : PT.Owned) {
-      if (Tx->MarkEpoch == Epoch)
+      if (Tx->MarkEpoch == Epoch) {
         PT.Owned[Kept++] = Tx;
-      else {
-        delete Tx;
+      } else {
+        Swept.push_back(Tx);
         ++TxsSwept;
       }
     }
@@ -450,32 +477,47 @@ void VectorClockRuntime::collectLocked() {
           .count());
 }
 
-void VectorClockRuntime::windowFlushLocked() {
-  collectLocked();
-  ++WindowsFlushed;
-  WindowPinnedLast = liveTxsLocked();
-  // Published per flush, so health events' stats carry them mid-run too.
-  Stats.get("vc.window_pinned_peak").updateMax(WindowPinnedLast);
-  publishCountersLocked();
-  if (Opts.WindowHook) {
-    rt::HealthSnapshot H;
-    fillHealthLocked(H);
+void VectorClockRuntime::collect(bool Window) {
+  // Flushes hold WindowMu from the collection to the hook's return, so
+  // window events leave in flush order although the registry snapshot and
+  // the hook run outside EngineLock (like DoubleChecker's windowFlushNow).
+  std::unique_lock<std::mutex> WindowGuard(WindowMu, std::defer_lock);
+  if (Window)
+    WindowGuard.lock();
+  std::vector<VcTxn *> Swept;
+  rt::HealthSnapshot H;
+  {
+    SpinLockGuard Guard(EngineLock);
+    collectLocked(Swept);
+    if (Window) {
+      ++WindowsFlushed;
+      WindowPinnedLast = liveTxsLocked();
+      // Published per flush, so health events' stats carry them mid-run.
+      Stats.get("vc.window_pinned_peak").updateMax(WindowPinnedLast);
+      publishCountersLocked();
+      fillHealthLocked(H);
+    }
+  }
+  for (VcTxn *Tx : Swept)
+    delete Tx;
+  if (Window && Opts.WindowHook) {
+    StatisticRegistry::Snapshot Snap = Stats.snapshot();
+    H.StatsStable = Snap.Stable;
+    H.Stats = std::move(Snap.Values);
     Opts.WindowHook(H);
   }
 }
 
 uint64_t VectorClockRuntime::liveTxsLocked() {
   uint64_t Live = 0;
-  for (uint32_t T = 0; T < NumThreads; ++T) {
-    SpinLockGuard Guard(Threads[T].OwnedLock);
+  for (uint32_t T = 0; T < NumThreads; ++T)
     Live += Threads[T].Owned.size();
-  }
   return Live;
 }
 
 void VectorClockRuntime::fillHealthLocked(rt::HealthSnapshot &H) {
   H.WindowIndex = WindowsFlushed;
-  H.FinishedTxs = FinishedTxs;
+  H.FinishedTxs = FinishedTxs.load(std::memory_order_relaxed);
   H.LiveTxs = liveTxsLocked();
   H.RetiredTxs = TxsSwept;
   H.SealedTxs = TxsSealed;
@@ -484,22 +526,22 @@ void VectorClockRuntime::fillHealthLocked(rt::HealthSnapshot &H) {
   H.Violations = ViolationCount;
   // No degradation ladder and no async components here: the engine's
   // verdicts are per-edge and synchronous, so Degradations/Fault stay zero.
-  StatisticRegistry::Snapshot Snap = Stats.snapshot();
-  H.StatsStable = Snap.Stable;
-  H.Stats = std::move(Snap.Values);
 }
 
 void VectorClockRuntime::healthSnapshot(rt::HealthSnapshot &H) {
   if (NumThreads == 0)
     return; // beginRun has not happened yet.
-  SpinLockGuard Guard(EngineLock);
-  fillHealthLocked(H);
+  {
+    SpinLockGuard Guard(EngineLock);
+    fillHealthLocked(H);
+  }
+  StatisticRegistry::Snapshot Snap = Stats.snapshot();
+  H.StatsStable = Snap.Stable;
+  H.Stats = std::move(Snap.Values);
 }
 
 bool VectorClockRuntime::windowFlush() {
-  if (NumThreads == 0)
-    return true;
-  SpinLockGuard Guard(EngineLock);
-  windowFlushLocked();
+  if (NumThreads != 0)
+    collect(/*Window=*/true);
   return true; // Nothing here can wedge or degrade: always clean.
 }

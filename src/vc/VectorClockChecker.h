@@ -42,6 +42,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "analysis/Violation.h"
@@ -109,6 +110,10 @@ private:
     /// thread must start a fresh unary span (same demarcation as the graph
     /// engines). Atomic: read outside EngineLock on the access fast path.
     std::atomic<bool> Interrupted{false};
+    /// txEnd ran: the transaction stays its thread's CurrTx, but the next
+    /// txBegin or checked access starts its successor. Set by the owner
+    /// thread without EngineLock; the collector reads it under the lock.
+    std::atomic<bool> Finished{false};
     /// A violation with this transaction as closing-edge target was already
     /// reported (one report per cycle, matching the graph engines).
     bool Reported = false;
@@ -137,11 +142,12 @@ private:
     /// Successors to push clock growth to (both conflict and program-order
     /// edges subscribe). Empty once Sealed: a final clock never pushes.
     std::vector<VcTxn *> Subs;
-    /// The most recent subscriber, kept apart from Subs so the consecutive-
-    /// duplicate edge dedupe stays exact after a seal clears Subs. Nulled
-    /// when its target is swept (a swept transaction is never current, so
-    /// it can never be an edge target again).
-    VcTxn *LastSub = nullptr;
+    /// The most recent conflict-edge target, kept apart from Subs so the
+    /// consecutive-duplicate edge dedupe stays exact after a seal clears
+    /// Subs. Cleared by txEnd, without EngineLock, and nulled when its
+    /// target is swept (DESIGN.md §14, "Transaction lifecycle and
+    /// locking").
+    std::atomic<VcTxn *> LastSub{nullptr};
   };
 
   struct alignas(64) PerThread {
@@ -156,8 +162,8 @@ private:
     /// and validated reads that a write overlapped, which then took it.
     uint64_t ValidatedReads = 0;
     uint64_t ValidatedReadRetries = 0;
+    /// This thread's transactions not yet swept. Guarded by EngineLock.
     std::vector<VcTxn *> Owned;
-    SpinLock OwnedLock;
   };
 
   /// Per-field metadata: the last writer plus, in the field's row of
@@ -179,26 +185,52 @@ private:
     std::atomic<VcTxn *> LastWrite{nullptr};
   };
 
-  VcTxn *newTransactionLocked(uint32_t Tid, ir::MethodId Site, bool Regular);
-  void endCurrentTxLocked(uint32_t Tid);
+  /// Can \p Tx still gain an in-edge? Only its thread's access can add
+  /// one, and that access starts a successor first unless Tx is unfinished
+  /// and regular or not yet interrupted.
+  static bool isOpen(const VcTxn *Tx) {
+    return !Tx->Finished.load(std::memory_order_relaxed) &&
+           (Tx->Regular || !Tx->Interrupted.load(std::memory_order_relaxed));
+  }
+  /// Makes a new transaction thread \p Tid's CurrTx, after the current one. Returns the
+  /// finished-transaction count when the current one was still running and
+  /// ends here, else 0; the caller passes it to runBoundary once it holds
+  /// no lock. Caller holds EngineLock.
+  uint64_t startTransactionLocked(uint32_t Tid, ir::MethodId Site,
+                                  bool Regular);
+  /// startTransactionLocked under EngineLock, then runBoundary.
+  void startTransaction(uint32_t Tid, ir::MethodId Site, bool Regular);
   VcTxn *currentForAccess(rt::ThreadContext &TC);
   /// \p Cur if it is not Sealed, else a fresh unary transaction replacing
   /// it. A collection can interrupt and seal the accessing thread's unary
   /// transaction after currentForAccess returned it; this rotates exactly
-  /// as currentForAccess would have. Caller holds EngineLock.
-  VcTxn *edgeTargetLocked(uint32_t Tid, VcTxn *Cur);
+  /// as currentForAccess would have, and sets \p Finished as
+  /// startTransactionLocked returns it. Caller holds EngineLock.
+  VcTxn *edgeTargetLocked(uint32_t Tid, VcTxn *Cur, uint64_t &Finished);
+  /// Counts one finished transaction; returns the new count.
+  uint64_t countFinished() {
+    return FinishedTxs.fetch_add(1, std::memory_order_relaxed) + 1;
+  }
+  /// Runs the window flush or collection that finished-transaction count
+  /// \p Finished closes, if any (0 closes none). Caller holds no lock.
+  void runBoundary(uint64_t Finished);
   /// Conflict edge Src->Dst: cycle check, join, subscribe, propagate.
   /// Caller holds EngineLock.
   void addEdgeLocked(VcTxn *Src, VcTxn *Dst);
   /// Pushes \p From's clock to its subscribers until no clock grows.
   void propagateLocked(VcTxn *From);
   void reportViolationLocked(VcTxn *Src, VcTxn *Dst);
-  void collectLocked();
-  /// One retirement-window boundary: forced collection + WindowHook. The
-  /// engine's verdicts are per-edge and never deferred, so a flush cannot
-  /// change them — it only bounds memory and paces the event stream, hence
-  /// always "clean" (no degradation ladder here).
-  void windowFlushLocked();
+  /// Mark-sweep. Moves the swept transactions to \p Swept, for the caller
+  /// to delete once it has released EngineLock.
+  void collectLocked(std::vector<VcTxn *> &Swept);
+  /// A collection; with \p Window, one retirement-window boundary: the
+  /// collection, the counters published to Stats and a WindowHook call.
+  /// The engine's verdicts are per-edge and never deferred, so a flush
+  /// cannot change them — it only bounds memory and paces the event
+  /// stream, hence always "clean" (no degradation ladder here).
+  void collect(bool Window);
+  /// Fills the EngineLock-guarded fields of \p H; the caller adds the
+  /// Stats snapshot after releasing the lock.
   void fillHealthLocked(rt::HealthSnapshot &H);
   /// Adds the growth of the EngineLock-guarded counters since the last call
   /// to Stats, so window flushes publish them mid-run and endRun the rest.
@@ -220,17 +252,23 @@ private:
   /// since the field's last write.
   std::unique_ptr<std::atomic<VcTxn *>[]> ReaderSlots;
 
-  /// Guards transaction lifecycle, clocks, subscriptions and collection; an
-  /// access takes it only to add cross edges.
-  /// Lock order: field lock, then EngineLock.
+  /// Guards transaction creation, clocks, subscriptions and collection;
+  /// txEnd takes it only to collect, and an access only to add cross edges
+  /// or start a successor.
+  /// Lock order: field lock, then EngineLock; WindowMu, then EngineLock.
+  /// No field lock or EngineLock is held when WindowMu is taken.
   SpinLock EngineLock;
+  /// Serializes window flushes, so window events leave in flush order
+  /// while the hook runs outside EngineLock.
+  std::mutex WindowMu;
+  /// Finished transactions; window and collection intervals count them.
+  std::atomic<uint64_t> FinishedTxs{0};
   uint64_t NextTxId = 0;
   uint64_t CrossEdges = 0;
   uint64_t Joins = 0;
   uint64_t EpochJoins = 0;
   uint64_t Propagations = 0;
   uint64_t ViolationCount = 0;
-  uint64_t FinishedTxs = 0;
   uint64_t MarkEpoch = 0;
   uint64_t CollectorRuns = 0;
   uint64_t CollectorNs = 0;

@@ -9,8 +9,8 @@
 /// clock representation's epoch/spill fast paths, transaction-boundary
 /// sequence advance, the push-based propagation that keeps late-arriving
 /// edges exact, the collector's root discipline, the lock-free validated
-/// read and its fallback, and a free-running OS-thread stress that gives
-/// TSan real concurrency to bite on.
+/// read and its fallback, the lock-free transaction end, and free-running
+/// OS-thread stresses that give TSan real concurrency to bite on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -236,10 +236,11 @@ TEST_F(VcScenario, TransactionBoundaryAdvancesSequence) {
     end(0, "m1");
   }
   finish();
-  // Exact accounting: one unary transaction per threadStarted (3), then a
-  // regular + a unary per begin/end pair. Nothing is double-counted and no
-  // boundary is merged away — each boundary advances the thread sequence.
-  EXPECT_EQ(Stats.value("vc.txs"), 3u + 2 * N);
+  // Exact accounting: one unary transaction per threadStarted (3), then one
+  // regular per begin/end pair. No unary transaction follows an end, since
+  // no checked access runs before the next begin, and nothing is
+  // double-counted: each begin advances the thread sequence.
+  EXPECT_EQ(Stats.value("vc.txs"), 3u + N);
   EXPECT_EQ(Stats.value("vc.accesses"), N);
   EXPECT_EQ(Violations.count(), 0u);
 }
@@ -255,11 +256,44 @@ TEST_F(VcScenario, ReentrantTxBeginStartsFreshTransaction) {
   begin(0, "m2"); // Reentrant begin without an end(m1).
   access(0, 0, 0, true);
   end(0, "m2");
-  end(0, "m1"); // Unbalanced end degrades to a unary boundary.
+  rt::HealthSnapshot BeforeEnd, AfterEnd;
+  VC->healthSnapshot(BeforeEnd);
+  end(0, "m1"); // Unbalanced end: m2 is already finished.
+  VC->healthSnapshot(AfterEnd);
+  // Thread 0's initial span, m1 and m2 finished; the unbalanced end
+  // finishes nothing.
+  EXPECT_EQ(BeforeEnd.FinishedTxs, 3u);
+  EXPECT_EQ(AfterEnd.FinishedTxs, BeforeEnd.FinishedTxs);
   finish();
   EXPECT_EQ(Violations.count(), 0u);
-  // threadStarted x3 + m1 + m2 + two unary spans from the two ends.
-  EXPECT_EQ(Stats.value("vc.txs"), 3u + 4u);
+  // threadStarted x3 + m1 + m2; no unary span follows either end.
+  EXPECT_EQ(Stats.value("vc.txs"), 3u + 2u);
+}
+
+TEST_F(VcScenario, FinishedTransactionForgetsLastSubscriber) {
+  // R (thread 0) writes x, y and z; X (thread 1) reads x while R runs:
+  // edge R -> X, and X becomes R's LastSub. R ends, so txEnd clears
+  // LastSub, and X's read of y adds R -> X again as a counted edge. R's
+  // successor then starts; it must leave R's LastSub (X again) alone, so
+  // X's read of z is a consecutive duplicate and is not counted. Exactly
+  // the edges the engine counted when every end started a unary successor.
+  start();
+  const rt::ObjectId Obj = 0;
+  begin(0, "m1"); // R
+  access(0, Obj, 0, true);
+  access(0, Obj, 1, true);
+  access(0, 1, 0, true); // z
+  begin(1, "m2"); // X
+  access(1, Obj, 0, false); // R -> X.
+  end(0, "m1");
+  access(1, Obj, 1, false); // R -> X after R ended: counted.
+  begin(0, "m3");           // R's successor.
+  access(1, 1, 0, false);   // R -> X again: a duplicate.
+  end(0, "m3");
+  end(1, "m2");
+  finish();
+  EXPECT_EQ(Stats.value("vc.cross_edges"), 2u);
+  EXPECT_EQ(Violations.count(), 0u);
 }
 
 TEST_F(VcScenario, RepeatedAccessSkipsMetadataUpdate) {
@@ -500,7 +534,8 @@ TEST_F(VcScenario, SealedRootsDoNotPinLaterHistory) {
   const uint32_t WindowTxs = 4;
   rt::HealthSnapshot Churned;
   runRetentionScenario(*this, WindowTxs, ChurnTxs, Churned);
-  // 4 finished transactions per churn iteration, one flush every 4.
+  // 2 finished transactions per churn iteration (its two ends; no unary
+  // span follows either), one flush every 4.
   ASSERT_GE(Stats.value("vc.windows_flushed"), 20u);
   // Finished transactions that may survive the churn: W, thread 2's reader
   // of s, and the latest churn transactions that field metadata still
@@ -620,9 +655,9 @@ TEST(VcStress, TransactionSealedMidAccessIsRotated) {
       continue;
     ASSERT_TRUE(FlushedInTime)
         << "the flush never completed while thread 0 was inside its access";
-    // Three initial spans, thread 1's m1 and its unary successor, and the
-    // span replacing U.
-    EXPECT_EQ(H.Stats.value("vc.txs"), 6u);
+    // Three initial spans, thread 1's m1 (no access follows it, so no unary
+    // successor), and the span replacing U.
+    EXPECT_EQ(H.Stats.value("vc.txs"), 5u);
     EXPECT_GE(H.Stats.value("vc.txs_sealed"), 1u);
     EXPECT_EQ(H.Violations.count(), 0u);
     break;
@@ -669,6 +704,53 @@ TEST(VcStress, WriteDuringValidatedReadTakesLockedPath) {
   EXPECT_EQ(H.Stats.value("vc.cross_edges"), 2u);
   ASSERT_EQ(H.Violations.count(), 1u)
       << "the write-read edge m2 -> m1 was never recorded";
+}
+
+TEST(VcStress, LockFreeTxEndRacesEdgeAndFlush) {
+  // Thread 0's transactions write x and end without EngineLock, while
+  // thread 1's transactions read x: each read's write-read edge comes from
+  // the writer that may be finishing at that moment, and sets or reads its
+  // LastSub as txEnd clears it. A window flush falls due every three
+  // finished transactions, on whichever thread finished the third, and
+  // reads the racing Finished flags. Under TSan the race must be clean; in
+  // any build no finish may be lost or counted twice.
+  const int TxPerThread = 2000;
+  VcHarness H;
+  VectorClockOptions Opts;
+  Opts.WindowTxs = 3;
+  uint64_t HookCalls = 0;
+  Opts.WindowHook = [&](const rt::HealthSnapshot &) { ++HookCalls; };
+  H.start(Opts);
+  const rt::ObjectId X = 0;
+  std::thread Writer([&] {
+    for (int I = 0; I < TxPerThread; ++I) {
+      H.begin(0, "m1");
+      H.access(0, X, 0, true);
+      H.end(0, "m1");
+    }
+  });
+  std::thread Reader([&] {
+    for (int I = 0; I < TxPerThread; ++I) {
+      H.begin(1, "m2");
+      H.access(1, X, 0, false);
+      H.end(1, "m2");
+    }
+  });
+  Writer.join();
+  Reader.join();
+  rt::HealthSnapshot Done;
+  H.VC->healthSnapshot(Done);
+  // Each thread's initial span and its transactions.
+  const uint64_t Finished = 2 * (1 + TxPerThread);
+  EXPECT_EQ(Done.FinishedTxs, Finished);
+  H.finish(); // Also finishes thread 2's initial span.
+  EXPECT_EQ(H.Stats.value("vc.windows_flushed"), (Finished + 1) / 3);
+  EXPECT_EQ(HookCalls, (Finished + 1) / 3);
+  EXPECT_EQ(H.Stats.value("vc.txs"), 3u + 2 * TxPerThread);
+  EXPECT_EQ(H.Stats.value("vc.accesses"), 2u * TxPerThread);
+  EXPECT_GT(H.Stats.value("vc.cross_edges"), 0u);
+  // Every transaction makes one access, so the run is serializable.
+  EXPECT_EQ(H.Violations.count(), 0u);
 }
 
 /// Drives the engine's hooks from free-running OS threads. With \p Windowed

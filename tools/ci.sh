@@ -261,10 +261,11 @@ if [ "$RC" -ne 1 ]; then
   echo "error: injected-bug witness did not replay (exit $RC)"; exit 1
 fi
 
-echo "== Mutant gate (seeded concurrency bugs) =="
-# Each patch under tools/mutants/ plants one concurrency bug that the
-# differential matrix cannot see (its replayed schedules never interleave
-# inside a hook) and names the test that must catch it in a
+echo "== Mutant gate (seeded bugs) =="
+# Each patch under tools/mutants/ plants one bug that the differential
+# matrix cannot see (its replayed schedules never interleave inside a
+# hook, or the bug changes counts but no verdict, such as a dropped
+# duplicate edge) and names the test that must catch it in a
 # "Caught-by: <test binary> <gtest filter>" line. The patch goes onto a
 # temporary copy of the tree, only that test binary is built, and the test
 # must fail (gtest exit 1): a mutant that survives, does not apply or does
@@ -364,8 +365,10 @@ build-ci-tsan/tests/icd_test \
 # waiting for a field lock, which another thread holds by blocking in its
 # access callback, has its transaction sealed mid-access; reader-slot
 # stores made without the engine lock race a sweep after every finished
-# transaction; and a write lands while a validated read, which holds no
-# lock, is blocked between its slot check and its re-check.
+# transaction; a write lands while a validated read, which holds no
+# lock, is blocked between its slot check and its re-check; and one
+# thread's txEnd, which takes no lock, races another thread's edge from
+# the finishing transaction while window flushes fall due.
 build-ci-tsan/tests/vc_test --gtest_filter='VcStress.*'
 # A TSan slice of the service-mode soak: window flushes synchronize the
 # mutator, inline PCD replays (through their pins), and the collector —
